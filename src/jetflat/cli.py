@@ -166,20 +166,15 @@ def _cmd_monotone(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
 def _cmd_length(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
     path = parse_path(_load_json(args.path_spec))
     total = sch_length(path)
-    spec_len = metric_length(path, "spec", tol=cfg.tolerance)
-    sch_len = metric_length(path, "sch", tol=cfg.tolerance)
+    metric = metric_length(path, tol=cfg.tolerance)
     report = {
         "sch_length": total,
-        "metric_length_spec": spec_len.value,
-        "metric_length_sch": sch_len.value,
-        "refinement_depth": spec_len.depth,
-        "converged": spec_len.converged and sch_len.converged,
+        "metric_length": metric.value,
+        "refinement_depth": metric.depth,
+        "converged": metric.converged,
     }
-    ok = (
-        spec_len.converged
-        and sch_len.converged
-        and spec_len.value <= sch_len.value + cfg.tolerance
-        and abs(spec_len.value - total) <= max(cfg.tolerance, 1e-9 * (1.0 + abs(total)))
+    ok = metric.converged and abs(metric.value - total) <= max(
+        cfg.tolerance, 1e-9 * (1.0 + abs(total))
     )
     return report, ok, None
 
@@ -224,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=CSV_HELP,
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=int, default=RunConfig.grid_size, help="scan grid size (power of two >= 64)")
     common.add_argument("--tol", type=float, default=RunConfig.tolerance, help="equality/membership tolerance")
     common.add_argument("--degree", type=int, default=RunConfig.truncation_degree, help="truncation degree for generated data")
     common.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for randomized suites")
@@ -285,7 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(
-            grid_size=args.grid,
             tolerance=args.tol,
             truncation_degree=args.degree,
             seed=args.seed,

@@ -62,28 +62,17 @@ def thread_cap() -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Reproducibility bundle surfaced by the command line.
+    """Reproducibility bundle surfaced by the command line."""
 
-    grid_size drives the circle scan directly; the torus scan uses
-    grid_size // 16 points per axis (256 at the default 4096).
-    """
-
-    grid_size: int = DEFAULT_CIRCLE_SCAN
     tolerance: float = EQUALITY_TOL
     truncation_degree: int = 16
     seed: int = 0
     output_format: str = "json"
 
     def __post_init__(self) -> None:
-        if self.grid_size < 64 or self.grid_size & (self.grid_size - 1):
-            raise ValueError("grid_size must be a power of two >= 64")
         if not 0.0 < self.tolerance <= 1e-3:
             raise ValueError("tolerance must lie in (0, 1e-3]")
         if self.truncation_degree < 1:
             raise ValueError("truncation_degree must be positive")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")
-
-    @property
-    def torus_grid(self) -> int:
-        return max(64, self.grid_size // 16)

@@ -196,9 +196,10 @@ def spectral_norm(phi: CircleContactomorphism, tol: float = VALUE_CLUSTER_TOL) -
     f = phi.displacement
     c_plus = extremum(f, "max").value
     c_minus = extremum(f, "min").value
-    advisory = phi.c1_size() >= C1_ADVISORY_THRESHOLD
+    c1 = phi.c1_size()
+    advisory = c1 >= C1_ADVISORY_THRESHOLD
     if advisory:
-        log.warning("spectral_norm outside the C1-small regime (max|f'| = %.3f)", phi.c1_size())
+        log.warning("spectral_norm outside the C1-small regime (max|f'| = %.3f)", c1)
     spec = translated_points(phi, tol=tol)
     if not (spec.contains(c_plus, tol) and spec.contains(c_minus, tol)):
         raise CrossCheckMismatch("selector values missing from the translated-point spectrum")

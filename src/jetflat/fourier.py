@@ -301,6 +301,12 @@ class FourierFunction:
     def gradient(self) -> tuple["FourierFunction", ...]:
         return tuple(self.derivative(axis) for axis in range(self.domain.ndim))
 
+    def hessian(self) -> tuple["FourierFunction", ...]:
+        """Second partials f_ij with i <= j: (f'',) on S1, (f_11, f_12, f_22) on T2."""
+        grad = self.gradient()
+        nd = self.domain.ndim
+        return tuple(grad[i].derivative(j) for i in range(nd) for j in range(i, nd))
+
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
@@ -333,29 +339,41 @@ class FourierFunction:
         e2 = np.exp(TWO_PI * 1j * np.mod(pts[:, 1], 1.0)[:, None] * k[None, :])
         return np.einsum("mi,ij,mj->m", e1, self.coeffs, e2).real
 
-    def values_on_grid(self, n: int) -> np.ndarray:
-        """Values at the uniform grid (i/n) — (n,) on S1, (n, n) on T2."""
+    def values_on_grid(self, n: int, derivatives: bool = False) -> np.ndarray:
+        """Values at the uniform grid (i/n) — (n,) on S1, (n, n) on T2.
+
+        With derivatives the result stacks the first and second derivative
+        grids behind the values along a new leading axis: f, f', f'' on S1
+        and f, f_1, f_2, f_11, f_12, f_22 on T2.  All of them come from one
+        product of the coefficient stack c (2 pi i k)^j against one cached
+        phase table.
+        """
+        c = self.coeffs
+        d = self.degree
+        e = _phase_table(n, d)
+        # Only real parts are wanted, so the last product reads complex arrays
+        # as interleaved (re, im) reals: a complex product of these shapes
+        # runs multithreaded in OpenBLAS, which doubles the CPU time of a scan
+        # (S1) or materializes a complex (n, n) stack (T2).
         if self.domain.kind == "S1":
-            a0, a, b = self.circle_cos_sin()
-            if self.degree == 0:
-                return np.full(n, a0)
-            cos_t, sin_t = _circle_tables(n, self.degree)
-            return a0 + cos_t @ a + sin_t @ b
-        e = _torus_tables(n, self.degree)
-        return (e @ self.coeffs @ e.T).real
+            # Hermitian symmetry: f = Re(c_0 + 2 sum_{k>0} c_k e^{2 pi i k q})
+            pos = c[d:] * np.where(np.arange(d + 1) > 0, 2.0, 1.0)
+            w = TWO_PI * 1j * np.arange(d + 1)
+            stack = np.stack([pos, pos * w, pos * w * w] if derivatives else [pos])
+            rows = np.stack([stack.real, -stack.imag], axis=-1).reshape(len(stack), -1)
+            grids = rows @ e[:, d:].view(float).T
+        else:
+            w = TWO_PI * 1j * np.arange(-d, d + 1)
+            w1, w2 = w[:, None], w[None, :]
+            parts = [c, c * w1, c * w2, c * w1 * w1, c * w1 * w2, c * w2 * w2]
+            left = e @ np.stack(parts if derivatives else [c])
+            grids = left.view(float) @ np.conj(e).view(float).T
+        return grids if derivatives else grids[0]
 
 
 @lru_cache(maxsize=64)
-def _circle_tables(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    ang = TWO_PI * (np.arange(n) / n)[:, None] * np.arange(1, degree + 1)[None, :]
-    c, s = np.cos(ang), np.sin(ang)
-    c.flags.writeable = False
-    s.flags.writeable = False
-    return c, s
-
-
-@lru_cache(maxsize=64)
-def _torus_tables(n: int, degree: int) -> np.ndarray:
+def _phase_table(n: int, degree: int) -> np.ndarray:
+    """exp(2 pi i k j / n) for grid index j and k = -D..D, shape (n, 2D+1)."""
     k = np.arange(-degree, degree + 1)
     e = np.exp(TWO_PI * 1j * (np.arange(n) / n)[:, None] * k[None, :])
     e.flags.writeable = False
@@ -367,7 +385,7 @@ def grid_points(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# evaluation / extrema / critical sets
+# extrema / critical sets: reductions over one scan per query
 # ---------------------------------------------------------------------------
 
 Mode = Literal["max", "min"]
@@ -395,40 +413,46 @@ class CriticalSet:
     point_tolerance: float = NEWTON_RESIDUAL
 
 
-def evaluate(f: FourierFunction, x) -> float:
-    """Exact truncated-series value at a point of the domain (mod 1)."""
-    return f(x)
-
-
-def _circle_scan_size(f: FourierFunction, n: int | None) -> int:
-    if n is not None:
-        return n
-    # never undersample relative to the degree
-    return max(DEFAULT_CIRCLE_SCAN, 8 * f.degree)
+def _scan(f: FourierFunction, n: int | None) -> tuple[int, np.ndarray]:
+    """Scan size and the stacked value, gradient and Hessian grids."""
+    if n is None:
+        # never undersample relative to the degree
+        n = max(DEFAULT_CIRCLE_SCAN, 8 * f.degree) if f.domain.kind == "S1" else DEFAULT_TORUS_SCAN
+    return n, f.values_on_grid(n, derivatives=True)
 
 
 def _newton_circle(
-    fp: FourierFunction,
-    fpp: FourierFunction,
-    x0: float,
-    halfwidth: float,
+    f: FourierFunction,
+    seeds: np.ndarray,
+    halfwidth,
     residual: float = NEWTON_RESIDUAL,
-) -> float | None:
-    """Newton for fp(x) = 0 from x0, confined to |x - x0| <= halfwidth."""
-    x = x0
-    for _ in range(NEWTON_MAX_ITER):
-        g = fp(x)
-        if abs(g) <= residual:
-            return x
-        h = fpp(x)
-        if h == 0.0:
-            return None
-        step = g / h
-        x_new = x - step
-        if abs(x_new - x0) > halfwidth:
-            return None
-        x = x_new
-    return x if abs(fp(x)) <= residual else None
+) -> np.ndarray:
+    """Newton for f'(x) = 0 from every seed at once.
+
+    Each seed stays confined to |x - seed| <= halfwidth (a scalar or one
+    width per seed); seeds that leave their window, meet f'' = 0 or do not
+    converge come back as NaN.
+    """
+    fp = f.derivative()
+    fpp = fp.derivative()
+    x0 = np.asarray(seeds, dtype=float)
+    width = np.zeros_like(x0) + halfwidth
+    x = x0.copy()
+    roots = np.full(x0.shape, np.nan)
+    live = np.arange(len(x0))
+    for it in range(NEWTON_MAX_ITER + 1):
+        g = fp(x[live])
+        done = np.abs(g) <= residual
+        roots[live[done]] = x[live[done]]
+        live, g = live[~done], g[~done]
+        if len(live) == 0 or it == NEWTON_MAX_ITER:
+            break
+        h = fpp(x[live])
+        x_new = x[live] - g / np.where(h == 0.0, 1.0, h)
+        ok = (h != 0.0) & (np.abs(x_new - x0[live]) <= width[live])
+        x[live[ok]] = x_new[ok]
+        live = live[ok]
+    return roots
 
 
 def _ternary_max_circle(f: FourierFunction, lo: float, hi: float, iters: int = 80) -> float:
@@ -447,16 +471,6 @@ def _ternary_max_circle(f: FourierFunction, lo: float, hi: float, iters: int = 8
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
-
-
-def _circular_lt(p: np.ndarray, q: np.ndarray) -> bool:
-    """Lexicographic order on canonical mod-1 coordinates."""
-    for a, b in zip(p, q):
-        if a < b - 1e-15:
-            return True
-        if a > b + 1e-15:
-            return False
-    return False
 
 
 def _canonical_mod1(x: np.ndarray) -> np.ndarray:
@@ -484,52 +498,57 @@ def _dedupe_points(points: np.ndarray, tol: float = POINT_CLUSTER_TOL) -> np.nda
     return np.array([kept[i] for i in order])
 
 
-def _attaining_set_circle(f: FourierFunction, n: int, tol: float) -> tuple[float, np.ndarray]:
-    vals = f.values_on_grid(n)
+def _local_max_mask(a: np.ndarray) -> np.ndarray:
+    """Torus grid points at least as large as all eight (periodic) neighbours."""
+    mask = np.ones(a.shape, dtype=bool)
+    for sx in (-1, 0, 1):
+        for sy in (-1, 0, 1):
+            if sx or sy:
+                mask &= a >= np.roll(np.roll(a, sx, axis=0), sy, axis=1)
+    return mask
+
+
+def _attain_circle(
+    f: FourierFunction, n: int, grids: np.ndarray, sign: int, tol: float
+) -> tuple[float, np.ndarray]:
+    vals = sign * grids[0]
     vmax = float(vals.max())
     vmin = float(vals.min())
     if vmax - vmin <= 1e-12:  # constant: attained everywhere
-        return vmax, np.array([[0.0]])
-    fp = f.derivative()
-    fpp = fp.derivative()
+        return sign * vmax, np.array([[0.0]])
     dq = 1.0 / n
-    dscale = float(np.max(np.abs(fp.values_on_grid(n))))
-    residual = NEWTON_RESIDUAL * max(1.0, dscale)
+    residual = NEWTON_RESIDUAL * max(1.0, float(np.max(np.abs(grids[1]))))
     # margin below which a grid point may still hide the global max
-    curv = float(np.max(np.abs(fpp.values_on_grid(n))))
-    margin = 10.0 * tol + 0.5 * curv * dq * dq
-    mask = vals >= vmax - margin
+    margin = 10.0 * tol + 0.5 * float(np.max(np.abs(grids[2]))) * dq * dq
     # one seed per contiguous run (circular)
-    idx = np.flatnonzero(mask)
     runs: list[list[int]] = []
-    for i in idx:
+    for i in np.flatnonzero(vals >= vmax - margin):
         if runs and i == runs[-1][-1] + 1:
             runs[-1].append(i)
         else:
             runs.append([i])
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
         runs[0] = runs.pop() + runs[0]
-    seeds = [max(run, key=lambda i: vals[i]) / n for run in runs]
+    seeds = np.array([max(run, key=lambda i: vals[i]) for run in runs]) / n
+    roots = _newton_circle(f, seeds, 2.0 * dq, residual)
     refined = []
     best = vmax
-    for s in seeds:
-        r = _newton_circle(fp, fpp, s, 2.0 * dq, residual)
-        if r is None:
-            r = _ternary_max_circle(f, s - dq, s + dq)
-        v = f(r)
+    for s, r in zip(seeds, roots):
+        if np.isnan(r):
+            r = _ternary_max_circle(sign * f, s - dq, s + dq)
+        v = sign * f(r)
         refined.append((v, r))
         best = max(best, v)
     pts = np.array([[r] for v, r in refined if v >= best - tol])
-    pts = _dedupe_points(_canonical_mod1(pts))
-    return best, pts
+    return sign * best, _dedupe_points(_canonical_mod1(pts))
 
 
-def _newton_torus(grad, hess, seeds: np.ndarray, residual: float) -> np.ndarray:
+def _newton_torus(f: FourierFunction, seeds: np.ndarray, residual: float) -> np.ndarray:
     """Vectorized 2-d Newton for grad f = 0; returns converged points only."""
     pts = np.array(seeds, dtype=float)
     alive = np.ones(len(pts), dtype=bool)
-    g1, g2 = grad
-    h11, h12, h22 = hess
+    g1, g2 = f.gradient()
+    h11, h12, h22 = f.hessian()
     for _ in range(NEWTON_MAX_ITER):
         if not alive.any():
             break
@@ -562,41 +581,34 @@ def _newton_torus(grad, hess, seeds: np.ndarray, residual: float) -> np.ndarray:
     return pts[g <= residual]
 
 
-def _torus_derivative_pack(f: FourierFunction):
-    f1, f2 = f.gradient()
-    return (f1, f2), (f1.derivative(0), f1.derivative(1), f2.derivative(1))
-
-
-def _attaining_set_torus(f: FourierFunction, n: int, tol: float) -> tuple[float, np.ndarray]:
-    vals = f.values_on_grid(n)
+def _attain_torus(
+    f: FourierFunction, n: int, grids: np.ndarray, sign: int, tol: float
+) -> tuple[float, np.ndarray]:
+    vals = sign * grids[0]
     vmax = float(vals.max())
     vmin = float(vals.min())
     if vmax - vmin <= 1e-12:
-        return vmax, np.array([[0.0, 0.0]])
-    grad, hess = _torus_derivative_pack(f)
+        return sign * vmax, np.array([[0.0, 0.0]])
     dq = 1.0 / n
-    gscale = max(float(np.max(np.abs(g.values_on_grid(n)))) for g in grad)
-    residual = NEWTON_RESIDUAL * max(1.0, gscale)
-    curv = max(float(np.max(np.abs(h.values_on_grid(n)))) for h in hess)
-    margin = 10.0 * tol + 2.0 * curv * dq * dq
-    mask = vals >= vmax - margin
-    local_max = np.ones_like(mask)
-    for sx in (-1, 0, 1):
-        for sy in (-1, 0, 1):
-            if sx == 0 and sy == 0:
-                continue
-            local_max &= vals >= np.roll(np.roll(vals, sx, axis=0), sy, axis=1)
-    seeds_idx = np.argwhere(mask & local_max)
+    residual = NEWTON_RESIDUAL * max(1.0, float(np.max(np.abs(grids[1:3]))))
+    margin = 10.0 * tol + 2.0 * float(np.max(np.abs(grids[3:6]))) * dq * dq
+    seeds_idx = np.argwhere((vals >= vmax - margin) & _local_max_mask(vals))
     if len(seeds_idx) == 0:
         seeds_idx = np.argwhere(vals == vmax)
     seeds = seeds_idx / n
-    refined = _newton_torus(grad, hess, seeds, residual)
-    cand = [(float(f(p)), p) for p in refined]
-    cand += [(float(f(s)), s) for s in seeds]  # fallback if Newton lost a basin
-    best = max(vmax, max(v for v, _ in cand))
-    pts = np.array([p for v, p in cand if v >= best - tol])
-    pts = _dedupe_points(_canonical_mod1(pts))
-    return best, pts
+    # the seeds stay candidates in case Newton lost a basin
+    cand = np.concatenate([_newton_torus(f, seeds, residual), seeds])
+    cand_vals = sign * f(cand)
+    best = max(vmax, float(cand_vals.max()))
+    return sign * best, _dedupe_points(_canonical_mod1(cand[cand_vals >= best - tol]))
+
+
+def _attain(
+    f: FourierFunction, n: int, grids: np.ndarray, sign: int, tol: float = VALUE_CLUSTER_TOL
+) -> tuple[float, np.ndarray]:
+    """Max (sign 1) or min (sign -1) of f and its attaining points, from a scan."""
+    attain = _attain_circle if f.domain.kind == "S1" else _attain_torus
+    return attain(f, n, grids, sign, tol)
 
 
 def attaining_set(
@@ -609,27 +621,34 @@ def attaining_set(
 
     Points come back sorted lexicographically, canonicalized to [0, 1).
     """
-    if mode == "min":
-        value, pts = attaining_set(-f, "max", n=n, tol=tol)
-        return -value, pts
-    if f.domain.kind == "S1":
-        return _attaining_set_circle(f, _circle_scan_size(f, n), tol)
-    return _attaining_set_torus(f, n if n is not None else DEFAULT_TORUS_SCAN, tol)
+    n, grids = _scan(f, n)
+    return _attain(f, n, grids, -1 if mode == "min" else 1, tol)
 
 
-def extremum(f: FourierFunction, mode: Mode = "max", n: int | None = None) -> Extremum:
+def extremum(
+    f: FourierFunction,
+    mode: Mode = "max",
+    n: int | None = None,
+    *,
+    grids: np.ndarray | None = None,
+) -> Extremum:
     """Global max or min with an attaining point.
 
     Uniform scan plus Newton refinement on the derivative; ties are broken
-    toward the lexicographically smallest coordinates.
+    toward the lexicographically smallest coordinates.  grids, a stacked
+    scan of f from values_on_grid(n, derivatives=True), is read instead of
+    scanning again; its size then takes the place of n.
     """
-    value, pts = attaining_set(f, mode, n=n)
+    if grids is None:
+        _, grids = _scan(f, n)
+    value, pts = _attain(f, grids.shape[-1], grids, -1 if mode == "min" else 1)
     return Extremum(value, tuple(float(x) for x in pts[0]))
 
 
 def sup_norm(f: FourierFunction, n: int | None = None) -> float:
-    """max |f| through the signed extremum code path."""
-    return max(extremum(f, "max", n=n).value, -extremum(f, "min", n=n).value)
+    """max |f|: both signed extrema, read from one scan."""
+    _, grids = _scan(f, n)
+    return max(extremum(f, "max", grids=grids).value, -extremum(f, "min", grids=grids).value)
 
 
 def sup_norm_by_squaring(f: FourierFunction, n: int | None = None) -> float:
@@ -643,42 +662,31 @@ def sup_norm_by_squaring(f: FourierFunction, n: int | None = None) -> float:
     return float(np.sqrt(max(m, 0.0)))
 
 
-def _critical_points_circle(f: FourierFunction, n: int) -> np.ndarray:
-    fp = f.derivative()
-    fpp = fp.derivative()
-    dvals = fp.values_on_grid(n)
-    residual = NEWTON_RESIDUAL * max(1.0, float(np.max(np.abs(dvals))))
+def _critical_points_circle(
+    f: FourierFunction, n: int, grids: np.ndarray, residual: float
+) -> np.ndarray:
+    dvals = grids[1]
     dq = 1.0 / n
     xs = grid_points(n)
-    roots: list[float] = []
     # sign-change brackets, including the wrap-around interval
-    nxt = np.roll(dvals, -1)
-    change = (dvals == 0.0) | (np.sign(dvals) != np.sign(nxt))
-    for i in np.flatnonzero(change):
-        if dvals[i] == 0.0:
-            roots.append(xs[i])
-            continue
-        lo, hi = xs[i], xs[i] + dq
-        r = _newton_circle(fp, fpp, 0.5 * (lo + hi), dq, residual)
-        if r is None:
-            r = _bisect_root(fp, lo, hi)
-        if r is not None:
-            roots.append(r)
-    # tangential zeros: strict local minima of |f'| refined by Newton
+    change = (dvals == 0.0) | (np.sign(dvals) != np.sign(np.roll(dvals, -1)))
+    # tangential zeros: strict local minima of |f'| away from any bracket
     absd = np.abs(dvals)
     local_min = (absd < np.roll(absd, 1)) & (absd <= np.roll(absd, -1))
-    for i in np.flatnonzero(local_min):
-        if change[i] or change[i - 1]:
-            continue
-        r = _newton_circle(fp, fpp, xs[i], 2.0 * dq, residual)
-        if r is not None:
-            roots.append(r)
-    if not roots:
-        return np.zeros((0, 1))
-    return _dedupe_points(_canonical_mod1(np.array(roots)[:, None]))
+    lo = xs[change]
+    tangential = xs[local_min & ~change & ~np.roll(change, 1)]
+    seeds = np.concatenate([0.5 * (lo + (lo + dq)), tangential])
+    widths = np.concatenate([np.full(len(lo), dq), np.full(len(tangential), 2.0 * dq)])
+    roots = _newton_circle(f, seeds, widths, residual)
+    bracketed = roots[: len(lo)]
+    exact = dvals[change] == 0.0
+    bracketed[exact] = lo[exact]
+    for i in np.flatnonzero(np.isnan(bracketed)):
+        bracketed[i] = _bisect_root(f.derivative(), lo[i], lo[i] + dq)
+    return _dedupe_points(_canonical_mod1(roots[~np.isnan(roots), None]))
 
 
-def _bisect_root(fp: FourierFunction, lo: float, hi: float) -> float | None:
+def _bisect_root(fp: FourierFunction, lo: float, hi: float) -> float:
     flo = fp(lo)
     if flo == 0.0:
         return lo
@@ -694,23 +702,12 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def _critical_points_torus(f: FourierFunction, n: int) -> np.ndarray:
-    grad, hess = _torus_derivative_pack(f)
-    g1 = grad[0].values_on_grid(n)
-    g2 = grad[1].values_on_grid(n)
-    gn = np.maximum(np.abs(g1), np.abs(g2))
-    residual = NEWTON_RESIDUAL * max(1.0, float(gn.max()))
-    local_min = np.ones(gn.shape, dtype=bool)
-    for sx in (-1, 0, 1):
-        for sy in (-1, 0, 1):
-            if sx == 0 and sy == 0:
-                continue
-            local_min &= gn <= np.roll(np.roll(gn, sx, axis=0), sy, axis=1)
-    seeds = np.argwhere(local_min) / n
-    refined = _newton_torus(grad, hess, seeds, residual)
-    if len(refined) == 0:
-        return np.zeros((0, 2))
-    return _dedupe_points(_canonical_mod1(refined))
+def _critical_points_torus(
+    f: FourierFunction, n: int, grids: np.ndarray, residual: float
+) -> np.ndarray:
+    gn = np.max(np.abs(grids[1:3]), axis=0)
+    seeds = np.argwhere(_local_max_mask(-gn)) / n
+    return _dedupe_points(_canonical_mod1(_newton_torus(f, seeds, residual)))
 
 
 def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
@@ -726,6 +723,35 @@ def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
     return [float(np.mean(c)) for c in clusters]
 
 
+def _critical_set(f: FourierFunction, n: int, grids: np.ndarray, tol: float) -> CriticalSet:
+    dnorm = np.max(np.abs(grids[1 : 1 + f.domain.ndim]), axis=0)
+    plateau = float(np.mean(dnorm < PLATEAU_POINT_TOL)) > PLATEAU_FRACTION
+    point_tol = NEWTON_RESIDUAL * max(1.0, float(np.max(dnorm)))
+    if float(np.max(dnorm)) < PLATEAU_POINT_TOL:
+        # constant function: every point is critical, report the value once
+        origin = (0.0,) * f.domain.ndim
+        return CriticalSet(
+            points=(origin,),
+            values=(f.mean_value,),
+            tolerance=tol,
+            plateau=True,
+            point_tolerance=point_tol,
+        )
+    find = _critical_points_circle if f.domain.kind == "S1" else _critical_points_torus
+    pts = find(f, n, grids, point_tol)
+    values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts))
+    (vmax, pmax), (vmin, pmin) = (_attain(f, n, grids, sign) for sign in (1, -1))
+    values += [vmax, vmin]
+    pts = _dedupe_points(np.concatenate([pts, pmax[:1], pmin[:1]]))
+    return CriticalSet(
+        points=tuple(tuple(float(x) for x in p) for p in pts),
+        values=tuple(_cluster_values(values, tol)),
+        tolerance=tol,
+        plateau=plateau,
+        point_tolerance=point_tol,
+    )
+
+
 def critical_set(
     f: FourierFunction,
     n: int | None = None,
@@ -739,44 +765,8 @@ def critical_set(
     points with |grad f| below the point tolerance) sets the plateau flag
     and contributes its value once.
     """
-    if f.domain.kind == "S1":
-        scan = _circle_scan_size(f, n)
-        dnorm = np.abs(f.derivative().values_on_grid(scan))
-    else:
-        scan = n if n is not None else DEFAULT_TORUS_SCAN
-        g1, g2 = f.gradient()
-        dnorm = np.maximum(
-            np.abs(g1.values_on_grid(scan)), np.abs(g2.values_on_grid(scan))
-        )
-    plateau = float(np.mean(dnorm < PLATEAU_POINT_TOL)) > PLATEAU_FRACTION
-    point_tol = NEWTON_RESIDUAL * max(1.0, float(np.max(dnorm)))
-    if float(np.max(dnorm)) < PLATEAU_POINT_TOL:
-        # constant function: every point is critical, report the value once
-        origin = (0.0,) * f.domain.ndim
-        return CriticalSet(
-            points=(origin,),
-            values=(f.mean_value,),
-            tolerance=tol,
-            plateau=True,
-            point_tolerance=point_tol,
-        )
-    if f.domain.kind == "S1":
-        pts = _critical_points_circle(f, scan)
-    else:
-        pts = _critical_points_torus(f, scan)
-    values = [float(f(p if f.domain.ndim > 1 else p[0])) for p in pts]
-    vmax, pmax = extremum(f, "max", n=n)
-    vmin, pmin = extremum(f, "min", n=n)
-    values += [vmax, vmin]
-    all_pts = list(pts) + [np.array(pmax), np.array(pmin)]
-    pts = _dedupe_points(np.array(all_pts))
-    return CriticalSet(
-        points=tuple(tuple(float(x) for x in p) for p in pts),
-        values=tuple(_cluster_values(values, tol)),
-        tolerance=tol,
-        plateau=plateau,
-        point_tolerance=point_tol,
-    )
+    n, grids = _scan(f, n)
+    return _critical_set(f, n, grids, tol)
 
 
 def is_morse(f: FourierFunction, n: int | None = None) -> bool:
@@ -786,25 +776,15 @@ def is_morse(f: FourierFunction, n: int | None = None) -> bool:
     critical point; torus: |det Hess f| against the squared threshold.
     Plateaus are degenerate by definition.
     """
-    cs = critical_set(f, n=n)
+    n, grids = _scan(f, n)
+    cs = _critical_set(f, n, grids, VALUE_CLUSTER_TOL)
     if cs.plateau:
         return False
+    scale = max(1.0, float(np.max(np.abs(grids[1 + f.domain.ndim :]))))
+    thresh = HESSIAN_DEGENERACY_TOL * scale
+    pts = np.array(cs.points)
     if f.domain.kind == "S1":
-        fpp = f.derivative().derivative()
-        scan = _circle_scan_size(f, n)
-        scale = max(1.0, float(np.max(np.abs(fpp.values_on_grid(scan)))))
-        thresh = HESSIAN_DEGENERACY_TOL * scale
-        return all(abs(fpp(p[0])) > thresh for p in cs.points)
-    _, hess = _torus_derivative_pack(f)
-    scan = n if n is not None else DEFAULT_TORUS_SCAN
-    scale = max(
-        1.0, max(float(np.max(np.abs(h.values_on_grid(scan)))) for h in hess)
-    )
-    thresh = (HESSIAN_DEGENERACY_TOL * scale) ** 2
-    h11, h12, h22 = hess
-    for p in cs.points:
-        pt = np.array([p])
-        det = h11(pt)[0] * h22(pt)[0] - h12(pt)[0] ** 2
-        if abs(det) <= thresh:
-            return False
-    return True
+        (fpp,) = f.hessian()
+        return bool(np.all(np.abs(fpp(pts[:, 0])) > thresh))
+    h11, h12, h22 = (h(pts) for h in f.hessian())
+    return bool(np.all(np.abs(h11 * h22 - h12**2) > thresh**2))

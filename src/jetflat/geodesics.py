@@ -37,7 +37,6 @@ from .fourier import (
     extremum,
     grid_points,
     sup_norm,
-    _circle_tables,
 )
 from .jets import JetLegendrian, pointwise_leq
 from .paths import IsotopyPath
@@ -205,10 +204,12 @@ def local_quasi_autonomy_check(
 ) -> SegmentationReport:
     """Maximal knot-index windows on which the witness search succeeds.
 
-    Quasi-autonomy is hereditary under shrinking a window, so a two-pointer
-    sweep finds all maximal windows.  Single segments always carry a
-    witness, hence the cover verdict is about how the windows tile the
-    path, and the multi-segment windows carry the sharper information.
+    The search draws its candidates from the first non-constant segment of a
+    window, so extending a window to the right only adds filters: from each
+    start the passing windows are exactly those up to one end e(i), and a
+    two-pointer sweep finds all maximal windows.  Single segments always
+    carry a witness, hence the cover verdict is about how the windows tile
+    the path, and the multi-segment windows carry the sharper information.
     """
     deltas = path.segment_deltas()
     k = len(deltas)
@@ -216,11 +217,15 @@ def local_quasi_autonomy_check(
     def window_ok(i: int, j: int) -> bool:
         return common_attaining_point(deltas[i : j + 1], value_tol, deriv_tol) is not None
 
-    # quasi-autonomy is hereditary, so the maximal end j(i) is nondecreasing
-    # and comparing against the last stored window suffices
+    # a window from i is maximal exactly when e(i) passes every earlier end,
+    # so j carries over from the previous start and only windows beyond it
+    # are searched.  Dropping segments on the left changes the candidates,
+    # so shrinking is hereditary only up to the tolerances; the sweep never
+    # relies on it, since the windows it skips lie inside a stored one.
     windows: list[tuple[int, int]] = []
+    j = 0
     for i in range(k):
-        j = i
+        j = max(j, i)
         while j + 1 < k and window_ok(i, j + 1):
             j += 1
         win = (i, j + 1)  # knot indices i .. j+1 = segments i .. j
@@ -436,9 +441,9 @@ def from_real_vector(domain: DomainDescriptor, vec: np.ndarray, degree: int) -> 
 def _real_basis(domain: DomainDescriptor, degree: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(points, B) with B[i] the basis-function values at grid point i."""
     if domain.kind == "S1":
-        cos_t, sin_t = _circle_tables(n, degree) if degree else (np.zeros((n, 0)),) * 2
+        ang = 2.0 * np.pi * (np.arange(n) / n)[:, None] * np.arange(1, degree + 1)[None, :]
         pts = grid_points(n)[:, None]
-        b = np.hstack([np.ones((n, 1)), cos_t[:, :degree], sin_t[:, :degree]])
+        b = np.hstack([np.ones((n, 1)), np.cos(ang), np.sin(ang)])
         return pts, b
     g = grid_points(n)
     q1, q2 = np.meshgrid(g, g, indexing="ij")

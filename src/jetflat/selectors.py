@@ -110,7 +110,6 @@ class MetricLengthReport:
 
 def metric_length(
     path: IsotopyPath,
-    metric: str = "spec",
     tol: float = 1e-9,
     max_depth: int = 12,
 ) -> MetricLengthReport:
@@ -119,12 +118,10 @@ def metric_length(
     Partitions refine the knot partition (each knot interval is split in
     halves), so each sub-interval stays inside one linear segment; the
     partition sums then telescope and the iteration stabilizes immediately.
-    Both metric choices evaluate to the sup norm of the coefficient
-    difference in this chart: the straight segment realizes the sup-norm
-    infimum, so the path-infimum distance agrees with the flat one.
+    The spectral and the path-infimum metric give the same value here:
+    both evaluate to the sup norm of the coefficient difference in this
+    chart, since the straight segment realizes the sup-norm infimum.
     """
-    if metric not in ("spec", "sch"):
-        raise ValueError("metric must be 'spec' or 'sch'")
 
     def partition_sum(splits: int) -> float:
         total = 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from jetflat.cli import main
 from jetflat.errors import SpecParseError
+from jetflat.fourier import FourierFunction
 from jetflat.sampling import random_function
 from jetflat.serialization import (
     canonical_json,
@@ -216,7 +217,7 @@ def test_cmd_length(capsys, specs):
     code, out = run_json(capsys, ["length", specs["reversal"]])
     assert code == 0
     assert out["sch_length"] == pytest.approx(1.0, abs=1e-9)
-    assert out["metric_length_spec"] == pytest.approx(out["metric_length_sch"], abs=1e-9)
+    assert out["metric_length"] == pytest.approx(out["sch_length"], abs=1e-9)
 
 
 def test_cmd_integral_criterion(capsys, specs, tmp_path):
@@ -257,6 +258,29 @@ def test_cmd_contact_norm_translated_qa_upper(capsys, specs, tmp_path):
     assert code == 0 and out["gap"] <= 1e-4
 
 
+def test_grid_evaluations_per_command(monkeypatch, capsys, specs):
+    # dist scans f1 - f0 three times (max, min, spectrum); the contact norm
+    # adds the Jacobian checks, the C1 size and the translated-point cross-check
+    tzero = _write(specs["tmp"], "tzero.json", {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0]]}})
+    calls = []
+    scan = FourierFunction.values_on_grid
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
+    for argv, scans in (
+        (["dist", specs["amp"], specs["zero"]], 3),
+        (["dist", specs["torus"], tzero], 3),
+        (["contact", "norm", specs["phi"]], 8),
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == scans, argv[:2]
+    capsys.readouterr()
+
+
 def test_output_bytes_are_deterministic(capsys, specs):
     main(["dist", specs["amp"], specs["zero"]])
     first = capsys.readouterr().out
@@ -275,5 +299,5 @@ def test_csv_output(capsys, specs):
     assert out.startswith("key,value")
 
 
-def test_bad_grid_config_exit_2(specs):
-    assert main(["dist", specs["zero"], specs["zero"], "--grid", "100"]) == 2
+def test_bad_config_exit_2(specs):
+    assert main(["dist", specs["zero"], specs["zero"], "--tol", "1.0"]) == 2

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jetflat import fourier
 from jetflat.errors import DimensionMismatch
 from jetflat.fourier import (
     TORUS2,
     FourierFunction,
     attaining_set,
     critical_set,
-    evaluate,
     extremum,
     is_morse,
     sup_norm,
@@ -26,11 +26,11 @@ coeff_lists = st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4)
 
 
 def test_constant_evaluation():
-    assert evaluate(fn(0.5), 0.3) == 0.5
+    assert fn(0.5)(0.3) == 0.5
 
 
 def test_unit_cosine_at_zero():
-    assert evaluate(fn(0.0, [1.0]), 0.0) == 1.0
+    assert fn(0.0, [1.0])(0.0) == 1.0
 
 
 def test_evaluation_matches_direct_summation():
@@ -268,6 +268,73 @@ def test_is_morse_torus():
     t = FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [1.0, 0.0]])
     assert is_morse(t)
     assert not is_morse(FourierFunction.constant(0.3, TORUS2))
+
+
+# -- one scan per query --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        fn(0.1, [0.3, -0.2], [0.1, 0.05]),
+        FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]]),
+    ],
+    ids=["S1", "T2"],
+)
+def test_one_grid_evaluation_per_query(monkeypatch, f):
+    calls = []
+    scan = FourierFunction.values_on_grid
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
+    for query in (attaining_set, extremum, sup_norm, critical_set, is_morse):
+        calls.clear()
+        query(f)
+        assert len(calls) == 1, query.__name__
+
+
+def test_scan_stack_matches_separate_grids():
+    f = fn(0.1, [0.3, -0.2], [0.1, 0.05])
+    fp = f.derivative()
+    stack = f.values_on_grid(64, derivatives=True)
+    for grid, g in zip(stack, (f, fp, fp.derivative())):
+        np.testing.assert_allclose(grid, g(np.arange(64) / 64), atol=1e-12)
+    t = FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]])
+    q = np.arange(16) / 16
+    pts = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
+    stack = t.values_on_grid(16, derivatives=True)
+    for grid, g in zip(stack, (t,) + t.gradient() + t.hessian()):
+        np.testing.assert_allclose(grid.ravel(), g(pts), atol=1e-11)
+
+
+def test_fallbacks_when_circle_newton_fails(monkeypatch, rng):
+    used = []
+
+    def counted(fallback):
+        def wrapper(*args, **kwargs):
+            used.append(fallback.__name__)
+            return fallback(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fourier, "_newton_circle", lambda f, seeds, *rest: np.full(len(seeds), np.nan))
+    for name in ("_ternary_max_circle", "_bisect_root"):
+        monkeypatch.setattr(fourier, name, counted(getattr(fourier, name)))
+    for _ in range(5):
+        k = np.arange(1, 7.0)
+        a0, ca, sa = rng.normal(), rng.normal(size=6) / (1 + k), rng.normal(size=6) / (1 + k)
+        f = fn(a0, ca, sa)
+        hi = dense_max(a0, ca, sa)
+        lo = -dense_max(-a0, -ca, -sa)
+        assert attaining_set(f, "max")[0] == pytest.approx(hi, abs=1e-11)
+        assert attaining_set(f, "min")[0] == pytest.approx(lo, abs=1e-11)
+        cs = critical_set(f)
+        assert max(cs.values) == pytest.approx(hi, abs=1e-11)
+        assert min(cs.values) == pytest.approx(lo, abs=1e-11)
+    assert {"_ternary_max_circle", "_bisect_root"} <= set(used)
 
 
 # -- structure ---------------------------------------------------------------

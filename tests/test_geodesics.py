@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetflat import geodesics
+from jetflat.config import WITNESS_DERIV_TOL
 from jetflat.errors import MalformedPath
-from jetflat.fourier import sup_norm
+from jetflat.fourier import CIRCLE, sup_norm
 from jetflat.geodesics import (
     grid_flatness_gap,
     grid_quasi_autonomy_witness,
@@ -119,6 +121,79 @@ def test_local_windows_rotating_bump():
     # consecutive attaining sets are disjoint: no window straddles a knot
     assert seg.multi_segment_windows == ()
     assert all(b - a == 1 for a, b in seg.windows)
+
+
+def _maximal_windows(path):
+    """Brute force: the windows whose witness search succeeds and that no
+    other such window contains, with the tolerances of the sweep."""
+    deltas = path.segment_deltas()
+    k = len(deltas)
+    ok = {
+        (i, j): geodesics.common_attaining_point(deltas[i:j], deriv_tol=WITNESS_DERIV_TOL) is not None
+        for i in range(k)
+        for j in range(i + 1, k + 1)
+    }
+    return tuple(
+        sorted(
+            w
+            for w, good in ok.items()
+            if good and not any(ok[v] and v != w and v[0] <= w[0] and w[1] <= v[1] for v in ok)
+        )
+    )
+
+
+def test_local_windows_match_brute_force_on_two_blocks(monkeypatch):
+    # two quasi-autonomous blocks joined at knot 4: the first block's steps
+    # attain their sup norm at q = 0, the second block's at q = 1/4
+    knots = [fn(0.0)]
+    for step in (bump(0.0), 0.5 * bump(0.0), bump(0.0), 0.7 * bump(0.0)) + (
+        bump(0.25), 2.0 * bump(0.25), bump(0.25), 0.3 * bump(0.25)
+    ):
+        knots.append(knots[-1] + step)
+    path = IsotopyPath.uniform(knots)
+    k = len(knots) - 1
+    maximal = _maximal_windows(path)
+    assert maximal == ((0, 4), (4, 8))
+
+    calls = []
+    search = geodesics.common_attaining_point
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "common_attaining_point", counted)
+    seg = local_quasi_autonomy_check(path)
+    assert seg.windows == maximal
+    assert seg.multi_segment_windows == maximal
+    assert seg.covered
+    # two-pointer sweep: every search either extends a window or closes one
+    assert len(calls) <= 2 * k - 1
+
+
+def _blocks_path(rng, near_tie):
+    # two blocks of three steps; each block's steps share a direction h, and
+    # with near_tie every step also carries a term of size 1e-12..1e-7 that
+    # moves its peak by about the witness tolerances
+    knots = [random_function(rng, CIRCLE, 3, 0.2)]
+    for _ in range(2):
+        h = random_function(rng, CIRCLE, 3, 0.3)
+        g = random_function(rng, CIRCLE, 3, 0.3)
+        for _ in range(3):
+            tie = 10.0 ** rng.uniform(-12, -7) if near_tie else 0.0
+            knots.append(knots[-1] + float(rng.uniform(0.2, 1.0)) * h + tie * g)
+    return IsotopyPath.uniform(knots)
+
+
+@pytest.mark.parametrize("kind", ["random", "blocks", "near_tie"])
+def test_local_windows_match_brute_force_on_random_paths(kind):
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        if kind == "random":
+            path = random_path(rng, n_knots=6, degree=3)
+        else:
+            path = _blocks_path(rng, near_tie=kind == "near_tie")
+        assert local_quasi_autonomy_check(path).windows == _maximal_windows(path)
 
 
 # -- integral criterion --------------------------------------------------------

@@ -113,23 +113,19 @@ def test_malformed_path_domain_mixture():
 
 def test_metric_length_straight_and_constant():
     f, g = fn(0.0, [0.2]), fn(0.0, [], [0.4])
-    r = metric_length(IsotopyPath.straight(f, g), "spec")
+    r = metric_length(IsotopyPath.straight(f, g))
     assert r.converged
     assert r.value == pytest.approx(sup_norm(g - f), abs=1e-12)
-    c = metric_length(IsotopyPath.uniform([f, f]), "spec")
+    c = metric_length(IsotopyPath.uniform([f, f]))
     assert c.value == 0.0
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_metric_length_matches_sch_on_pl_paths(seed):
     path = random_path(np.random.default_rng(seed), n_knots=4, degree=4)
-    spec_len = metric_length(path, "spec")
-    sch_len = metric_length(path, "sch")
-    direct = sch_length(path)
-    assert spec_len.converged and sch_len.converged
-    assert spec_len.value <= sch_len.value + 1e-9
-    assert spec_len.value == pytest.approx(direct, abs=1e-9)
-    assert sch_len.value == pytest.approx(direct, abs=1e-9)
+    r = metric_length(path)
+    assert r.converged
+    assert r.value == pytest.approx(sch_length(path), abs=1e-9)
 
 
 # -- Hamiltonian bounds ---------------------------------------------------------
