@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import VALUE_CLUSTER_TOL, WITNESS_DERIV_TOL
 from .errors import CrossCheckMismatch, NotADiffeomorphism, ViolationReport
-from .fourier import CIRCLE, FourierFunction, critical_set, extremum, sup_norm
+from .fourier import CIRCLE, FourierFunction, attaining_set, critical_set, extremum, sup_norm
 from .geodesics import QAWitness, optimize_path, quasi_autonomy_check
 from .jets import ChordSpectrum, JetLegendrian, chord_spectrum, zero_section
 from .paths import IsotopyPath
@@ -194,8 +194,8 @@ def spectral_norm(phi: CircleContactomorphism, tol: float = VALUE_CLUSTER_TOL) -
     """
     phi.require_diffeomorphism()
     f = phi.displacement
-    c_plus = extremum(f, "max").value
-    c_minus = extremum(f, "min").value
+    ext = attaining_set(f)
+    c_plus, c_minus = ext.vmax, ext.vmin
     c1 = phi.c1_size()
     advisory = c1 >= C1_ADVISORY_THRESHOLD
     if advisory:
@@ -203,7 +203,7 @@ def spectral_norm(phi: CircleContactomorphism, tol: float = VALUE_CLUSTER_TOL) -
     spec = translated_points(phi, tol=tol)
     if not (spec.contains(c_plus, tol) and spec.contains(c_minus, tol)):
         raise CrossCheckMismatch("selector values missing from the translated-point spectrum")
-    return SpectralNormResult(c_plus, c_minus, max(c_plus, -c_minus), advisory)
+    return SpectralNormResult(c_plus, c_minus, ext.norm, advisory)
 
 
 def contact_qa_check(

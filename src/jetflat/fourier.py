@@ -396,6 +396,24 @@ class Extremum(NamedTuple):
     point: tuple[float, ...]
 
 
+class Extrema(NamedTuple):
+    """Both signed extrema of f with their refined attaining points.
+
+    Points come back sorted lexicographically, canonicalized to [0, 1); f
+    rides along so that callers can evaluate candidates against it.
+    """
+
+    f: FourierFunction
+    vmax: float
+    vmin: float
+    max_points: np.ndarray
+    min_points: np.ndarray
+
+    @property
+    def norm(self) -> float:
+        return max(self.vmax, -self.vmin)
+
+
 @dataclass(frozen=True)
 class CriticalSet:
     """Refined critical points and clustered critical values.
@@ -413,12 +431,11 @@ class CriticalSet:
     point_tolerance: float = NEWTON_RESIDUAL
 
 
-def _scan(f: FourierFunction, n: int | None) -> tuple[int, np.ndarray]:
-    """Scan size and the stacked value, gradient and Hessian grids."""
-    if n is None:
-        # never undersample relative to the degree
-        n = max(DEFAULT_CIRCLE_SCAN, 8 * f.degree) if f.domain.kind == "S1" else DEFAULT_TORUS_SCAN
-    return n, f.values_on_grid(n, derivatives=True)
+def _scan(f: FourierFunction) -> np.ndarray:
+    """The stacked value, gradient and Hessian grids of f."""
+    # never undersample relative to the degree
+    n = max(DEFAULT_CIRCLE_SCAN, 8 * f.degree) if f.domain.kind == "S1" else DEFAULT_TORUS_SCAN
+    return f.values_on_grid(n, derivatives=True)
 
 
 def _newton_circle(
@@ -509,8 +526,9 @@ def _local_max_mask(a: np.ndarray) -> np.ndarray:
 
 
 def _attain_circle(
-    f: FourierFunction, n: int, grids: np.ndarray, sign: int, tol: float
+    f: FourierFunction, grids: np.ndarray, sign: int, tol: float
 ) -> tuple[float, np.ndarray]:
+    n = grids.shape[-1]
     vals = sign * grids[0]
     vmax = float(vals.max())
     vmin = float(vals.min())
@@ -582,8 +600,9 @@ def _newton_torus(f: FourierFunction, seeds: np.ndarray, residual: float) -> np.
 
 
 def _attain_torus(
-    f: FourierFunction, n: int, grids: np.ndarray, sign: int, tol: float
+    f: FourierFunction, grids: np.ndarray, sign: int, tol: float
 ) -> tuple[float, np.ndarray]:
+    n = grids.shape[-1]
     vals = sign * grids[0]
     vmax = float(vals.max())
     vmin = float(vals.min())
@@ -604,31 +623,26 @@ def _attain_torus(
 
 
 def _attain(
-    f: FourierFunction, n: int, grids: np.ndarray, sign: int, tol: float = VALUE_CLUSTER_TOL
+    f: FourierFunction, grids: np.ndarray, sign: int, tol: float = VALUE_CLUSTER_TOL
 ) -> tuple[float, np.ndarray]:
     """Max (sign 1) or min (sign -1) of f and its attaining points, from a scan."""
     attain = _attain_circle if f.domain.kind == "S1" else _attain_torus
-    return attain(f, n, grids, sign, tol)
+    return attain(f, grids, sign, tol)
 
 
-def attaining_set(
-    f: FourierFunction,
-    mode: Mode = "max",
-    n: int | None = None,
-    tol: float = VALUE_CLUSTER_TOL,
-) -> tuple[float, np.ndarray]:
-    """Global extremum value together with all refined attaining points.
+def _extrema(f: FourierFunction, grids: np.ndarray, tol: float) -> Extrema:
+    (vmax, pmax), (vmin, pmin) = (_attain(f, grids, sign, tol) for sign in (1, -1))
+    return Extrema(f, vmax, vmin, pmax, pmin)
 
-    Points come back sorted lexicographically, canonicalized to [0, 1).
-    """
-    n, grids = _scan(f, n)
-    return _attain(f, n, grids, -1 if mode == "min" else 1, tol)
+
+def attaining_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Extrema:
+    """Max and min of f with all points attaining each within tol, from one scan."""
+    return _extrema(f, _scan(f), tol)
 
 
 def extremum(
     f: FourierFunction,
     mode: Mode = "max",
-    n: int | None = None,
     *,
     grids: np.ndarray | None = None,
 ) -> Extremum:
@@ -637,34 +651,33 @@ def extremum(
     Uniform scan plus Newton refinement on the derivative; ties are broken
     toward the lexicographically smallest coordinates.  grids, a stacked
     scan of f from values_on_grid(n, derivatives=True), is read instead of
-    scanning again; its size then takes the place of n.
+    scanning again.
     """
     if grids is None:
-        _, grids = _scan(f, n)
-    value, pts = _attain(f, grids.shape[-1], grids, -1 if mode == "min" else 1)
+        grids = _scan(f)
+    value, pts = _attain(f, grids, -1 if mode == "min" else 1)
     return Extremum(value, tuple(float(x) for x in pts[0]))
 
 
-def sup_norm(f: FourierFunction, n: int | None = None) -> float:
+def sup_norm(f: FourierFunction) -> float:
     """max |f|: both signed extrema, read from one scan."""
-    _, grids = _scan(f, n)
+    grids = _scan(f)
     return max(extremum(f, "max", grids=grids).value, -extremum(f, "min", grids=grids).value)
 
 
-def sup_norm_by_squaring(f: FourierFunction, n: int | None = None) -> float:
+def sup_norm_by_squaring(f: FourierFunction) -> float:
     """max |f| as sqrt(max f^2), using the exact series product.
 
     Independent formula route: the extremum engine runs on the squared
     series (double the degree) instead of on f itself.
     """
     sq = f.multiply(f)
-    m = extremum(sq, "max", n=n).value
+    m = extremum(sq, "max").value
     return float(np.sqrt(max(m, 0.0)))
 
 
-def _critical_points_circle(
-    f: FourierFunction, n: int, grids: np.ndarray, residual: float
-) -> np.ndarray:
+def _critical_points_circle(f: FourierFunction, grids: np.ndarray, residual: float) -> np.ndarray:
+    n = grids.shape[-1]
     dvals = grids[1]
     dq = 1.0 / n
     xs = grid_points(n)
@@ -702,11 +715,9 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _critical_points_torus(
-    f: FourierFunction, n: int, grids: np.ndarray, residual: float
-) -> np.ndarray:
+def _critical_points_torus(f: FourierFunction, grids: np.ndarray, residual: float) -> np.ndarray:
     gn = np.max(np.abs(grids[1:3]), axis=0)
-    seeds = np.argwhere(_local_max_mask(-gn)) / n
+    seeds = np.argwhere(_local_max_mask(-gn)) / grids.shape[-1]
     return _dedupe_points(_canonical_mod1(_newton_torus(f, seeds, residual)))
 
 
@@ -723,7 +734,7 @@ def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
     return [float(np.mean(c)) for c in clusters]
 
 
-def _critical_set(f: FourierFunction, n: int, grids: np.ndarray, tol: float) -> CriticalSet:
+def _critical_set(f: FourierFunction, grids: np.ndarray, tol: float) -> CriticalSet:
     dnorm = np.max(np.abs(grids[1 : 1 + f.domain.ndim]), axis=0)
     plateau = float(np.mean(dnorm < PLATEAU_POINT_TOL)) > PLATEAU_FRACTION
     point_tol = NEWTON_RESIDUAL * max(1.0, float(np.max(dnorm)))
@@ -738,11 +749,11 @@ def _critical_set(f: FourierFunction, n: int, grids: np.ndarray, tol: float) -> 
             point_tolerance=point_tol,
         )
     find = _critical_points_circle if f.domain.kind == "S1" else _critical_points_torus
-    pts = find(f, n, grids, point_tol)
+    pts = find(f, grids, point_tol)
     values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts))
-    (vmax, pmax), (vmin, pmin) = (_attain(f, n, grids, sign) for sign in (1, -1))
-    values += [vmax, vmin]
-    pts = _dedupe_points(np.concatenate([pts, pmax[:1], pmin[:1]]))
+    ext = _extrema(f, grids, VALUE_CLUSTER_TOL)
+    values += [ext.vmax, ext.vmin]
+    pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
     return CriticalSet(
         points=tuple(tuple(float(x) for x in p) for p in pts),
         values=tuple(_cluster_values(values, tol)),
@@ -752,11 +763,7 @@ def _critical_set(f: FourierFunction, n: int, grids: np.ndarray, tol: float) -> 
     )
 
 
-def critical_set(
-    f: FourierFunction,
-    n: int | None = None,
-    tol: float = VALUE_CLUSTER_TOL,
-) -> CriticalSet:
+def critical_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> CriticalSet:
     """All critical points found at scan resolution, Newton refined.
 
     Sign-change roots of f' (circle) or simultaneous zeros of the gradient
@@ -765,19 +772,18 @@ def critical_set(
     points with |grad f| below the point tolerance) sets the plateau flag
     and contributes its value once.
     """
-    n, grids = _scan(f, n)
-    return _critical_set(f, n, grids, tol)
+    return _critical_set(f, _scan(f), tol)
 
 
-def is_morse(f: FourierFunction, n: int | None = None) -> bool:
+def is_morse(f: FourierFunction) -> bool:
     """True when every detected critical point is nondegenerate.
 
     Circle: |f''| must exceed the degeneracy threshold at each refined
     critical point; torus: |det Hess f| against the squared threshold.
     Plateaus are degenerate by definition.
     """
-    n, grids = _scan(f, n)
-    cs = _critical_set(f, n, grids, VALUE_CLUSTER_TOL)
+    grids = _scan(f)
+    cs = _critical_set(f, grids, VALUE_CLUSTER_TOL)
     if cs.plateau:
         return False
     scale = max(1.0, float(np.max(np.abs(grids[1 + f.domain.ndim :]))))

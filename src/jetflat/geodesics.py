@@ -32,6 +32,7 @@ from .config import (
 from .errors import EquivalenceViolation, MalformedPath, ViolationReport
 from .fourier import (
     DomainDescriptor,
+    Extrema,
     FourierFunction,
     attaining_set,
     extremum,
@@ -74,81 +75,66 @@ def _eval_at(f: FourierFunction, pt: np.ndarray) -> float:
 
 
 def common_attaining_point(
-    funcs: Sequence[FourierFunction],
+    records: Sequence[Extrema],
     value_tol: float = WITNESS_VALUE_TOL,
     deriv_tol: float | None = None,
     zero_tol: float = ZERO_SEGMENT_TOL,
 ):
     """Search for (epsilon, q0) with eps * h_k(q0) = max|h_k| for all k.
 
-    Near-zero functions are skipped; near-constant ones constrain only the
-    sign.  Candidates are the refined attaining points of the first
-    non-constant function, filtered through the attainment (and optional
-    critical-point) conditions of all others; that set is complete because
-    a witness must attain every sup norm.  Returns (epsilon, point,
-    residuals) with residuals in the original order, or None.
+    records are the attaining_set records of the functions h_k, taken at
+    value_tol; the search evaluates h_k and its gradient at candidate points
+    only and never scans.  Near-zero functions are skipped; near-constant
+    ones constrain only the sign.  Candidates are the attaining points of
+    the first non-constant function for the sign tried, filtered through the
+    attainment (and optional critical-point) conditions of all others; that
+    set is complete because a witness must attain every sup norm.  Returns
+    (epsilon, point, residuals) with residuals in the original order, or None.
     """
-    domain = funcs[0].domain
-    info = []
-    for h in funcs:
-        vmax = extremum(h, "max").value
-        vmin = extremum(h, "min").value
-        m = max(vmax, -vmin)
-        info.append((h, vmax, vmin, m))
-    active = [(i, *rec) for i, rec in enumerate(info) if rec[3] > zero_tol]
+    domain = records[0].f.domain
+    active = [r for r in records if r.norm > zero_tol]
     if not active:
-        return 1, _origin(domain), tuple(0.0 for _ in funcs)
-    grads = {i: h.gradient() for i, h, *_ in active}
+        return 1, _origin(domain), tuple(0.0 for _ in records)
 
     def residuals(eps: int, pt: np.ndarray) -> tuple[float, ...]:
-        out = []
-        for (h, vmax, vmin, m) in info:
-            out.append(0.0 if m <= zero_tol else eps * _eval_at(h, pt) - m)
-        return tuple(out)
+        return tuple(0.0 if r.norm <= zero_tol else eps * _eval_at(r.f, pt) - r.norm for r in records)
 
     for eps in (1, -1):
         candidates: np.ndarray | None = None
-        sign_ok = True
-        for i, h, vmax, vmin, m in active:
-            peak = vmax if eps == 1 else -vmin
-            if peak < m - value_tol:
-                sign_ok = False
-                break  # this sign never attains the sup norm on segment i
-            if vmax - vmin <= 1e-12:
+        for r in active:
+            if (r.vmax if eps == 1 else -r.vmin) < r.norm - value_tol:
+                break  # this sign never attains the sup norm on this segment
+            if r.vmax - r.vmin <= 1e-12:
                 continue  # constant: no point constraint
-            if candidates is None:
-                _, pts = attaining_set(h if eps == 1 else -h, "max", tol=value_tol)
-                candidates = pts
-                keep = []
-                for p in candidates:
-                    if deriv_tol is None or all(
-                        abs(_eval_at(g, p)) <= deriv_tol for g in grads[i]
-                    ):
-                        keep.append(p)
-                candidates = np.array(keep) if keep else np.zeros((0, domain.ndim))
-            else:
-                keep = []
-                for p in candidates:
-                    if eps * _eval_at(h, p) < m - value_tol:
-                        continue
-                    if deriv_tol is not None and any(
-                        abs(_eval_at(g, p)) > deriv_tol for g in grads[i]
-                    ):
-                        continue
-                    keep.append(p)
-                candidates = np.array(keep) if keep else np.zeros((0, domain.ndim))
+            # the first function's attaining points need only the gradient test
+            first = candidates is None
+            pool = (r.max_points if eps == 1 else r.min_points) if first else candidates
+            grads = () if deriv_tol is None else r.f.gradient()
+            keep = [
+                p
+                for p in pool
+                if (first or eps * _eval_at(r.f, p) >= r.norm - value_tol)
+                and all(abs(_eval_at(g, p)) <= deriv_tol for g in grads)
+            ]
+            candidates = np.array(keep).reshape(-1, domain.ndim)
             if len(candidates) == 0:
-                sign_ok = False
                 break
-        if not sign_ok:
-            continue
-        if candidates is None:
-            # only constants: any base point witnesses this sign
-            pt = np.array(_origin(domain))
-            return eps, _origin(domain), residuals(eps, pt)
-        pt = min((tuple(p) for p in candidates))
-        return eps, tuple(float(x) for x in pt), residuals(eps, np.array(pt))
+        else:
+            if candidates is None:
+                # only constants: any base point witnesses this sign
+                return eps, _origin(domain), residuals(eps, np.array(_origin(domain)))
+            pt = min(tuple(p) for p in candidates)
+            return eps, tuple(float(x) for x in pt), residuals(eps, np.array(pt))
     return None
+
+
+def _records(path: IsotopyPath, tol: float) -> list[Extrema]:
+    return [attaining_set(d, tol) for d in path.segment_deltas()]
+
+
+def _witness(records: Sequence[Extrema], value_tol: float, deriv_tol: float) -> QAWitness | None:
+    found = common_attaining_point(records, value_tol, deriv_tol)
+    return None if found is None else QAWitness(*found)
 
 
 def quasi_autonomy_check(
@@ -162,12 +148,7 @@ def quasi_autonomy_check(
     sign and be a critical point of every segment difference, so the slope
     of the lifted point never moves and it stays on one Reeb orbit.
     """
-    deltas = path.segment_deltas()
-    found = common_attaining_point(deltas, value_tol, deriv_tol)
-    if found is None:
-        return None
-    eps, pt, res = found
-    return QAWitness(epsilon=eps, base_point=pt, per_knot_residuals=res)
+    return _witness(_records(path, value_tol), value_tol, deriv_tol)
 
 
 @dataclass(frozen=True)
@@ -204,18 +185,20 @@ def local_quasi_autonomy_check(
 ) -> SegmentationReport:
     """Maximal knot-index windows on which the witness search succeeds.
 
-    The search draws its candidates from the first non-constant segment of a
-    window, so extending a window to the right only adds filters: from each
-    start the passing windows are exactly those up to one end e(i), and a
+    Every segment difference is scanned once, into one extrema record, and
+    each window's search reads the records of its segments.  The search
+    draws its candidates from the first non-constant segment of a window,
+    so extending a window to the right only adds filters: from each start
+    the passing windows are exactly those up to one end e(i), and a
     two-pointer sweep finds all maximal windows.  Single segments always
     carry a witness, hence the cover verdict is about how the windows tile
     the path, and the multi-segment windows carry the sharper information.
     """
-    deltas = path.segment_deltas()
-    k = len(deltas)
+    records = _records(path, value_tol)
+    k = len(records)
 
     def window_ok(i: int, j: int) -> bool:
-        return common_attaining_point(deltas[i : j + 1], value_tol, deriv_tol) is not None
+        return common_attaining_point(records[i : j + 1], value_tol, deriv_tol) is not None
 
     # a window from i is maximal exactly when e(i) passes every earlier end,
     # so j carries over from the previous start and only windows beyond it
@@ -280,14 +263,15 @@ def integral_criterion(
     w[-1] = 0.5 * (times[-1] - times[-2])
     if len(funcs) > 2:
         w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    lhs = float(sum(wi * sup_norm(g) for wi, g in zip(w, funcs)))
+    records = [attaining_set(g, tol) for g in funcs]
+    lhs = float(sum(wi * r.norm for wi, r in zip(w, records)))
     integral = funcs[0] * float(w[0])
     for wi, g in zip(w[1:], funcs[1:]):
         integral = integral + g * float(wi)
     rhs = sup_norm(integral)
     gap = lhs - rhs
     holds = gap <= tol
-    found = common_attaining_point(funcs, value_tol=tol)
+    found = common_attaining_point(records, value_tol=tol)
     witness = None if found is None else (found[0], found[1])
     if holds != (witness is not None):
         raise EquivalenceViolation(
@@ -324,24 +308,25 @@ def minimizing_geodesic_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> G
     """Gap between path length and endpoint distance, over all knot windows.
 
     Minimizing means every window's sup-norm length matches the distance of
-    its endpoints.  The verdict is cross-checked against the witness search;
-    a disagreement is reported (discretization too coarse), not raised.
+    its endpoints.  The verdict is cross-checked against the witness search,
+    which reads the same segment records as the lengths; a disagreement is
+    reported (discretization too coarse), not raised.
     """
-    deltas = path.segment_deltas()
-    seg_len = [sup_norm(d) for d in deltas]
+    records = _records(path, WITNESS_VALUE_TOL)
+    seg_len = [r.norm for r in records]
     n = len(path.knots)
     max_gap = 0.0
     worst = (0, n - 1)
+    dists = {}
     for i in range(n):
         for j in range(i + 1, n):
-            length_ij = sum(seg_len[i:j])
-            dist_ij = sup_norm(path.knots[j] - path.knots[i])
-            g = length_ij - dist_ij
+            dists[i, j] = sup_norm(path.knots[j] - path.knots[i])
+            g = sum(seg_len[i:j]) - dists[i, j]
             if g > max_gap:
                 max_gap, worst = g, (i, j)
     total_len = float(sum(seg_len))
-    dist = sup_norm(path.knots[-1] - path.knots[0])
-    witness = quasi_autonomy_check(path)
+    dist = dists[0, n - 1]  # the whole path is the loop's window (0, n - 1)
+    witness = _witness(records, WITNESS_VALUE_TOL, WITNESS_DERIV_TOL)
     minimizing = max_gap <= tol
     mismatch = minimizing != (witness is not None)
     if mismatch:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import EQUALITY_TOL, VALUE_CLUSTER_TOL
 from .errors import DimensionMismatch, MalformedPath, ViolationReport
-from .fourier import FourierFunction, extremum, sup_norm
+from .fourier import FourierFunction, attaining_set, sup_norm
 from .jets import ChordSpectrum, JetLegendrian, chord_spectrum, pointwise_leq, reeb_translate
 from .paths import IsotopyPath
 
@@ -58,10 +58,8 @@ def selectors(
     """
     if l1.domain != l0.domain:
         raise DimensionMismatch("selectors of Legendrians over different bases")
-    diff = l1.generator - l0.generator
-    ell_plus = extremum(diff, "max").value
-    ell_minus = extremum(diff, "min").value
-    d = max(ell_plus, -ell_minus)
+    ext = attaining_set(l1.generator - l0.generator)
+    ell_plus, ell_minus, d = ext.vmax, ext.vmin, ext.norm
     if with_spectrum:
         spec = chord_spectrum(l1, l0)
         plus_in = spec.contains(ell_plus, membership_tol)
@@ -174,13 +172,11 @@ def hamiltonian_bounds_check(path: IsotopyPath, slack: float = EQUALITY_TOL) -> 
     segment extrema.  The chain must hold; a violation beyond the slack is
     an implementation bug and raises ViolationReport.
     """
-    deltas = path.segment_deltas()
-    int_min = float(sum(extremum(d, "min").value for d in deltas))
-    int_max = float(sum(extremum(d, "max").value for d in deltas))
-    total = path.knots[-1] - path.knots[0]
-    ell_minus = extremum(total, "min").value
-    ell_plus = extremum(total, "max").value
-    report = HamiltonianBounds(int_min, ell_minus, ell_plus, int_max)
+    segs = [attaining_set(d) for d in path.segment_deltas()]
+    total = attaining_set(path.knots[-1] - path.knots[0])
+    int_min = float(sum(r.vmin for r in segs))
+    int_max = float(sum(r.vmax for r in segs))
+    report = HamiltonianBounds(int_min, total.vmin, total.vmax, int_max)
     if report.worst_slack() < -slack:
         raise ViolationReport(
             f"selector bound chain violated: {report.as_tuple()} (slack {report.worst_slack():.3e})"
@@ -268,9 +264,8 @@ def axiom_suite(
     lm = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            diff = gens[i] - gens[j]
-            lp[i, j] = extremum(diff, "max").value
-            lm[i, j] = extremum(diff, "min").value
+            ext = attaining_set(gens[i] - gens[j])
+            lp[i, j], lm[i, j] = ext.vmax, ext.vmin
 
     normalization = AxiomResult("normalization")
     reeb_shift = AxiomResult("reeb_shift")
@@ -289,10 +284,8 @@ def axiom_suite(
     for i in range(n):
         for j in range(n):
             shifted = reeb_translate(sample[i], shift)
-            d = shifted.generator - gens[j]
-            sp = extremum(d, "max").value
-            sm = extremum(d, "min").value
-            ok = abs(sp - (shift + lp[i, j])) <= tol and abs(sm - (shift + lm[i, j])) <= tol
+            sh = attaining_set(shifted.generator - gens[j])
+            ok = abs(sh.vmax - (shift + lp[i, j])) <= tol and abs(sh.vmin - (shift + lm[i, j])) <= tol
             reeb_shift.record(ok, f"shift identity failed at pair ({i},{j})")
 
     # comparable pairs: raise sample[j] by ell_plus(i, j) so it dominates sample[i]
@@ -305,10 +298,8 @@ def axiom_suite(
                 monotonicity.record(False, f"constructed pair ({i},{j}) not comparable")
                 continue
             for k in (0, (i + j) % n):
-                du = upper.generator - gens[k]
-                up_p = extremum(du, "max").value
-                up_m = extremum(du, "min").value
-                ok = lp[i, k] <= up_p + tol and lm[i, k] <= up_m + tol
+                up = attaining_set(upper.generator - gens[k])
+                ok = lp[i, k] <= up.vmax + tol and lm[i, k] <= up.vmin + tol
                 monotonicity.record(ok, f"monotonicity failed at ({i},{j}) vs {k}")
 
     for i in range(n):

@@ -6,7 +6,8 @@ import pytest
 from jetflat.cli import main
 from jetflat.errors import SpecParseError
 from jetflat.fourier import FourierFunction
-from jetflat.sampling import random_function
+from jetflat.paths import IsotopyPath
+from jetflat.sampling import random_function, random_quasi_autonomous_path
 from jetflat.serialization import (
     canonical_json,
     dump_function,
@@ -258,10 +259,19 @@ def test_cmd_contact_norm_translated_qa_upper(capsys, specs, tmp_path):
     assert code == 0 and out["gap"] <= 1e-4
 
 
-def test_grid_evaluations_per_command(monkeypatch, capsys, specs):
-    # dist scans f1 - f0 three times (max, min, spectrum); the contact norm
-    # adds the Jacobian checks, the C1 size and the translated-point cross-check
+def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
+    # one extrema record per function per check: dist scans f1 - f0 for the
+    # selectors and once more for the spectrum; the contact norm adds the
+    # Jacobian checks, the C1 size and the translated-point cross-check; the
+    # integral criterion scans each knot once plus the integral; the geodesic
+    # check scans each segment for the lengths and the witness, every window
+    # difference once, and each segment again for the segmentation
     tzero = _write(specs["tmp"], "tzero.json", {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0]]}})
+    h = random_function(rng, degree=5, amplitude=0.4)
+    ts = np.linspace(0.0, 1.0, 64)
+    family = IsotopyPath(knots=tuple(float(lam) * h for lam in rng.uniform(0.2, 1.5, 64)), times=tuple(ts))
+    family_spec = _write(specs["tmp"], "family.json", dump_path(family))
+    path_spec = _write(specs["tmp"], "path.json", dump_path(random_quasi_autonomous_path(rng, 16)))
     calls = []
     scan = FourierFunction.values_on_grid
 
@@ -271,9 +281,12 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs):
 
     monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
     for argv, scans in (
-        (["dist", specs["amp"], specs["zero"]], 3),
-        (["dist", specs["torus"], tzero], 3),
-        (["contact", "norm", specs["phi"]], 8),
+        (["dist", specs["amp"], specs["zero"]], 2),
+        (["dist", specs["torus"], tzero], 2),
+        (["contact", "norm", specs["phi"]], 7),
+        (["integral-criterion", family_spec], 65),
+        (["geodesic", path_spec], 150),
+        (["props", "--count", "8"], 332),
     ):
         calls.clear()
         assert main(argv) == 0

@@ -146,7 +146,7 @@ def test_argmax_of_negation_is_argmin():
 def test_extremum_tie_break_lexicographic():
     f = fn(0.0, [0.0, 1.0])  # cos(4 pi q): maxima at 0 and 1/2
     assert extremum(f, "max").point == (0.0,)
-    _, pts = attaining_set(f, "max")
+    pts = attaining_set(f).max_points
     assert len(pts) == 2
     assert pts[0][0] == pytest.approx(0.0, abs=1e-9)
     assert pts[1][0] == pytest.approx(0.5, abs=1e-9)
@@ -329,8 +329,9 @@ def test_fallbacks_when_circle_newton_fails(monkeypatch, rng):
         f = fn(a0, ca, sa)
         hi = dense_max(a0, ca, sa)
         lo = -dense_max(-a0, -ca, -sa)
-        assert attaining_set(f, "max")[0] == pytest.approx(hi, abs=1e-11)
-        assert attaining_set(f, "min")[0] == pytest.approx(lo, abs=1e-11)
+        ext = attaining_set(f)
+        assert ext.vmax == pytest.approx(hi, abs=1e-11)
+        assert ext.vmin == pytest.approx(lo, abs=1e-11)
         cs = critical_set(f)
         assert max(cs.values) == pytest.approx(hi, abs=1e-11)
         assert min(cs.values) == pytest.approx(lo, abs=1e-11)

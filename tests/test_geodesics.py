@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetflat import geodesics
-from jetflat.config import WITNESS_DERIV_TOL
+from jetflat.config import WITNESS_DERIV_TOL, WITNESS_VALUE_TOL
 from jetflat.errors import MalformedPath
-from jetflat.fourier import CIRCLE, sup_norm
+from jetflat.fourier import CIRCLE, TORUS2, FourierFunction, attaining_set, sup_norm
 from jetflat.geodesics import (
     grid_flatness_gap,
     grid_quasi_autonomy_witness,
@@ -125,14 +125,16 @@ def test_local_windows_rotating_bump():
 
 def _maximal_windows(path):
     """Brute force: the windows whose witness search succeeds and that no
-    other such window contains, with the tolerances of the sweep."""
+    other such window contains, with the tolerances of the sweep; every
+    window's search scans its segments afresh."""
     deltas = path.segment_deltas()
     k = len(deltas)
-    ok = {
-        (i, j): geodesics.common_attaining_point(deltas[i:j], deriv_tol=WITNESS_DERIV_TOL) is not None
-        for i in range(k)
-        for j in range(i + 1, k + 1)
-    }
+
+    def search(window):
+        records = [attaining_set(d, WITNESS_VALUE_TOL) for d in window]
+        return geodesics.common_attaining_point(records, deriv_tol=WITNESS_DERIV_TOL)
+
+    ok = {(i, j): search(deltas[i:j]) is not None for i in range(k) for j in range(i + 1, k + 1)}
     return tuple(
         sorted(
             w
@@ -194,6 +196,50 @@ def test_local_windows_match_brute_force_on_random_paths(kind):
         else:
             path = _blocks_path(rng, near_tie=kind == "near_tie")
         assert local_quasi_autonomy_check(path).windows == _maximal_windows(path)
+
+
+def test_witness_on_a_torus_path_of_one_direction(rng):
+    h = random_function(rng, TORUS2, 3)
+    knots = [random_function(rng, TORUS2, 3)]
+    for lam in (0.4, 1.0, 0.7, 0.2):
+        knots.append(knots[-1] + lam * h)
+    path = IsotopyPath.uniform(knots)
+    w = quasi_autonomy_check(path)
+    assert w is not None
+    assert max(abs(r) for r in w.per_knot_residuals) <= 1e-9
+    assert local_quasi_autonomy_check(path).windows == ((0, 4),)
+    rep = minimizing_geodesic_check(path)
+    assert rep.minimizing and not rep.cross_check_mismatch
+    assert rep.witness == w
+
+
+def test_no_witness_on_a_torus_path_of_two_directions(rng):
+    h1, h2 = random_function(rng, TORUS2, 3), random_function(rng, TORUS2, 3)
+    knots = [FourierFunction.zero(TORUS2)]
+    for step in (h1, h2, h1, h2):
+        knots.append(knots[-1] + step)
+    path = IsotopyPath.uniform(knots)
+    assert quasi_autonomy_check(path) is None
+    seg = local_quasi_autonomy_check(path)
+    assert seg.windows == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert seg.multi_segment_windows == ()
+
+
+@pytest.mark.parametrize("domain", [CIRCLE, TORUS2], ids=["S1", "T2"])
+def test_witness_search_reads_records_without_scanning(monkeypatch, rng, domain):
+    h = random_function(rng, domain, 3)
+    records = [attaining_set(lam * h, WITNESS_VALUE_TOL) for lam in (0.5, 1.0, 2.0)]
+    calls = []
+    scan = FourierFunction.values_on_grid
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
+    found = geodesics.common_attaining_point(records, deriv_tol=WITNESS_DERIV_TOL)
+    assert found is not None
+    assert calls == []
 
 
 # -- integral criterion --------------------------------------------------------
