@@ -31,7 +31,6 @@ from .errors import (
 )
 from .geodesics import (
     integral_criterion,
-    local_quasi_autonomy_check,
     minimizing_geodesic_check,
     monotone_check,
     optimize_path,
@@ -127,9 +126,7 @@ def _cmd_geodesic(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
     path = parse_path(_load_json(args.path_spec))
     if args.mode == "check":
         rep = minimizing_geodesic_check(path, tol=cfg.tolerance)
-        report = rep.to_json_dict()
-        report["segmentation"] = local_quasi_autonomy_check(path).to_json_dict()
-        return report, not rep.cross_check_mismatch, None
+        return rep.to_json_dict(), not rep.cross_check_mismatch, None
     result = optimize_path(
         path.knots[0], path.knots[-1], knots=args.knots, restarts=args.restarts, seed=cfg.seed
     )

@@ -194,7 +194,13 @@ def local_quasi_autonomy_check(
     carry a witness, hence the cover verdict is about how the windows tile
     the path, and the multi-segment windows carry the sharper information.
     """
-    records = _records(path, value_tol)
+    return _segmentation(_records(path, value_tol), value_tol, deriv_tol)
+
+
+def _segmentation(
+    records: Sequence[Extrema], value_tol: float, deriv_tol: float
+) -> SegmentationReport:
+    """Maximal windows of consecutive segments whose records share a witness."""
     k = len(records)
 
     def window_ok(i: int, j: int) -> bool:
@@ -285,63 +291,52 @@ class GeodesicCheckReport:
     length: float
     endpoint_distance: float
     gap: float
-    max_subpath_gap: float
-    worst_pair: tuple[int, int]
     minimizing: bool
     witness: QAWitness | None
     cross_check_mismatch: bool
+    segmentation: SegmentationReport
 
     def to_json_dict(self) -> dict:
         return {
             "length": self.length,
             "d_spec": self.endpoint_distance,
             "gap": self.gap,
-            "max_subpath_gap": self.max_subpath_gap,
-            "worst_pair": list(self.worst_pair),
             "minimizing": self.minimizing,
             "qa_witness": None if self.witness is None else self.witness.to_json_dict(),
             "cross_check_mismatch": self.cross_check_mismatch,
+            "segmentation": self.segmentation.to_json_dict(),
         }
 
 
 def minimizing_geodesic_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> GeodesicCheckReport:
-    """Gap between path length and endpoint distance, over all knot windows.
+    """Gap between the sup-norm length of a path and its endpoint distance.
 
-    Minimizing means every window's sup-norm length matches the distance of
-    its endpoints.  The verdict is cross-checked against the witness search,
-    which reads the same segment records as the lengths; a disagreement is
-    reported (discretization too coarse), not raised.
+    Minimizing means every knot window's length L(i, j) matches the distance
+    d(i, j) of its endpoints.  L is additive over knots and d is a metric,
+    so the window gaps are superadditive: g(i', j') >= g(i', i) + g(i, j) +
+    g(j, j') >= g(i, j) for i' <= i < j <= j'.  The whole path's gap is thus
+    the largest, and it alone decides.  The verdict is cross-checked against
+    the witness search, which reads the same segment records as the length
+    and the segmentation; a disagreement is reported (discretization too
+    coarse), not raised.
     """
     records = _records(path, WITNESS_VALUE_TOL)
-    seg_len = [r.norm for r in records]
-    n = len(path.knots)
-    max_gap = 0.0
-    worst = (0, n - 1)
-    dists = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dists[i, j] = sup_norm(path.knots[j] - path.knots[i])
-            g = sum(seg_len[i:j]) - dists[i, j]
-            if g > max_gap:
-                max_gap, worst = g, (i, j)
-    total_len = float(sum(seg_len))
-    dist = dists[0, n - 1]  # the whole path is the loop's window (0, n - 1)
+    length = float(sum(r.norm for r in records))
+    dist = sup_norm(path.knots[-1] - path.knots[0])
+    gap = length - dist
     witness = _witness(records, WITNESS_VALUE_TOL, WITNESS_DERIV_TOL)
-    minimizing = max_gap <= tol
+    minimizing = gap <= tol
     mismatch = minimizing != (witness is not None)
     if mismatch:
-        log.warning(
-            "geodesic cross-check mismatch: max gap %.3e, witness %s", max_gap, witness
-        )
+        log.warning("geodesic cross-check mismatch: gap %.3e, witness %s", gap, witness)
     return GeodesicCheckReport(
-        length=total_len,
+        length=length,
         endpoint_distance=dist,
-        gap=total_len - dist,
-        max_subpath_gap=max_gap,
-        worst_pair=worst,
+        gap=gap,
         minimizing=minimizing,
         witness=witness,
         cross_check_mismatch=mismatch,
+        segmentation=_segmentation(records, WITNESS_VALUE_TOL, WITNESS_DERIV_TOL),
     )
 
 

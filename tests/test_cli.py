@@ -179,6 +179,10 @@ def test_cmd_geodesic_check_reversal(capsys, specs):
     assert not out["minimizing"]
     assert out["gap"] == pytest.approx(1.0, abs=1e-9)
     assert out["qa_witness"] is None
+    assert set(out) == {
+        "length", "d_spec", "gap", "minimizing", "qa_witness", "cross_check_mismatch", "segmentation",
+    }
+    assert out["segmentation"]["windows"] == [[0, 1], [1, 2]]
 
 
 def test_cmd_geodesic_optimize(capsys, specs):
@@ -264,8 +268,8 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     # selectors and once more for the spectrum; the contact norm adds the
     # Jacobian checks, the C1 size and the translated-point cross-check; the
     # integral criterion scans each knot once plus the integral; the geodesic
-    # check scans each segment for the lengths and the witness, every window
-    # difference once, and each segment again for the segmentation
+    # check scans each segment once, for the length, the witness and the
+    # segmentation, and the endpoint difference once
     tzero = _write(specs["tmp"], "tzero.json", {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0]]}})
     h = random_function(rng, degree=5, amplitude=0.4)
     ts = np.linspace(0.0, 1.0, 64)
@@ -285,7 +289,7 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
         (["dist", specs["torus"], tzero], 2),
         (["contact", "norm", specs["phi"]], 7),
         (["integral-criterion", family_spec], 65),
-        (["geodesic", path_spec], 150),
+        (["geodesic", path_spec], 16),
         (["props", "--count", "8"], 332),
     ):
         calls.clear()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetflat import geodesics
-from jetflat.config import WITNESS_DERIV_TOL, WITNESS_VALUE_TOL
+from jetflat.config import EQUALITY_TOL, WITNESS_DERIV_TOL, WITNESS_VALUE_TOL
 from jetflat.errors import MalformedPath
 from jetflat.fourier import CIRCLE, TORUS2, FourierFunction, attaining_set, sup_norm
 from jetflat.geodesics import (
@@ -305,6 +305,42 @@ def test_rotating_bump_gap_matches_grid_oracle():
     assert not rep.minimizing and rep.witness is None
 
 
+def _max_window_gap(path):
+    # reference: max(0, max_{i<j} L(i, j) - d(i, j)) over every knot window
+    seg_len = [sup_norm(d) for d in path.segment_deltas()]
+    n = len(path.knots)
+    gaps = (
+        sum(seg_len[i:j]) - sup_norm(path.knots[j] - path.knots[i])
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    return max(0.0, max(gaps))
+
+
+@pytest.mark.parametrize(
+    "domain,kind,knots",
+    [
+        (CIRCLE, "random", 4),
+        (CIRCLE, "random", 16),
+        (CIRCLE, "qa", 4),
+        (CIRCLE, "qa", 16),
+        (TORUS2, "random", 4),
+    ],
+    ids=["S1-random-4", "S1-random-16", "S1-qa-4", "S1-qa-16", "T2-random-4"],
+)
+def test_whole_path_gap_is_the_largest_window_gap(domain, kind, knots):
+    rng = np.random.default_rng(knots)
+    if kind == "qa":
+        path = random_quasi_autonomous_path(rng, n_knots=knots, degree=5)
+    else:
+        path = random_path(rng, n_knots=knots, domain=domain, degree=5 if domain is CIRCLE else 3)
+    rep = minimizing_geodesic_check(path)
+    reference = _max_window_gap(path)
+    assert abs(reference - max(0.0, rep.gap)) <= 1e-12
+    assert rep.minimizing == (reference <= EQUALITY_TOL)
+    assert rep.segmentation == local_quasi_autonomy_check(path)
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=15)
 def test_witness_iff_zero_gap_random(seed):
@@ -327,7 +363,7 @@ def test_witness_stability():
         assert w is not None
         if all(r >= -1e-12 for r in w.per_knot_residuals):
             rep = minimizing_geodesic_check(path)
-            assert rep.max_subpath_gap <= 1e-9
+            assert rep.gap <= 1e-9
 
 
 # -- monotone --------------------------------------------------------------------
