@@ -640,19 +640,29 @@ def attaining_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Extrema
     return _extrema(f, _scan(f), tol)
 
 
-def extremum(f: FourierFunction, mode: Mode = "max") -> Extremum:
+def extremum(
+    f: FourierFunction,
+    mode: Mode = "max",
+    *,
+    grids: np.ndarray | None = None,
+) -> Extremum:
     """Global max or min with an attaining point.
 
     Uniform scan plus Newton refinement on the derivative; ties are broken
-    toward the lexicographically smallest coordinates.
+    toward the lexicographically smallest coordinates.  grids, a stacked
+    scan of f from values_on_grid(n, derivatives=True), is read instead of
+    scanning again.
     """
-    value, pts = _attain(f, _scan(f), -1 if mode == "min" else 1)
+    if grids is None:
+        grids = _scan(f)
+    value, pts = _attain(f, grids, -1 if mode == "min" else 1)
     return Extremum(value, tuple(float(x) for x in pts[0]))
 
 
 def sup_norm(f: FourierFunction) -> float:
     """max |f|: both signed extrema, read from one scan."""
-    return attaining_set(f).norm
+    grids = _scan(f)
+    return max(extremum(f, "max", grids=grids).value, -extremum(f, "min", grids=grids).value)
 
 
 def sup_norm_by_squaring(f: FourierFunction) -> float:
