@@ -9,7 +9,6 @@ itself sits well below any quantity of interest.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 # Scan resolutions.  The truncation degree bounds oscillation, so these
@@ -47,17 +46,13 @@ WITNESS_DERIV_TOL = 1e-9
 # Segments whose sup-norm is below this are treated as zero length.
 ZERO_SEGMENT_TOL = 1e-12
 
-THREADS_ENV_VAR = "JETFLAT_THREADS"
-
-
-def thread_cap() -> int:
-    """Parallelism cap from the JETFLAT_THREADS environment variable."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+# Path optimizer schedule: subgradient grid size per domain, iterations per
+# restart, scale of the Gaussian perturbation of every restart but the
+# first, and the initial step (decaying as 1/sqrt(iteration)).
+OPTIMIZER_GRID = {"S1": 4096, "T2": 64}
+OPTIMIZER_ITERS = 500
+RESTART_SIGMA = 0.2
+RESTART_STEP0 = 0.1
 
 
 @dataclass(frozen=True)

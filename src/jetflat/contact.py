@@ -20,14 +20,14 @@ beyond it results carry an advisory flag rather than a judgement.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import VALUE_CLUSTER_TOL, WITNESS_DERIV_TOL
 from .errors import CrossCheckMismatch, NotADiffeomorphism, ViolationReport
-from .fourier import CIRCLE, FourierFunction, attaining_set, critical_set, extremum, sup_norm
+from .fourier import CIRCLE, Extrema, FourierFunction, attaining_set
 from .geodesics import QAWitness, optimize_path, quasi_autonomy_check
 from .jets import ChordSpectrum, JetLegendrian, chord_spectrum, zero_section
 from .paths import IsotopyPath
@@ -40,25 +40,29 @@ CHART_RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CircleContactomorphism:
-    """Circle diffeomorphism x -> x + f(x), f stored as a Fourier series."""
+    """Circle diffeomorphism x -> x + f(x), f stored as a Fourier series.
+
+    Construction scans f' once into the slope record and rejects f unless
+    1 + f' > 0, so every instance is a diffeomorphism.
+    """
 
     displacement: FourierFunction
+    slope: Extrema = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.displacement.domain.kind != "S1":
             raise NotADiffeomorphism("displacement must live on the circle")
+        slope = attaining_set(self.displacement.derivative())
+        if 1.0 + slope.vmin <= 0.0:
+            raise NotADiffeomorphism(f"min(1 + f') = {1.0 + slope.vmin:.6g} <= 0")
+        object.__setattr__(self, "slope", slope)
 
     def min_jacobian(self) -> float:
         """min over the circle of 1 + f' (positive for a diffeomorphism)."""
-        return 1.0 + extremum(self.displacement.derivative(), "min").value
-
-    def require_diffeomorphism(self) -> None:
-        m = self.min_jacobian()
-        if m <= 0.0:
-            raise NotADiffeomorphism(f"min(1 + f') = {m:.6g} <= 0")
+        return 1.0 + self.slope.vmin
 
     def c1_size(self) -> float:
-        return sup_norm(self.displacement.derivative())
+        return self.slope.norm
 
     def __call__(self, x):
         return np.mod(np.asarray(x, dtype=float) + self.displacement(x), 1.0)
@@ -142,7 +146,6 @@ def graph_of(phi: CircleContactomorphism, check_points: int = 1024) -> JetLegend
     Verifies the identification pointwise: the chart's p-coordinate
     e^{log(1 + f')} - 1 must reproduce f' on a sample grid.
     """
-    phi.require_diffeomorphism()
     f = phi.displacement
     fp = f.derivative()
     xs = np.arange(check_points) / check_points
@@ -160,21 +163,10 @@ def translated_points(
     """Translations t with phi(x) = x + t at a point where phi preserves dθ.
 
     On the circle the conditions read f'(x) = 0 and t = f(x), so the
-    spectrum is the set of critical values of the displacement; it must and
-    does coincide with the Reeb-chord spectrum of the graph against the
-    zero section, which is asserted.
+    spectrum is the set of critical values of the displacement: the
+    Reeb-chord spectrum of the graph against the zero section.
     """
-    phi.require_diffeomorphism()
-    cs = critical_set(phi.displacement, tol=tol)
-    direct = ChordSpectrum(lengths=tuple(sorted(cs.values)), source=cs)
-    via_graph = chord_spectrum(graph_of(phi), zero_section(CIRCLE), tol=tol)
-    if len(direct.lengths) != len(via_graph.lengths) or any(
-        abs(a - b) > tol for a, b in zip(direct.lengths, via_graph.lengths)
-    ):
-        raise CrossCheckMismatch(
-            f"translated points {direct.lengths} vs chord spectrum {via_graph.lengths}"
-        )
-    return direct
+    return chord_spectrum(graph_of(phi), zero_section(CIRCLE), tol=tol)
 
 
 class SpectralNormResult(NamedTuple):
@@ -187,23 +179,21 @@ class SpectralNormResult(NamedTuple):
 def spectral_norm(phi: CircleContactomorphism, tol: float = VALUE_CLUSTER_TOL) -> SpectralNormResult:
     """Chart formula for the selector pair of a contactomorphism.
 
-    c_plus = max f, c_minus = min f, norm = max |f|; both selector values
-    are asserted to be translated-point values.  When max|f'| exceeds the
-    C1 threshold the result carries an advisory flag: the chart formula is
-    reported, not asserted, outside the small regime.
+    c_plus = max f, c_minus = min f, norm = max |f|, read from the extrema
+    record of the translated-point scan; both selector values are asserted
+    to be translated-point values.  When max|f'| exceeds the C1 threshold
+    the result carries an advisory flag: the chart formula is reported, not
+    asserted, outside the small regime.
     """
-    phi.require_diffeomorphism()
-    f = phi.displacement
-    ext = attaining_set(f)
-    c_plus, c_minus = ext.vmax, ext.vmin
     c1 = phi.c1_size()
     advisory = c1 >= C1_ADVISORY_THRESHOLD
     if advisory:
         log.warning("spectral_norm outside the C1-small regime (max|f'| = %.3f)", c1)
     spec = translated_points(phi, tol=tol)
-    if not (spec.contains(c_plus, tol) and spec.contains(c_minus, tol)):
+    ext = spec.source.extrema
+    if not (spec.contains(ext.vmax, tol) and spec.contains(ext.vmin, tol)):
         raise CrossCheckMismatch("selector values missing from the translated-point spectrum")
-    return SpectralNormResult(c_plus, c_minus, ext.norm, advisory)
+    return SpectralNormResult(ext.vmax, ext.vmin, ext.norm, advisory)
 
 
 def contact_qa_check(
@@ -220,8 +210,6 @@ def contact_qa_check(
     """
     if not maps:
         raise ValueError("empty contact path")
-    for m in maps:
-        m.require_diffeomorphism()
     knots = tuple(graph_of(m).generator for m in maps)
     path = (
         IsotopyPath(knots=knots, times=tuple(float(t) for t in times))
@@ -256,7 +244,6 @@ def shelukhin_norm_upper(
     the spectral norm lower bound and the gap is logged (it should close to
     ~1e-4 in the C1-small regime).
     """
-    phi.require_diffeomorphism()
     f = phi.displacement
     result = optimize_path(FourierFunction.zero(CIRCLE), f, knots=knots, restarts=restarts, seed=seed)
     norm = spectral_norm(phi).norm

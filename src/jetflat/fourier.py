@@ -13,7 +13,7 @@ immutable after construction and every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Literal, NamedTuple, Sequence
 
@@ -421,12 +421,14 @@ class CriticalSet:
     points hold coordinates with |grad f| at or below point_tolerance after
     Newton refinement; values are deduplicated at the clustering tolerance
     and always contain the global extremum values.  plateau flags a
-    non-isolated critical locus (reported once through its value).
+    non-isolated critical locus (reported once through its value).  extrema
+    is the attaining_set record of f, read from the same scan.
     """
 
     points: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     tolerance: float
+    extrema: Extrema = field(compare=False, repr=False)
     plateau: bool = False
     point_tolerance: float = NEWTON_RESIDUAL
 
@@ -738,6 +740,7 @@ def _critical_set(f: FourierFunction, grids: np.ndarray, tol: float) -> Critical
     dnorm = np.max(np.abs(grids[1 : 1 + f.domain.ndim]), axis=0)
     plateau = float(np.mean(dnorm < PLATEAU_POINT_TOL)) > PLATEAU_FRACTION
     point_tol = NEWTON_RESIDUAL * max(1.0, float(np.max(dnorm)))
+    ext = _extrema(f, grids, VALUE_CLUSTER_TOL)
     if float(np.max(dnorm)) < PLATEAU_POINT_TOL:
         # constant function: every point is critical, report the value once
         origin = (0.0,) * f.domain.ndim
@@ -745,19 +748,20 @@ def _critical_set(f: FourierFunction, grids: np.ndarray, tol: float) -> Critical
             points=(origin,),
             values=(f.mean_value,),
             tolerance=tol,
+            extrema=ext,
             plateau=True,
             point_tolerance=point_tol,
         )
     find = _critical_points_circle if f.domain.kind == "S1" else _critical_points_torus
     pts = find(f, grids, point_tol)
     values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts))
-    ext = _extrema(f, grids, VALUE_CLUSTER_TOL)
     values += [ext.vmax, ext.vmin]
     pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
     return CriticalSet(
         points=tuple(tuple(float(x) for x in p) for p in pts),
         values=tuple(_cluster_values(values, tol)),
         tolerance=tol,
+        extrema=ext,
         plateau=plateau,
         point_tolerance=point_tol,
     )
@@ -768,9 +772,10 @@ def critical_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Critical
 
     Sign-change roots of f' (circle) or simultaneous zeros of the gradient
     (torus) plus tangential zeros; values are clustered at tol and always
-    include the global extremum values.  A plateau (more than 1% of scan
-    points with |grad f| below the point tolerance) sets the plateau flag
-    and contributes its value once.
+    include the global extremum values, whose attaining_set record (at the
+    default tolerance) rides along as extrema.  A plateau (more than 1% of
+    scan points with |grad f| below the point tolerance) sets the plateau
+    flag and contributes its value once.
     """
     return _critical_set(f, _scan(f), tol)
 

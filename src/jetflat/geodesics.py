@@ -15,7 +15,6 @@ as a certified lower bound.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,11 +22,14 @@ import numpy as np
 
 from .config import (
     EQUALITY_TOL,
+    OPTIMIZER_GRID,
+    OPTIMIZER_ITERS,
     ORDER_BOUNDARY_TOL,
+    RESTART_SIGMA,
+    RESTART_STEP0,
     WITNESS_DERIV_TOL,
     WITNESS_VALUE_TOL,
     ZERO_SEGMENT_TOL,
-    thread_cap,
 )
 from .errors import EquivalenceViolation, MalformedPath, ViolationReport
 from .fourier import (
@@ -155,25 +157,18 @@ def quasi_autonomy_check(
 class SegmentationReport:
     """Maximal quasi-autonomous windows of a path, in knot indices.
 
-    A window (i, j) covers knots i..j, i.e. segments i..j-1.  The path is a
-    geodesic at knot granularity when the windows cover every segment; the
-    multi-segment windows additionally show where consecutive segments share
-    a witness (the straddling information).
+    A window (i, j) covers knots i..j, i.e. segments i..j-1.  A single
+    segment always carries a witness, so the windows cover every segment;
+    the multi-segment windows show where consecutive segments share a
+    witness (the straddling information).
     """
 
     windows: tuple[tuple[int, int], ...]
-    covered: bool
     multi_segment_windows: tuple[tuple[int, int], ...]
-
-    @property
-    def geodesic(self) -> bool:
-        return self.covered
 
     def to_json_dict(self) -> dict:
         return {
             "windows": [list(w) for w in self.windows],
-            "covered": self.covered,
-            "geodesic": self.geodesic,
             "multi_segment_windows": [list(w) for w in self.multi_segment_windows],
         }
 
@@ -190,9 +185,7 @@ def local_quasi_autonomy_check(
     draws its candidates from the first non-constant segment of a window,
     so extending a window to the right only adds filters: from each start
     the passing windows are exactly those up to one end e(i), and a
-    two-pointer sweep finds all maximal windows.  Single segments always
-    carry a witness, hence the cover verdict is about how the windows tile
-    the path, and the multi-segment windows carry the sharper information.
+    two-pointer sweep finds all maximal windows.
     """
     return _segmentation(_records(path, value_tol), value_tol, deriv_tol)
 
@@ -220,15 +213,8 @@ def _segmentation(
         win = (i, j + 1)  # knot indices i .. j+1 = segments i .. j
         if not windows or win[1] > windows[-1][1]:
             windows.append(win)
-    covered = set()
-    for a, b in windows:
-        covered.update(range(a, b))
     multi = tuple(w for w in windows if w[1] - w[0] >= 2)
-    return SegmentationReport(
-        windows=tuple(windows),
-        covered=covered == set(range(k)),
-        multi_segment_windows=multi,
-    )
+    return SegmentationReport(windows=tuple(windows), multi_segment_windows=multi)
 
 
 @dataclass(frozen=True)
@@ -418,13 +404,11 @@ def from_real_vector(domain: DomainDescriptor, vec: np.ndarray, degree: int) -> 
     return FourierFunction.from_torus_coeffs(vec[0], blocks[0], blocks[1], blocks[2], blocks[3])
 
 
-def _real_basis(domain: DomainDescriptor, degree: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points, B) with B[i] the basis-function values at grid point i."""
+def _real_basis(domain: DomainDescriptor, degree: int, n: int) -> np.ndarray:
+    """B with B[i] the basis-function values at grid point i."""
     if domain.kind == "S1":
         ang = 2.0 * np.pi * (np.arange(n) / n)[:, None] * np.arange(1, degree + 1)[None, :]
-        pts = grid_points(n)[:, None]
-        b = np.hstack([np.ones((n, 1)), np.cos(ang), np.sin(ang)])
-        return pts, b
+        return np.hstack([np.ones((n, 1)), np.cos(ang), np.sin(ang)])
     g = grid_points(n)
     q1, q2 = np.meshgrid(g, g, indexing="ij")
     pts = np.stack([q1.ravel(), q2.ravel()], axis=1)
@@ -437,8 +421,7 @@ def _real_basis(domain: DomainDescriptor, degree: int, n: int) -> tuple[np.ndarr
         return (u[:, :, None] * v[:, None, :]).reshape(len(pts), -1)
     cc = outer(c1, c2)
     cc[:, 0] = 0.0  # the constant slot lives in the leading column
-    b = np.hstack([np.ones((len(pts), 1)), cc, outer(c1, s2), outer(s1, c2), outer(s1, s2)])
-    return pts, b
+    return np.hstack([np.ones((len(pts), 1)), cc, outer(c1, s2), outer(s1, c2), outer(s1, s2)])
 
 
 @dataclass(frozen=True)
@@ -459,8 +442,6 @@ def _run_restart(
     interior: slice,
     rng: np.random.Generator,
     sigma: float,
-    iters: int,
-    step0: float,
 ) -> np.ndarray:
     """One subgradient-descent restart; returns best iterate found."""
     x = np.array(x0)
@@ -475,7 +456,7 @@ def _run_restart(
 
     best_val, _, _ = objective_and_argmax(x)
     best_x = np.array(x)
-    for it in range(iters):
+    for it in range(OPTIMIZER_ITERS):
         val, idx, signs = objective_and_argmax(x)
         if val < best_val:
             best_val, best_x = val, np.array(x)
@@ -483,7 +464,7 @@ def _run_restart(
         grad = np.zeros_like(x)
         grad[1:] += rows
         grad[:-1] -= rows
-        x[interior] -= (step0 / np.sqrt(it + 1.0)) * grad[interior]
+        x[interior] -= (RESTART_STEP0 / np.sqrt(it + 1.0)) * grad[interior]
     val, _, _ = objective_and_argmax(x)
     if val < best_val:
         best_x = x
@@ -496,10 +477,6 @@ def optimize_path(
     knots: int = 6,
     restarts: int = 16,
     seed: int = 0,
-    iters: int = 500,
-    sigma: float = 0.2,
-    step0: float = 0.1,
-    grid: int | None = None,
 ) -> OptimizeResult:
     """Minimize the sup-norm length over interior knot coefficient vectors.
 
@@ -516,9 +493,7 @@ def optimize_path(
         raise MalformedPath("endpoint domains disagree")
     domain = f0.domain
     degree = max(f0.degree, f1.degree)
-    if grid is None:
-        grid = 4096 if domain.kind == "S1" else 64
-    _, basis = _real_basis(domain, degree, grid)
+    basis = _real_basis(domain, degree, OPTIMIZER_GRID[domain.kind])
 
     v0 = to_real_vector(f0.pad_to_degree(degree))
     v1 = to_real_vector(f1.pad_to_degree(degree))
@@ -534,16 +509,10 @@ def optimize_path(
 
     candidates = [straight]
     if knots > 2:
-        runs = []
         for r in range(restarts):
             rng = np.random.default_rng([seed, r])
-            runs.append((straight, basis, interior, rng, 0.0 if r == 0 else sigma, iters, step0))
-        workers = thread_cap()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                candidates += list(pool.map(lambda args: _run_restart(*args), runs))
-        else:
-            candidates += [_run_restart(*args) for args in runs]
+            sigma = 0.0 if r == 0 else RESTART_SIGMA
+            candidates.append(_run_restart(straight, basis, interior, rng, sigma))
 
     lower = sup_norm(f1 - f0)
     best_len, best_path = exact_length(candidates[0])

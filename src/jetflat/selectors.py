@@ -37,7 +37,7 @@ class SelectorReport:
     d_spec: float
     plus_in_spectrum: bool
     minus_in_spectrum: bool
-    spectrum: ChordSpectrum | None = None
+    spectrum: ChordSpectrum
 
     @property
     def in_spectrum(self) -> bool:
@@ -48,38 +48,31 @@ def selectors(
     l1: JetLegendrian,
     l0: JetLegendrian,
     membership_tol: float = VALUE_CLUSTER_TOL,
-    with_spectrum: bool = True,
 ) -> SelectorReport:
     """Spectral selectors of an ordered pair of jet graphs.
 
-    ell_plus/ell_minus are the extrema of the generator difference; the
+    ell_plus/ell_minus are the extrema of the generator difference, read
+    from the extrema record of the chord spectrum's own scan; the
     membership flags record whether they land in the root-found Reeb-chord
     spectrum within membership_tol.
     """
-    if l1.domain != l0.domain:
-        raise DimensionMismatch("selectors of Legendrians over different bases")
-    ext = attaining_set(l1.generator - l0.generator)
-    ell_plus, ell_minus, d = ext.vmax, ext.vmin, ext.norm
-    if with_spectrum:
-        spec = chord_spectrum(l1, l0)
-        plus_in = spec.contains(ell_plus, membership_tol)
-        minus_in = spec.contains(ell_minus, membership_tol)
-    else:
-        spec, plus_in, minus_in = None, True, True
+    spec = chord_spectrum(l1, l0)
+    ext = spec.source.extrema
     return SelectorReport(
-        ell_plus=ell_plus,
-        ell_minus=ell_minus,
-        d_spec=d,
-        plus_in_spectrum=plus_in,
-        minus_in_spectrum=minus_in,
+        ell_plus=ext.vmax,
+        ell_minus=ext.vmin,
+        d_spec=ext.norm,
+        plus_in_spectrum=spec.contains(ext.vmax, membership_tol),
+        minus_in_spectrum=spec.contains(ext.vmin, membership_tol),
         spectrum=spec,
     )
 
 
 def spectral_distance(l1: JetLegendrian, l0: JetLegendrian) -> float:
-    """max(ell_plus, -ell_minus) without the spectrum bookkeeping."""
-    r = selectors(l1, l0, with_spectrum=False)
-    return r.d_spec
+    """max(ell_plus, -ell_minus) = max|f1 - f0|, without the chord spectrum."""
+    if l1.domain != l0.domain:
+        raise DimensionMismatch("spectral distance of Legendrians over different bases")
+    return attaining_set(l1.generator - l0.generator).norm
 
 
 def sch_length(path: IsotopyPath) -> float:

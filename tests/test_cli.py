@@ -182,7 +182,7 @@ def test_cmd_geodesic_check_reversal(capsys, specs):
     assert set(out) == {
         "length", "d_spec", "gap", "minimizing", "qa_witness", "cross_check_mismatch", "segmentation",
     }
-    assert out["segmentation"]["windows"] == [[0, 1], [1, 2]]
+    assert out["segmentation"] == {"windows": [[0, 1], [1, 2]], "multi_segment_windows": []}
 
 
 def test_cmd_geodesic_optimize(capsys, specs):
@@ -264,12 +264,13 @@ def test_cmd_contact_norm_translated_qa_upper(capsys, specs, tmp_path):
 
 
 def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
-    # one extrema record per function per check: dist scans f1 - f0 for the
-    # selectors and once more for the spectrum; the contact norm adds the
-    # Jacobian checks, the C1 size and the translated-point cross-check; the
-    # integral criterion scans each knot once plus the integral; the geodesic
-    # check scans each segment once, for the length, the witness and the
-    # segmentation, and the endpoint difference once
+    # one scan per function per command: dist and spectrum scan f1 - f0 once
+    # and read the selectors from the critical set's extrema record; a
+    # contact map scans f' once when it is built, and the norm and the
+    # translated points then scan f once; the integral criterion scans each
+    # knot once plus the integral; the geodesic check scans each segment
+    # once, for the length, the witness and the segmentation, and the
+    # endpoint difference once
     tzero = _write(specs["tmp"], "tzero.json", {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0]]}})
     h = random_function(rng, degree=5, amplitude=0.4)
     ts = np.linspace(0.0, 1.0, 64)
@@ -285,9 +286,11 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
 
     monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
     for argv, scans in (
-        (["dist", specs["amp"], specs["zero"]], 2),
-        (["dist", specs["torus"], tzero], 2),
-        (["contact", "norm", specs["phi"]], 7),
+        (["dist", specs["amp"], specs["zero"]], 1),
+        (["dist", specs["torus"], tzero], 1),
+        (["spectrum", specs["amp"], specs["zero"]], 1),
+        (["contact", "norm", specs["phi"]], 2),
+        (["contact", "translated", specs["phi"]], 2),
         (["integral-criterion", family_spec], 65),
         (["geodesic", path_spec], 16),
         (["props", "--count", "8"], 332),
@@ -296,6 +299,17 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
         assert main(argv) == 0
         assert len(calls) == scans, argv[:2]
     capsys.readouterr()
+
+
+def test_non_diffeomorphism_exit_3(capsys, tmp_path):
+    # 1 + f' dips below zero: the map is rejected when it is built
+    bad = {"displacement": dump_function(fn(0.0, [], [0.5]))}
+    spec = _write(tmp_path, "bad.json", bad)
+    identity = {"displacement": dump_function(fn(0.0))}
+    cpath = _write(tmp_path, "bad_path.json", {"times": [0.0, 1.0], "knots": [identity, bad]})
+    for argv in (["norm", spec], ["translated", spec], ["qa", cpath], ["upper", spec, "--restarts", "2"]):
+        assert main(["contact", *argv]) == 3, argv[0]
+    assert capsys.readouterr().out == ""
 
 
 def test_output_bytes_are_deterministic(capsys, specs):

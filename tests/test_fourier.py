@@ -296,6 +296,23 @@ def test_one_grid_evaluation_per_query(monkeypatch, f):
         assert len(calls) == 1, query.__name__
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        fn(0.1, [0.3, -0.2], [0.1, 0.05]),
+        FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]]),
+        fn(0.25),
+    ],
+    ids=["S1", "T2", "constant"],
+)
+def test_critical_set_carries_the_attaining_set_record(f):
+    ext, ref = critical_set(f).extrema, attaining_set(f)
+    assert ext.f == ref.f
+    assert (ext.vmax, ext.vmin) == (ref.vmax, ref.vmin)
+    np.testing.assert_array_equal(ext.max_points, ref.max_points)
+    np.testing.assert_array_equal(ext.min_points, ref.min_points)
+
+
 def test_scan_stack_matches_separate_grids():
     f = fn(0.1, [0.3, -0.2], [0.1, 0.05])
     fp = f.derivative()

@@ -67,8 +67,8 @@ def test_flatness_identity_two_code_paths(cos1, cos0):
 @given(coeffs, coeffs)
 def test_poincare_duality_bitwise(cos1, cos0):
     l1, l0 = leg(0.2, cos1), leg(-0.3, cos0)
-    a = selectors(l1, l0, with_spectrum=False)
-    b = selectors(l0, l1, with_spectrum=False)
+    a = selectors(l1, l0)
+    b = selectors(l0, l1)
     assert a.ell_plus == -b.ell_minus
     assert a.ell_minus == -b.ell_plus
 
@@ -176,8 +176,8 @@ def test_axiom_suite_triangle_tightness():
     report = axiom_suite(sample)
     assert report.all_pass
 
-    lp_2f = selectors(sample[2], sample[0], with_spectrum=False).ell_plus
-    lp_f = selectors(sample[1], sample[0], with_spectrum=False).ell_plus
+    lp_2f = selectors(sample[2], sample[0]).ell_plus
+    lp_f = selectors(sample[1], sample[0]).ell_plus
     assert lp_2f == pytest.approx(2 * lp_f, abs=1e-12)
 
 
