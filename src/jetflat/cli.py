@@ -190,9 +190,9 @@ def _cmd_contact(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
     if args.sub == "upper":
         phi = parse_contactomorphism(_load_json(args.spec))
         upper = shelukhin_norm_upper(phi, knots=args.knots, restarts=args.restarts, seed=cfg.seed)
-        norm = spectral_norm(phi)
-        gap = upper - norm.norm
-        report = {"upper": upper, "spectral_norm": norm.norm, "gap": gap}
+        norm = upper.spectral_norm.norm
+        gap = upper - norm
+        report = {"upper": float(upper), "spectral_norm": norm, "gap": gap}
         return report, gap <= 1e-4, None
     phi = parse_contactomorphism(_load_json(args.spec))
     if args.sub == "norm":

@@ -231,26 +231,38 @@ def contact_qa_check(
     return witness
 
 
+class NormUpperBound(float):
+    """The optimizer's best length, carrying the spectral norm it was checked against."""
+
+    spectral_norm: SpectralNormResult
+
+    def __new__(cls, length: float, norm: SpectralNormResult) -> "NormUpperBound":
+        bound = super().__new__(cls, length)
+        bound.spectral_norm = norm
+        return bound
+
+
 def shelukhin_norm_upper(
     phi: CircleContactomorphism,
     knots: int = 6,
     restarts: int = 16,
     seed: int = 0,
-) -> float:
+) -> NormUpperBound:
     """Optimizer upper bound for the sup-norm path norm of a contactomorphism.
 
     Runs the variational optimizer from the identity to the displacement in
     the chart and returns the best length; the value is asserted against
-    the spectral norm lower bound and the gap is logged (it should close to
-    ~1e-4 in the C1-small regime).
+    the spectral norm lower bound, which rides along as its spectral_norm,
+    and the gap is logged (it should close to ~1e-4 in the C1-small regime).
     """
     f = phi.displacement
     result = optimize_path(FourierFunction.zero(CIRCLE), f, knots=knots, restarts=restarts, seed=seed)
-    norm = spectral_norm(phi).norm
+    spec = spectral_norm(phi)
+    norm = spec.norm
     if result.length < norm - 1e-9:
         raise ViolationReport(
             f"optimizer length {result.length} below the spectral norm {norm}"
         )
     log.info("shelukhin upper bound %.6g vs spectral norm %.6g (gap %.2e)",
              result.length, norm, result.length - norm)
-    return result.length
+    return NormUpperBound(result.length, spec)

@@ -115,11 +115,12 @@ class FourierFunction:
         a = np.asarray(cos, dtype=float)
         b = np.asarray(sin, dtype=float)
         d = max(len(a), len(b))
-        a = np.pad(a, (0, d - len(a)))
-        b = np.pad(b, (0, d - len(b)))
+        ab = np.zeros((2, d))  # the shorter list is zero-padded
+        ab[0, : len(a)] = a
+        ab[1, : len(b)] = b
         c = np.zeros(2 * d + 1, dtype=complex)
         c[d] = a0
-        c[d + 1 :] = 0.5 * (a - 1j * b)
+        c[d + 1 :] = 0.5 * (ab[0] - 1j * ab[1])
         c[:d] = np.conj(c[d + 1 :][::-1])
         return cls(CIRCLE, c)
 
@@ -440,33 +441,65 @@ def _scan(f: FourierFunction) -> np.ndarray:
     return f.values_on_grid(n, derivatives=True)
 
 
+def _cos_sin_rows(fs: Sequence[FourierFunction]) -> np.ndarray:
+    """Real coefficients of circle functions, shape (m, 2, D+1) for the top degree D.
+
+    Row j holds (a_k, b_k), k = 0..D, with f_j = sum_k a_k cos(2 pi k q) +
+    b_k sin(2 pi k q), and zeros beyond the degree of f_j.
+    """
+    rows = np.zeros((len(fs), 2, 1 + max((f.degree for f in fs), default=0)))
+    for row, f in zip(rows, fs):
+        a0, a, b = f.circle_cos_sin()
+        row[0, 0] = a0
+        row[0, 1 : len(a) + 1] = a
+        row[1, 1 : len(b) + 1] = b
+    return rows
+
+
+def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k a_k cos(2 pi k x_i) + b_k sin(2 pi k x_i) with (a, b) = rows[i].
+
+    The terms are summed strictly in order of k, so a zero-padded tail adds
+    exact zeros and a row sums to the same bits whatever degree its batch
+    was padded to.
+    """
+    ang = x[:, None] * (TWO_PI * np.arange(rows.shape[-1]))
+    return np.cumsum(rows[:, 0] * np.cos(ang) + rows[:, 1] * np.sin(ang), axis=1)[:, -1]
+
+
 def _newton_circle(
-    f: FourierFunction,
+    rows: np.ndarray,
     seeds: np.ndarray,
     halfwidth,
-    residual: float = NEWTON_RESIDUAL,
+    residual=NEWTON_RESIDUAL,
 ) -> np.ndarray:
     """Newton for f'(x) = 0 from every seed at once.
 
-    Each seed stays confined to |x - seed| <= halfwidth (a scalar or one
-    width per seed); seeds that leave their window, meet f'' = 0 or do not
-    converge come back as NaN.
+    rows[i] holds the coefficients (_cos_sin_rows) of the function seed i
+    belongs to, so one run serves the seeds of many functions; f' and f''
+    are evaluated from coefficient rows.  Each seed stays confined to
+    |x - seed| <= halfwidth and converges at |f'| <= residual (scalars or
+    one value per seed); seeds that leave their window, meet f'' = 0 or do
+    not converge come back as NaN.
     """
-    fp = f.derivative()
-    fpp = fp.derivative()
+    k = TWO_PI * np.arange(rows.shape[-1])
+    # f' = sum 2 pi k (b_k cos - a_k sin), f'' = -sum (2 pi k)^2 (a_k cos + b_k sin)
+    d1 = np.stack([k * rows[:, 1], -k * rows[:, 0]], axis=1)
+    d2 = -(k * k) * rows
     x0 = np.asarray(seeds, dtype=float)
     width = np.zeros_like(x0) + halfwidth
+    tol = np.zeros_like(x0) + residual
     x = x0.copy()
     roots = np.full(x0.shape, np.nan)
     live = np.arange(len(x0))
     for it in range(NEWTON_MAX_ITER + 1):
-        g = fp(x[live])
-        done = np.abs(g) <= residual
+        g = _series_at(d1[live], x[live])
+        done = np.abs(g) <= tol[live]
         roots[live[done]] = x[live[done]]
         live, g = live[~done], g[~done]
         if len(live) == 0 or it == NEWTON_MAX_ITER:
             break
-        h = fpp(x[live])
+        h = _series_at(d2[live], x[live])
         x_new = x[live] - g / np.where(h == 0.0, 1.0, h)
         ok = (h != 0.0) & (np.abs(x_new - x0[live]) <= width[live])
         x[live[ok]] = x_new[ok]
@@ -527,40 +560,83 @@ def _local_max_mask(a: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _attain_circle(
-    f: FourierFunction, grids: np.ndarray, sign: int, tol: float
-) -> tuple[float, np.ndarray]:
+class _Peaks(NamedTuple):
+    """One circle scan reduced for one sign: all that the refinement reads."""
+
+    n: int  # scan size
+    top: float  # largest scanned value of sign * f
+    seeds: np.ndarray | None  # one point per near-top run; None for a constant
+    residual: float  # Newton residual, scaled by max|f'|
+
+
+def _run_tops(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """First index of the largest value in each circular run of consecutive idx."""
+    starts = np.flatnonzero(np.diff(idx) != 1) + 1
+    if len(starts) == 0:
+        return idx[[np.argmax(vals[idx])]]
+    if idx[0] == 0 and idx[-1] == len(vals) - 1:
+        # the run through q = 0 wraps around: its tail leads
+        tail = starts[-1]
+        idx = np.concatenate([idx[tail:], idx[:tail]])
+        starts = starts[:-1] + (len(idx) - tail)
+    starts = np.concatenate([[0], starts])
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(idx)))
+    v = vals[idx]
+    tops = np.flatnonzero(v == np.maximum.reduceat(v, starts)[run])
+    return idx[tops[np.concatenate([[True], np.diff(run[tops]) != 0])]]
+
+
+def _circle_peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Peaks]:
+    """Per sign, the scan's top and one seed per circular run within the margin."""
     n = grids.shape[-1]
-    vals = sign * grids[0]
-    vmax = float(vals.max())
-    vmin = float(vals.min())
-    if vmax - vmin <= 1e-12:  # constant: attained everywhere
-        return sign * vmax, np.array([[0.0]])
+    hi, lo = float(grids[0].max()), float(grids[0].min())
+    if hi - lo <= 1e-12:  # constant: attained everywhere
+        return [_Peaks(n, hi if sign == 1 else -lo, None, 0.0) for sign in signs]
     dq = 1.0 / n
     residual = NEWTON_RESIDUAL * max(1.0, float(np.max(np.abs(grids[1]))))
     # margin below which a grid point may still hide the global max
     margin = 10.0 * tol + 0.5 * float(np.max(np.abs(grids[2]))) * dq * dq
-    # one seed per contiguous run (circular)
-    runs: list[list[int]] = []
-    for i in np.flatnonzero(vals >= vmax - margin):
-        if runs and i == runs[-1][-1] + 1:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
-        runs[0] = runs.pop() + runs[0]
-    seeds = np.array([max(run, key=lambda i: vals[i]) for run in runs]) / n
-    roots = _newton_circle(f, seeds, 2.0 * dq, residual)
-    refined = []
-    best = vmax
-    for s, r in zip(seeds, roots):
-        if np.isnan(r):
-            r = _ternary_max_circle(sign * f, s - dq, s + dq)
-        v = sign * f(r)
-        refined.append((v, r))
-        best = max(best, v)
-    pts = np.array([[r] for v, r in refined if v >= best - tol])
-    return sign * best, _dedupe_points(_canonical_mod1(pts))
+    peaks = []
+    for sign in signs:
+        vals = sign * grids[0]
+        top = hi if sign == 1 else -lo
+        seeds = _run_tops(vals, np.flatnonzero(vals >= top - margin)) / n
+        peaks.append(_Peaks(n, top, seeds, residual))
+    return peaks
+
+
+def _attain_circles(
+    fs: Sequence[FourierFunction], peaks: Sequence[_Peaks], sign: int, tol: float
+) -> list[tuple[float, np.ndarray]]:
+    """Max (sign 1) or min (sign -1) of circle functions and their attaining points.
+
+    peaks[j] is the scan of fs[j] reduced for this sign.  One Newton run
+    refines the seeds of every function, a seed that fails falls back to
+    golden-section search on its two grid cells, and each function keeps
+    its refined seeds within tol of its best value.
+    """
+    out = [(sign * p.top, np.array([[0.0]])) for p in peaks]
+    live = [j for j, p in enumerate(peaks) if p.seeds is not None]
+    if not live:
+        return out
+    counts = [len(peaks[j].seeds) for j in live]
+    owner = np.repeat(np.arange(len(live)), counts)
+    dq = np.repeat([1.0 / peaks[j].n for j in live], counts)
+    seeds = np.concatenate([peaks[j].seeds for j in live])
+    rows = _cos_sin_rows([fs[j] for j in live])[owner]
+    residual = np.repeat([peaks[j].residual for j in live], counts)
+    roots = _newton_circle(rows, seeds, 2.0 * dq, residual)
+    for i in np.flatnonzero(np.isnan(roots)):
+        f = fs[live[owner[i]]]
+        roots[i] = _ternary_max_circle(sign * f, seeds[i] - dq[i], seeds[i] + dq[i])
+    vals = sign * _series_at(rows, roots)
+    starts = np.cumsum([0] + counts[:-1])
+    best = np.maximum(np.maximum.reduceat(vals, starts), [peaks[j].top for j in live])
+    keep = vals >= best[owner] - tol
+    points = _canonical_mod1(roots)
+    for j, top, lo, m in zip(live, best.tolist(), starts.tolist(), counts):
+        out[j] = (sign * top, _dedupe_points(points[lo : lo + m][keep[lo : lo + m], None]))
+    return out
 
 
 def _newton_torus(f: FourierFunction, seeds: np.ndarray, residual: float) -> np.ndarray:
@@ -628,8 +704,9 @@ def _attain(
     f: FourierFunction, grids: np.ndarray, sign: int, tol: float = VALUE_CLUSTER_TOL
 ) -> tuple[float, np.ndarray]:
     """Max (sign 1) or min (sign -1) of f and its attaining points, from a scan."""
-    attain = _attain_circle if f.domain.kind == "S1" else _attain_torus
-    return attain(f, grids, sign, tol)
+    if f.domain.kind == "S1":
+        return _attain_circles([f], _circle_peaks(grids, tol, (sign,)), sign, tol)[0]
+    return _attain_torus(f, grids, sign, tol)
 
 
 def _extrema(f: FourierFunction, grids: np.ndarray, tol: float) -> Extrema:
@@ -637,9 +714,29 @@ def _extrema(f: FourierFunction, grids: np.ndarray, tol: float) -> Extrema:
     return Extrema(f, vmax, vmin, pmax, pmin)
 
 
+def attaining_sets(fs: Iterable[FourierFunction], tol: float = VALUE_CLUSTER_TOL) -> list[Extrema]:
+    """The attaining_set record of every function, circle ones in one batch.
+
+    Each circle function is scanned on its own and reduced to its seeds at
+    once, so no scan outlives its function; one Newton run per sign then
+    refines the seeds of all of them.  A record does not depend on the
+    batch it came in.  Torus functions are handled one at a time.
+    """
+    fs = list(fs)
+    circle = [f for f in fs if f.domain.kind == "S1"]
+    peaks = [_circle_peaks(_scan(f), tol) for f in circle]
+    highs = _attain_circles(circle, [p[0] for p in peaks], 1, tol)
+    lows = _attain_circles(circle, [p[1] for p in peaks], -1, tol)
+    records = iter(
+        Extrema(f, vmax, vmin, pmax, pmin)
+        for f, (vmax, pmax), (vmin, pmin) in zip(circle, highs, lows)
+    )
+    return [next(records) if f.domain.kind == "S1" else _extrema(f, _scan(f), tol) for f in fs]
+
+
 def attaining_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Extrema:
     """Max and min of f with all points attaining each within tol, from one scan."""
-    return _extrema(f, _scan(f), tol)
+    return attaining_sets([f], tol)[0]
 
 
 def extremum(
@@ -692,7 +789,8 @@ def _critical_points_circle(f: FourierFunction, grids: np.ndarray, residual: flo
     tangential = xs[local_min & ~change & ~np.roll(change, 1)]
     seeds = np.concatenate([0.5 * (lo + (lo + dq)), tangential])
     widths = np.concatenate([np.full(len(lo), dq), np.full(len(tangential), 2.0 * dq)])
-    roots = _newton_circle(f, seeds, widths, residual)
+    rows = _cos_sin_rows([f])[np.zeros(len(seeds), dtype=int)]
+    roots = _newton_circle(rows, seeds, widths, residual)
     bracketed = roots[: len(lo)]
     exact = dvals[change] == 0.0
     bracketed[exact] = lo[exact]

@@ -36,7 +36,7 @@ from .fourier import (
     DomainDescriptor,
     Extrema,
     FourierFunction,
-    attaining_set,
+    attaining_sets,
     extremum,
     grid_points,
     sup_norm,
@@ -131,7 +131,7 @@ def common_attaining_point(
 
 
 def _records(path: IsotopyPath, tol: float) -> list[Extrema]:
-    return [attaining_set(d, tol) for d in path.segment_deltas()]
+    return attaining_sets(path.segment_deltas(), tol)
 
 
 def _witness(records: Sequence[Extrema], value_tol: float, deriv_tol: float) -> QAWitness | None:
@@ -255,7 +255,7 @@ def integral_criterion(
     w[-1] = 0.5 * (times[-1] - times[-2])
     if len(funcs) > 2:
         w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    records = [attaining_set(g, tol) for g in funcs]
+    records = attaining_sets(funcs, tol)
     lhs = float(sum(wi * r.norm for wi, r in zip(w, records)))
     integral = funcs[0] * float(w[0])
     for wi, g in zip(w[1:], funcs[1:]):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import EQUALITY_TOL, VALUE_CLUSTER_TOL
 from .errors import DimensionMismatch, MalformedPath, ViolationReport
-from .fourier import FourierFunction, attaining_set, sup_norm
+from .fourier import FourierFunction, attaining_set, attaining_sets
 from .jets import ChordSpectrum, JetLegendrian, chord_spectrum, pointwise_leq, reeb_translate
 from .paths import IsotopyPath
 
@@ -84,7 +84,7 @@ def sch_length(path: IsotopyPath) -> float:
     """
     if not isinstance(path, IsotopyPath):
         raise MalformedPath("sch_length expects an IsotopyPath")
-    return float(sum(sup_norm(d) for d in path.segment_deltas()))
+    return float(sum(r.norm for r in attaining_sets(path.segment_deltas())))
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,15 @@ def metric_length(
     """
 
     def partition_sum(splits: int) -> float:
-        total = 0.0
+        pieces = []
         for k in range(path.n_segments):
             a, b = path.knots[k], path.knots[k + 1]
             prev = a
             for i in range(1, splits + 1):
                 cur = b if i == splits else a + (i / splits) * (b - a)
-                total += sup_norm(cur - prev)
+                pieces.append(cur - prev)
                 prev = cur
-        return total
+        return sum(r.norm for r in attaining_sets(pieces))
 
     prev_sum = partition_sum(1)
     depth = 0
@@ -165,8 +165,7 @@ def hamiltonian_bounds_check(path: IsotopyPath, slack: float = EQUALITY_TOL) -> 
     segment extrema.  The chain must hold; a violation beyond the slack is
     an implementation bug and raises ViolationReport.
     """
-    segs = [attaining_set(d) for d in path.segment_deltas()]
-    total = attaining_set(path.knots[-1] - path.knots[0])
+    *segs, total = attaining_sets([*path.segment_deltas(), path.knots[-1] - path.knots[0]])
     int_min = float(sum(r.vmin for r in segs))
     int_max = float(sum(r.vmax for r in segs))
     report = HamiltonianBounds(int_min, total.vmin, total.vmax, int_max)
@@ -253,12 +252,9 @@ def axiom_suite(
     n = len(sample)
     gens = [l.generator for l in sample]
 
-    lp = np.empty((n, n))
-    lm = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            ext = attaining_set(gens[i] - gens[j])
-            lp[i, j], lm[i, j] = ext.vmax, ext.vmin
+    pairs = attaining_sets(gi - gj for gi in gens for gj in gens)
+    lp = np.array([r.vmax for r in pairs]).reshape(n, n)
+    lm = np.array([r.vmin for r in pairs]).reshape(n, n)
 
     normalization = AxiomResult("normalization")
     reeb_shift = AxiomResult("reeb_shift")
@@ -274,26 +270,37 @@ def axiom_suite(
         normalization.record(ok, f"ell_pm({i},{i}) = ({lp[i,i]:.3e}, {lm[i,i]:.3e})")
 
     shift = 0.37
+    shifted = [reeb_translate(l, shift).generator for l in sample]
+    sh = iter(attaining_sets(si - gj for si in shifted for gj in gens))
     for i in range(n):
         for j in range(n):
-            shifted = reeb_translate(sample[i], shift)
-            sh = attaining_set(shifted.generator - gens[j])
-            ok = abs(sh.vmax - (shift + lp[i, j])) <= tol and abs(sh.vmin - (shift + lm[i, j])) <= tol
+            r = next(sh)
+            ok = abs(r.vmax - (shift + lp[i, j])) <= tol and abs(r.vmin - (shift + lm[i, j])) <= tol
             reeb_shift.record(ok, f"shift identity failed at pair ({i},{j})")
 
-    # comparable pairs: raise sample[j] by ell_plus(i, j) so it dominates sample[i]
+    # comparable pairs: raise sample[j] by ell_plus(i, j) so it dominates
+    # sample[i]; the pairs that pass are checked in one batch, in order
+    checks: list[tuple[int, int, int | None]] = []
+    uppers = []
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             upper = reeb_translate(sample[j], lp[i, j] + 1e-15)
             if not pointwise_leq(sample[i], upper, boundary=tol):
-                monotonicity.record(False, f"constructed pair ({i},{j}) not comparable")
+                checks.append((i, j, None))
                 continue
             for k in (0, (i + j) % n):
-                up = attaining_set(upper.generator - gens[k])
-                ok = lp[i, k] <= up.vmax + tol and lm[i, k] <= up.vmin + tol
-                monotonicity.record(ok, f"monotonicity failed at ({i},{j}) vs {k}")
+                checks.append((i, j, k))
+                uppers.append(upper.generator - gens[k])
+    up = iter(attaining_sets(uppers))
+    for i, j, k in checks:
+        if k is None:
+            monotonicity.record(False, f"constructed pair ({i},{j}) not comparable")
+            continue
+        r = next(up)
+        ok = lp[i, k] <= r.vmax + tol and lm[i, k] <= r.vmin + tol
+        monotonicity.record(ok, f"monotonicity failed at ({i},{j}) vs {k}")
 
     for i in range(n):
         for j in range(n):

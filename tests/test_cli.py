@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from jetflat import fourier
 from jetflat.cli import main
 from jetflat.errors import SpecParseError
 from jetflat.fourier import FourierFunction
@@ -270,34 +271,45 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     # translated points then scan f once; the integral criterion scans each
     # knot once plus the integral; the geodesic check scans each segment
     # once, for the length, the witness and the segmentation, and the
-    # endpoint difference once
+    # endpoint difference once.  One circle Newton run per batch and sign:
+    # the 64 knots and the 15 segments are one batch each, the integral and
+    # the endpoint difference one sup_norm, a batch of one per sign
     tzero = _write(specs["tmp"], "tzero.json", {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0]]}})
     h = random_function(rng, degree=5, amplitude=0.4)
     ts = np.linspace(0.0, 1.0, 64)
     family = IsotopyPath(knots=tuple(float(lam) * h for lam in rng.uniform(0.2, 1.5, 64)), times=tuple(ts))
     family_spec = _write(specs["tmp"], "family.json", dump_path(family))
     path_spec = _write(specs["tmp"], "path.json", dump_path(random_quasi_autonomous_path(rng, 16)))
-    calls = []
+    calls, runs = [], []
     scan = FourierFunction.values_on_grid
+    newton = fourier._newton_circle
 
     def counted(self, *args, **kwargs):
         calls.append(args)
         return scan(self, *args, **kwargs)
 
+    def counted_runs(*args):
+        runs.append(args)
+        return newton(*args)
+
     monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
-    for argv, scans in (
-        (["dist", specs["amp"], specs["zero"]], 1),
-        (["dist", specs["torus"], tzero], 1),
-        (["spectrum", specs["amp"], specs["zero"]], 1),
-        (["contact", "norm", specs["phi"]], 2),
-        (["contact", "translated", specs["phi"]], 2),
-        (["integral-criterion", family_spec], 65),
-        (["geodesic", path_spec], 16),
-        (["props", "--count", "8"], 332),
+    monkeypatch.setattr(fourier, "_newton_circle", counted_runs)
+    for argv, scans, newton_runs in (
+        (["dist", specs["amp"], specs["zero"]], 1, None),
+        (["dist", specs["torus"], tzero], 1, None),
+        (["spectrum", specs["amp"], specs["zero"]], 1, None),
+        (["contact", "norm", specs["phi"]], 2, None),
+        (["contact", "translated", specs["phi"]], 2, None),
+        (["integral-criterion", family_spec], 65, 4),
+        (["geodesic", path_spec], 16, 4),
+        (["props", "--count", "8"], 332, None),
+        (["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"], 9, None),
     ):
         calls.clear()
+        runs.clear()
         assert main(argv) == 0
         assert len(calls) == scans, argv[:2]
+        assert newton_runs is None or len(runs) == newton_runs, argv[:2]
     capsys.readouterr()
 
 

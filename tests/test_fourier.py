@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from jetflat import fourier
 from jetflat.errors import DimensionMismatch
 from jetflat.fourier import (
+    CIRCLE,
     TORUS2,
     FourierFunction,
     attaining_set,
+    attaining_sets,
     critical_set,
     extremum,
     is_morse,
@@ -353,6 +355,80 @@ def test_fallbacks_when_circle_newton_fails(monkeypatch, rng):
         assert max(cs.values) == pytest.approx(hi, abs=1e-11)
         assert min(cs.values) == pytest.approx(lo, abs=1e-11)
     assert {"_ternary_max_circle", "_bisect_root"} <= set(used)
+
+
+# -- one batch for many circle functions ----------------------------------------
+
+
+def _batch_cases():
+    """(name, a0, cos, sin): the shapes a batch must not treat differently."""
+    w = 2 * np.pi * 1e-5  # cos(2 pi k (q + 1e-5)) peaks at 1 - 1e-5, between the last grid point and 0
+    eps = 2.5e-11  # cos(4 pi q) + eps cos(2 pi q): maxima at 0 and 1/2, 2 eps = 5e-11 apart
+    return [
+        ("constant", 0.25, [], []),
+        ("zero", 0.0, [], []),
+        ("degree-1", 0.1, [0.3], [-0.4]),
+        ("degree-1 sine", -0.7, [], [1.3]),
+        ("straddles 0", 0.05, [np.cos(w), 0.0, 0.01 * np.cos(3 * w)], [-np.sin(w), 0.0, -0.01 * np.sin(3 * w)]),
+        ("twin maxima", 0.0, [eps, 1.0], []),
+        ("degree 3", 0.2, [0.3, -0.2, 0.05], [0.1, 0.04]),
+        ("degree 8", -0.1, [0.4, 0.0, -0.1, 0.02, 0.0, 0.01, 0.0, -0.005], [0.0, 0.3]),
+    ]
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.f == b.f
+        assert (a.vmax, a.vmin) == (b.vmax, b.vmin)
+        assert np.array_equal(a.max_points, b.max_points)
+        assert np.array_equal(a.min_points, b.min_points)
+
+
+def test_attaining_sets_do_not_depend_on_the_batch():
+    fs = [fn(a0, cos, sin) for _, a0, cos, sin in _batch_cases()]
+    records = attaining_sets(fs)
+    assert attaining_sets([]) == []
+    _assert_same_records([attaining_set(f) for f in fs], records)
+    order = np.random.default_rng(3).permutation(len(fs))
+    _assert_same_records(attaining_sets([fs[i] for i in order]), [records[i] for i in order])
+    _assert_same_records(attaining_sets(fs[:3]) + attaining_sets(fs[3:]), records)
+    for (name, a0, cos, sin), r in zip(_batch_cases(), records):
+        if not cos and not sin:
+            assert r.vmax == r.vmin == a0, name
+            continue
+        if name.startswith("degree-1"):
+            amp = np.hypot(cos[0] if cos else 0.0, sin[0] if sin else 0.0)
+            assert r.vmax == pytest.approx(a0 + amp, abs=1e-15), name
+            assert r.vmin == pytest.approx(a0 - amp, abs=1e-15), name
+        assert r.vmax == pytest.approx(dense_max(a0, cos, sin), abs=1e-11), name
+        neg = [-c for c in cos], [-c for c in sin]
+        assert r.vmin == pytest.approx(-dense_max(-a0, *neg), abs=1e-11), name
+    straddle = records[4].max_points[:, 0]
+    assert len(straddle) == 1 and straddle[0] == pytest.approx(1.0 - 1e-5, abs=1e-12)
+    twins = records[5].max_points[:, 0]
+    assert twins == pytest.approx([0.0, 0.5], abs=1e-9)
+
+
+def test_circle_constructor_matches_the_padded_construction():
+    def padded(a0, cos, sin):
+        d = max(len(cos), len(sin))
+        a = np.pad(np.asarray(cos, dtype=float), (0, d - len(cos)))
+        b = np.pad(np.asarray(sin, dtype=float), (0, d - len(sin)))
+        c = np.zeros(2 * d + 1, dtype=complex)
+        c[d] = a0
+        c[d + 1 :] = 0.5 * (a - 1j * b)
+        c[:d] = np.conj(c[d + 1 :][::-1])
+        return FourierFunction(CIRCLE, c)
+
+    for a0, cos, sin in [
+        (0.1, [0.3, -0.0, -1.5], [-0.2]),
+        (-2.0, [], [0.5, -0.25, 0.0]),
+        (0.0, [1.0, -2.0], []),
+        (0.3, [0.0], [-0.0, 4.0, -1e-300]),
+    ]:
+        got, want = fn(a0, cos, sin).coeffs, padded(a0, cos, sin).coeffs
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (cos, sin)
 
 
 # -- structure ---------------------------------------------------------------
