@@ -31,7 +31,6 @@ from .fourier import (
     attaining_sets,
     critical_set,
     extremum,
-    is_morse,
     sup_norm,
     sup_norm_by_squaring,
 )
@@ -53,10 +52,8 @@ from .geodesics import (
 from .jets import (
     ChordSpectrum,
     JetLegendrian,
-    OrderVerdict,
     chord_spectrum,
     pointwise_leq,
-    pointwise_leq_detailed,
     reeb_translate,
     zero_section,
 )
@@ -70,7 +67,6 @@ from .selectors import (
     hamiltonian_bounds_check,
     metric_length,
     sch_length,
-    selector_csv,
     selectors,
     spectral_distance,
 )
@@ -92,7 +88,6 @@ __all__ = [
     "JetLegendrian",
     "MetricLengthReport",
     "OptimizeResult",
-    "OrderVerdict",
     "ProductChartMap",
     "QAWitness",
     "RunConfig",
@@ -111,19 +106,16 @@ __all__ = [
     "hamiltonian_bounds_check",
     "grid_quasi_autonomy_witness",
     "integral_criterion",
-    "is_morse",
     "local_quasi_autonomy_check",
     "metric_length",
     "minimizing_geodesic_check",
     "monotone_check",
     "optimize_path",
     "pointwise_leq",
-    "pointwise_leq_detailed",
     "quasi_autonomy_check",
     "reeb_translate",
     "rotation",
     "sch_length",
-    "selector_csv",
     "selectors",
     "shelukhin_norm_upper",
     "spectral_distance",

@@ -37,13 +37,7 @@ from .geodesics import (
 )
 from .jets import JetLegendrian, chord_spectrum
 from .sampling import random_legendrian
-from .selectors import (
-    SELECTOR_CSV_COLUMNS,
-    axiom_suite,
-    metric_length,
-    sch_length,
-    selectors,
-)
+from .selectors import axiom_suite, metric_length, sch_length, selectors
 from .serialization import (
     canonical_json,
     dump_path,
@@ -54,6 +48,8 @@ from .serialization import (
 )
 
 log = logging.getLogger("jetflat")
+
+SELECTOR_CSV_COLUMNS = ("case_id", "ell_plus", "ell_minus", "d_spec", "in_spectrum")
 
 CSV_HELP = (
     "CSV columns: 'dist' emits (%s); 'spectrum' emits (index, length); "
@@ -145,10 +141,10 @@ def _cmd_geodesic(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
 def _cmd_props(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
     if args.count < 2:
         raise SpecParseError("props needs count >= 2")
+    if args.degree < 1:
+        raise SpecParseError("props needs degree >= 1")
     rng = np.random.default_rng(cfg.seed)
-    sample = [
-        random_legendrian(rng, degree=min(8, cfg.truncation_degree)) for _ in range(args.count)
-    ]
+    sample = [random_legendrian(rng, degree=args.degree) for _ in range(args.count)]
     report = axiom_suite(sample, tol=cfg.tolerance, membership_tol=cfg.tolerance)
     return report.to_json_dict(), report.all_pass, None
 
@@ -217,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=RunConfig.tolerance, help="equality/membership tolerance")
-    common.add_argument("--degree", type=int, default=RunConfig.truncation_degree, help="truncation degree for generated data")
     common.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for randomized suites")
     common.add_argument("--format", choices=("json", "csv"), default=RunConfig.output_format, help="output format")
 
@@ -239,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", parents=[common], help="selector axiom suite on random Legendrians")
     p.add_argument("--count", type=int, default=20)
+    p.add_argument("--degree", type=int, default=8, help="truncation degree of the random Legendrians")
 
     p = sub.add_parser("monotone", parents=[common], help="monotonicity check of a path spec")
     p.add_argument("path_spec")
@@ -275,12 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(
-            tolerance=args.tol,
-            truncation_degree=args.degree,
-            seed=args.seed,
-            output_format=args.format,
-        )
+        cfg = RunConfig(tolerance=args.tol, seed=args.seed, output_format=args.format)
     except ValueError as exc:
         log.error("bad configuration: %s", exc)
         return 2

@@ -30,12 +30,8 @@ POINT_CLUSTER_TOL = 1e-6
 PLATEAU_POINT_TOL = 1e-9
 PLATEAU_FRACTION = 0.01
 
-# Hessian degeneracy threshold for the Morse test, relative to the
-# second-derivative scale.
-HESSIAN_DEGENERACY_TOL = 1e-4
-
 # Equality / axiom-check tolerance and the boundary used by the pointwise
-# partial order ("marginal" band).
+# partial order.
 EQUALITY_TOL = 1e-9
 ORDER_BOUNDARY_TOL = 1e-12
 
@@ -60,14 +56,11 @@ class RunConfig:
     """Reproducibility bundle surfaced by the command line."""
 
     tolerance: float = EQUALITY_TOL
-    truncation_degree: int = 16
     seed: int = 0
     output_format: str = "json"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tolerance <= 1e-3:
             raise ValueError("tolerance must lie in (0, 1e-3]")
-        if self.truncation_degree < 1:
-            raise ValueError("truncation_degree must be positive")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")

@@ -36,6 +36,7 @@ log = logging.getLogger(__name__)
 
 C1_ADVISORY_THRESHOLD = 0.5
 CHART_RESIDUAL_TOL = 1e-12
+CHART_CHECK_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,6 @@ class CircleContactomorphism:
 
     def __call__(self, x):
         return np.mod(np.asarray(x, dtype=float) + self.displacement(x), 1.0)
-
-    def conformal_factor(self, x) -> np.ndarray:
-        """log(1 + f'), the factor by which the map scales the contact form."""
-        return np.log1p(self.displacement.derivative()(x))
 
 
 def rotation(c: float) -> CircleContactomorphism:
@@ -140,7 +137,7 @@ def graph_beta_residuals(phi: CircleContactomorphism, x: np.ndarray) -> np.ndarr
     return np.abs(ProductChartMap.product_form(graph_points(phi, x), graph_tangents(phi, x)))
 
 
-def graph_of(phi: CircleContactomorphism, check_points: int = 1024) -> JetLegendrian:
+def graph_of(phi: CircleContactomorphism) -> JetLegendrian:
     """Image of the contactomorphism graph under the chart: the jet graph of f.
 
     Verifies the identification pointwise: the chart's p-coordinate
@@ -148,7 +145,7 @@ def graph_of(phi: CircleContactomorphism, check_points: int = 1024) -> JetLegend
     """
     f = phi.displacement
     fp = f.derivative()
-    xs = np.arange(check_points) / check_points
+    xs = np.arange(CHART_CHECK_POINTS) / CHART_CHECK_POINTS
     fpv = fp(xs)
     residual = np.max(np.abs(np.expm1(np.log1p(fpv)) - fpv))
     scale = 1.0 + float(np.max(np.abs(fpv)))

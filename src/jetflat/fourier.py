@@ -23,7 +23,6 @@ from scipy.signal import convolve2d
 from .config import (
     DEFAULT_CIRCLE_SCAN,
     DEFAULT_TORUS_SCAN,
-    HESSIAN_DEGENERACY_TOL,
     NEWTON_MAX_ITER,
     NEWTON_RESIDUAL,
     PLATEAU_FRACTION,
@@ -130,38 +129,28 @@ class FourierFunction:
         n = cc.shape[0]
         if cc.shape != (n, n):
             raise ValueError("cc block must be square")
-        blocks = []
-        for blk in (cs, sc, ss):
-            blk = np.zeros((n, n)) if blk is None else np.asarray(blk, dtype=float)
-            if blk.shape != (n, n):
-                raise ValueError("cs/sc/ss blocks must match the cc shape")
-            blocks.append(blk)
-        cs, sc, ss = blocks
+        cs, sc, ss = (np.zeros((n, n)) if b is None else np.asarray(b, dtype=float) for b in (cs, sc, ss))
+        if not cs.shape == sc.shape == ss.shape == (n, n):
+            raise ValueError("cs/sc/ss blocks must match the cc shape")
         d = n - 1
-        a0 = float(a0) + float(cc[0, 0])  # fold any constant stored in cc
         c = np.zeros((2 * d + 1, 2 * d + 1), dtype=complex)
-        ctr = d
-        c[ctr, ctr] = a0
-        for k1 in range(0, d + 1):
-            for k2 in range(0, d + 1):
-                if k1 == 0 and k2 == 0:
-                    continue
-                if k1 == 0:
-                    # cos(2 pi k2 q2) and sin(2 pi k2 q2) terms
-                    val = 0.5 * (cc[0, k2] - 1j * cs[0, k2])
-                    c[ctr, ctr + k2] += val
-                    c[ctr, ctr - k2] += np.conj(val)
-                elif k2 == 0:
-                    val = 0.5 * (cc[k1, 0] - 1j * sc[k1, 0])
-                    c[ctr + k1, ctr] += val
-                    c[ctr - k1, ctr] += np.conj(val)
-                else:
-                    p = 0.25 * ((cc[k1, k2] - ss[k1, k2]) - 1j * (cs[k1, k2] + sc[k1, k2]))
-                    q = 0.25 * ((cc[k1, k2] + ss[k1, k2]) + 1j * (cs[k1, k2] - sc[k1, k2]))
-                    c[ctr + k1, ctr + k2] += p
-                    c[ctr - k1, ctr - k2] += np.conj(p)
-                    c[ctr + k1, ctr - k2] += q
-                    c[ctr - k1, ctr + k2] += np.conj(q)
+        c[d, d] = float(a0) + float(cc[0, 0])  # fold any constant stored in cc
+        # Index k maps to d + k and -k to d - k, so a negative frequency block
+        # is a reversed view.  Every entry is added onto a zero once, which
+        # keeps the signed zeros of entry-by-entry accumulation.
+        ax2 = 0.5 * (cc[0, 1:] - 1j * cs[0, 1:])  # cos/sin(2 pi k2 q2) terms
+        ax1 = 0.5 * (cc[1:, 0] - 1j * sc[1:, 0])
+        c[d, d + 1 :] += ax2
+        c[d, :d][::-1] += np.conj(ax2)
+        c[d + 1 :, d] += ax1
+        c[:d, d][::-1] += np.conj(ax1)
+        cc, cs, sc, ss = cc[1:, 1:], cs[1:, 1:], sc[1:, 1:], ss[1:, 1:]
+        p = 0.25 * ((cc - ss) - 1j * (cs + sc))  # at (k1, k2)
+        q = 0.25 * ((cc + ss) + 1j * (cs - sc))  # at (k1, -k2)
+        c[d + 1 :, d + 1 :] += p
+        c[:d, :d][::-1, ::-1] += np.conj(p)
+        c[d + 1 :, :d][:, ::-1] += q
+        c[:d, d + 1 :][::-1] += np.conj(q)
         return cls(TORUS2, c)
 
     # -- structure ---------------------------------------------------------
@@ -188,27 +177,18 @@ class FourierFunction:
         if self.domain.kind != "T2":
             raise DimensionMismatch("torus_blocks on a circle function")
         d = self.degree
-        ctr = d
-        cc = np.zeros((d + 1, d + 1))
-        cs = np.zeros((d + 1, d + 1))
-        sc = np.zeros((d + 1, d + 1))
-        ss = np.zeros((d + 1, d + 1))
         c = self.coeffs
-        for k2 in range(1, d + 1):
-            v = c[ctr, ctr + k2]
-            cc[0, k2] = 2.0 * v.real
-            cs[0, k2] = -2.0 * v.imag
-        for k1 in range(1, d + 1):
-            v = c[ctr + k1, ctr]
-            cc[k1, 0] = 2.0 * v.real
-            sc[k1, 0] = -2.0 * v.imag
-            for k2 in range(1, d + 1):
-                p = c[ctr + k1, ctr + k2]
-                q = c[ctr + k1, ctr - k2]
-                cc[k1, k2] = 2.0 * (p.real + q.real)
-                ss[k1, k2] = 2.0 * (q.real - p.real)
-                cs[k1, k2] = 2.0 * (q.imag - p.imag)
-                sc[k1, k2] = -2.0 * (p.imag + q.imag)
+        cc, cs, sc, ss = np.zeros((4, d + 1, d + 1))
+        cc[0, 1:] = 2.0 * c[d, d + 1 :].real
+        cs[0, 1:] = -2.0 * c[d, d + 1 :].imag
+        cc[1:, 0] = 2.0 * c[d + 1 :, d].real
+        sc[1:, 0] = -2.0 * c[d + 1 :, d].imag
+        p = c[d + 1 :, d + 1 :]  # (k1, k2)
+        q = c[d + 1 :, :d][:, ::-1]  # (k1, -k2)
+        cc[1:, 1:] = 2.0 * (p.real + q.real)
+        ss[1:, 1:] = 2.0 * (q.real - p.real)
+        cs[1:, 1:] = 2.0 * (q.imag - p.imag)
+        sc[1:, 1:] = -2.0 * (p.imag + q.imag)
         return self.mean_value, cc, cs, sc, ss
 
     def pad_to_degree(self, d: int) -> "FourierFunction":
@@ -561,12 +541,12 @@ def _local_max_mask(a: np.ndarray) -> np.ndarray:
 
 
 class _Peaks(NamedTuple):
-    """One circle scan reduced for one sign: all that the refinement reads."""
+    """One scan reduced for one sign: all that the refinement reads."""
 
-    n: int  # scan size
+    n: int  # scan size per axis
     top: float  # largest scanned value of sign * f
-    seeds: np.ndarray | None  # one point per near-top run; None for a constant
-    residual: float  # Newton residual, scaled by max|f'|
+    seeds: np.ndarray | None  # points that may neighbour the top; None for a constant
+    residual: float  # Newton residual, scaled by max|grad f|
 
 
 def _run_tops(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -586,57 +566,68 @@ def _run_tops(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return idx[tops[np.concatenate([[True], np.diff(run[tops]) != 0])]]
 
 
-def _circle_peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Peaks]:
-    """Per sign, the scan's top and one seed per circular run within the margin."""
+def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Peaks]:
+    """Per sign, the top of a stacked scan and the seeds within the margin of it.
+
+    Circle seeds are the tops of the circular runs of scan points within
+    the margin; torus seeds are the local maxima within it, or the argmax
+    when there is none.
+    """
+    ndim = grids.ndim - 1
     n = grids.shape[-1]
     hi, lo = float(grids[0].max()), float(grids[0].min())
     if hi - lo <= 1e-12:  # constant: attained everywhere
         return [_Peaks(n, hi if sign == 1 else -lo, None, 0.0) for sign in signs]
     dq = 1.0 / n
-    residual = NEWTON_RESIDUAL * max(1.0, float(np.max(np.abs(grids[1]))))
-    # margin below which a grid point may still hide the global max
-    margin = 10.0 * tol + 0.5 * float(np.max(np.abs(grids[2]))) * dq * dq
+    residual = NEWTON_RESIDUAL * max(1.0, float(np.max(np.abs(grids[1 : 1 + ndim]))))
+    # margin below which a grid point may still hide the global max: the
+    # Taylor bound 0.5 max|f_ij| (ndim dq)^2 over a cell, plus the tolerance
+    margin = 10.0 * tol + 0.5 * ndim**2 * float(np.max(np.abs(grids[1 + ndim :]))) * dq * dq
     peaks = []
     for sign in signs:
         vals = sign * grids[0]
         top = hi if sign == 1 else -lo
-        seeds = _run_tops(vals, np.flatnonzero(vals >= top - margin)) / n
-        peaks.append(_Peaks(n, top, seeds, residual))
+        near = vals >= top - margin
+        if ndim == 1:
+            seeds = _run_tops(vals, np.flatnonzero(near))
+        else:
+            seeds = np.argwhere(near & _local_max_mask(vals))
+            if len(seeds) == 0:
+                seeds = np.argwhere(vals == top)
+        peaks.append(_Peaks(n, top, seeds / n, residual))
     return peaks
 
 
 def _attain_circles(
     fs: Sequence[FourierFunction], peaks: Sequence[_Peaks], sign: int, tol: float
 ) -> list[tuple[float, np.ndarray]]:
-    """Max (sign 1) or min (sign -1) of circle functions and their attaining points.
+    """Max (sign 1) or min (sign -1) of non-constant circle functions, with attaining points.
 
     peaks[j] is the scan of fs[j] reduced for this sign.  One Newton run
     refines the seeds of every function, a seed that fails falls back to
     golden-section search on its two grid cells, and each function keeps
     its refined seeds within tol of its best value.
     """
-    out = [(sign * p.top, np.array([[0.0]])) for p in peaks]
-    live = [j for j, p in enumerate(peaks) if p.seeds is not None]
-    if not live:
-        return out
-    counts = [len(peaks[j].seeds) for j in live]
-    owner = np.repeat(np.arange(len(live)), counts)
-    dq = np.repeat([1.0 / peaks[j].n for j in live], counts)
-    seeds = np.concatenate([peaks[j].seeds for j in live])
-    rows = _cos_sin_rows([fs[j] for j in live])[owner]
-    residual = np.repeat([peaks[j].residual for j in live], counts)
+    if not fs:
+        return []
+    counts = [len(p.seeds) for p in peaks]
+    owner = np.repeat(np.arange(len(fs)), counts)
+    dq = np.repeat([1.0 / p.n for p in peaks], counts)
+    seeds = np.concatenate([p.seeds for p in peaks])
+    rows = _cos_sin_rows(fs)[owner]
+    residual = np.repeat([p.residual for p in peaks], counts)
     roots = _newton_circle(rows, seeds, 2.0 * dq, residual)
     for i in np.flatnonzero(np.isnan(roots)):
-        f = fs[live[owner[i]]]
-        roots[i] = _ternary_max_circle(sign * f, seeds[i] - dq[i], seeds[i] + dq[i])
+        roots[i] = _ternary_max_circle(sign * fs[owner[i]], seeds[i] - dq[i], seeds[i] + dq[i])
     vals = sign * _series_at(rows, roots)
     starts = np.cumsum([0] + counts[:-1])
-    best = np.maximum(np.maximum.reduceat(vals, starts), [peaks[j].top for j in live])
+    best = np.maximum(np.maximum.reduceat(vals, starts), [p.top for p in peaks])
     keep = vals >= best[owner] - tol
     points = _canonical_mod1(roots)
-    for j, top, lo, m in zip(live, best.tolist(), starts.tolist(), counts):
-        out[j] = (sign * top, _dedupe_points(points[lo : lo + m][keep[lo : lo + m], None]))
-    return out
+    return [
+        (sign * top, _dedupe_points(points[lo : lo + m][keep[lo : lo + m], None]))
+        for top, lo, m in zip(best.tolist(), starts.tolist(), counts)
+    ]
 
 
 def _newton_torus(f: FourierFunction, seeds: np.ndarray, residual: float) -> np.ndarray:
@@ -677,61 +668,53 @@ def _newton_torus(f: FourierFunction, seeds: np.ndarray, residual: float) -> np.
     return pts[g <= residual]
 
 
-def _attain_torus(
-    f: FourierFunction, grids: np.ndarray, sign: int, tol: float
-) -> tuple[float, np.ndarray]:
-    n = grids.shape[-1]
-    vals = sign * grids[0]
-    vmax = float(vals.max())
-    vmin = float(vals.min())
-    if vmax - vmin <= 1e-12:
-        return sign * vmax, np.array([[0.0, 0.0]])
-    dq = 1.0 / n
-    residual = NEWTON_RESIDUAL * max(1.0, float(np.max(np.abs(grids[1:3]))))
-    margin = 10.0 * tol + 2.0 * float(np.max(np.abs(grids[3:6]))) * dq * dq
-    seeds_idx = np.argwhere((vals >= vmax - margin) & _local_max_mask(vals))
-    if len(seeds_idx) == 0:
-        seeds_idx = np.argwhere(vals == vmax)
-    seeds = seeds_idx / n
-    # the seeds stay candidates in case Newton lost a basin
-    cand = np.concatenate([_newton_torus(f, seeds, residual), seeds])
-    cand_vals = sign * f(cand)
-    best = max(vmax, float(cand_vals.max()))
-    return sign * best, _dedupe_points(_canonical_mod1(cand[cand_vals >= best - tol]))
+def _refine(
+    fs: Sequence[FourierFunction], peaks: Sequence[_Peaks], sign: int, tol: float
+) -> list[tuple[float, np.ndarray]]:
+    """Max (sign 1) or min (sign -1) of every f and its attaining points.
+
+    peaks[j] is the scan of fs[j] reduced for this sign.  A constant is
+    attained everywhere and reported at the origin.  The circle functions
+    are refined in one batch; torus functions one at a time, their seeds
+    kept as candidates in case Newton lost a basin.
+    """
+    out = [(sign * p.top, np.zeros((1, f.domain.ndim))) for f, p in zip(fs, peaks)]
+    live = [j for j, p in enumerate(peaks) if p.seeds is not None]
+    circle = [j for j in live if fs[j].domain.kind == "S1"]
+    refined = _attain_circles([fs[j] for j in circle], [peaks[j] for j in circle], sign, tol)
+    for j, r in zip(circle, refined):
+        out[j] = r
+    for j in live:
+        f, p = fs[j], peaks[j]
+        if f.domain.kind == "T2":
+            cand = np.concatenate([_newton_torus(f, p.seeds, p.residual), p.seeds])
+            vals = sign * f(cand)
+            best = max(p.top, float(vals.max()))
+            out[j] = (sign * best, _dedupe_points(_canonical_mod1(cand[vals >= best - tol])))
+    return out
 
 
-def _attain(
-    f: FourierFunction, grids: np.ndarray, sign: int, tol: float = VALUE_CLUSTER_TOL
-) -> tuple[float, np.ndarray]:
-    """Max (sign 1) or min (sign -1) of f and its attaining points, from a scan."""
-    if f.domain.kind == "S1":
-        return _attain_circles([f], _circle_peaks(grids, tol, (sign,)), sign, tol)[0]
-    return _attain_torus(f, grids, sign, tol)
+def _records(fs: Sequence[FourierFunction], scans: Iterable[np.ndarray], tol: float) -> list[Extrema]:
+    """The attaining_set record of each f from its stacked scan.
 
-
-def _extrema(f: FourierFunction, grids: np.ndarray, tol: float) -> Extrema:
-    (vmax, pmax), (vmin, pmin) = (_attain(f, grids, sign, tol) for sign in (1, -1))
-    return Extrema(f, vmax, vmin, pmax, pmin)
+    Each scan is reduced to its peaks as it comes, so none needs to outlive
+    the next one.
+    """
+    peaks = [_peaks(grids, tol) for grids in scans]
+    highs = _refine(fs, [p[0] for p in peaks], 1, tol)
+    lows = _refine(fs, [p[1] for p in peaks], -1, tol)
+    return [Extrema(f, vmax, vmin, pmax, pmin) for f, (vmax, pmax), (vmin, pmin) in zip(fs, highs, lows)]
 
 
 def attaining_sets(fs: Iterable[FourierFunction], tol: float = VALUE_CLUSTER_TOL) -> list[Extrema]:
     """The attaining_set record of every function, circle ones in one batch.
 
-    Each circle function is scanned on its own and reduced to its seeds at
-    once, so no scan outlives its function; one Newton run per sign then
-    refines the seeds of all of them.  A record does not depend on the
-    batch it came in.  Torus functions are handled one at a time.
+    Each function is scanned on its own and reduced to its seeds at once;
+    one Newton run per sign then refines the seeds of all circle functions.
+    A record does not depend on the batch it came in.
     """
     fs = list(fs)
-    circle = [f for f in fs if f.domain.kind == "S1"]
-    peaks = [_circle_peaks(_scan(f), tol) for f in circle]
-    highs = _attain_circles(circle, [p[0] for p in peaks], 1, tol)
-    lows = _attain_circles(circle, [p[1] for p in peaks], -1, tol)
-    records = iter(
-        Extrema(f, vmax, vmin, pmax, pmin)
-        for f, (vmax, pmax), (vmin, pmin) in zip(circle, highs, lows)
-    )
-    return [next(records) if f.domain.kind == "S1" else _extrema(f, _scan(f), tol) for f in fs]
+    return _records(fs, (_scan(f) for f in fs), tol)
 
 
 def attaining_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Extrema:
@@ -752,9 +735,9 @@ def extremum(
     scan of f from values_on_grid(n, derivatives=True), is read instead of
     scanning again.
     """
-    if grids is None:
-        grids = _scan(f)
-    value, pts = _attain(f, grids, -1 if mode == "min" else 1)
+    sign = -1 if mode == "min" else 1
+    peaks = _peaks(_scan(f) if grids is None else grids, VALUE_CLUSTER_TOL, (sign,))
+    ((value, pts),) = _refine([f], peaks, sign, VALUE_CLUSTER_TOL)
     return Extremum(value, tuple(float(x) for x in pts[0]))
 
 
@@ -834,37 +817,6 @@ def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
     return [float(np.mean(c)) for c in clusters]
 
 
-def _critical_set(f: FourierFunction, grids: np.ndarray, tol: float) -> CriticalSet:
-    dnorm = np.max(np.abs(grids[1 : 1 + f.domain.ndim]), axis=0)
-    plateau = float(np.mean(dnorm < PLATEAU_POINT_TOL)) > PLATEAU_FRACTION
-    point_tol = NEWTON_RESIDUAL * max(1.0, float(np.max(dnorm)))
-    ext = _extrema(f, grids, VALUE_CLUSTER_TOL)
-    if float(np.max(dnorm)) < PLATEAU_POINT_TOL:
-        # constant function: every point is critical, report the value once
-        origin = (0.0,) * f.domain.ndim
-        return CriticalSet(
-            points=(origin,),
-            values=(f.mean_value,),
-            tolerance=tol,
-            extrema=ext,
-            plateau=True,
-            point_tolerance=point_tol,
-        )
-    find = _critical_points_circle if f.domain.kind == "S1" else _critical_points_torus
-    pts = find(f, grids, point_tol)
-    values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts))
-    values += [ext.vmax, ext.vmin]
-    pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
-    return CriticalSet(
-        points=tuple(tuple(float(x) for x in p) for p in pts),
-        values=tuple(_cluster_values(values, tol)),
-        tolerance=tol,
-        extrema=ext,
-        plateau=plateau,
-        point_tolerance=point_tol,
-    )
-
-
 def critical_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> CriticalSet:
     """All critical points found at scan resolution, Newton refined.
 
@@ -875,25 +827,26 @@ def critical_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Critical
     scan points with |grad f| below the point tolerance) sets the plateau
     flag and contributes its value once.
     """
-    return _critical_set(f, _scan(f), tol)
-
-
-def is_morse(f: FourierFunction) -> bool:
-    """True when every detected critical point is nondegenerate.
-
-    Circle: |f''| must exceed the degeneracy threshold at each refined
-    critical point; torus: |det Hess f| against the squared threshold.
-    Plateaus are degenerate by definition.
-    """
     grids = _scan(f)
-    cs = _critical_set(f, grids, VALUE_CLUSTER_TOL)
-    if cs.plateau:
-        return False
-    scale = max(1.0, float(np.max(np.abs(grids[1 + f.domain.ndim :]))))
-    thresh = HESSIAN_DEGENERACY_TOL * scale
-    pts = np.array(cs.points)
-    if f.domain.kind == "S1":
-        (fpp,) = f.hessian()
-        return bool(np.all(np.abs(fpp(pts[:, 0])) > thresh))
-    h11, h12, h22 = (h(pts) for h in f.hessian())
-    return bool(np.all(np.abs(h11 * h22 - h12**2) > thresh**2))
+    dnorm = np.max(np.abs(grids[1 : 1 + f.domain.ndim]), axis=0)
+    plateau = float(np.mean(dnorm < PLATEAU_POINT_TOL)) > PLATEAU_FRACTION
+    point_tol = NEWTON_RESIDUAL * max(1.0, float(np.max(dnorm)))
+    (ext,) = _records([f], [grids], VALUE_CLUSTER_TOL)
+    if float(np.max(dnorm)) < PLATEAU_POINT_TOL:
+        # constant function: every point is critical, report the value once
+        points, values, plateau = ((0.0,) * f.domain.ndim,), (f.mean_value,), True
+    else:
+        find = _critical_points_circle if f.domain.kind == "S1" else _critical_points_torus
+        pts = find(f, grids, point_tol)
+        values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
+        pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
+        points = tuple(tuple(float(x) for x in p) for p in pts)
+        values = tuple(_cluster_values(values, tol))
+    return CriticalSet(
+        points=points,
+        values=values,
+        tolerance=tol,
+        extrema=ext,
+        plateau=plateau,
+        point_tolerance=point_tol,
+    )

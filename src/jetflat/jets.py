@@ -76,25 +76,6 @@ def chord_spectrum(
     return ChordSpectrum(lengths=tuple(sorted(cs.values)), source=cs)
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
-    """pointwise_leq with its margin; marginal means |max(f1-f0)| is at the
-    comparison boundary."""
-
-    leq: bool
-    margin: float
-    marginal: bool
-
-
-def pointwise_leq_detailed(
-    l1: JetLegendrian, l0: JetLegendrian, boundary: float = ORDER_BOUNDARY_TOL
-) -> OrderVerdict:
-    if l1.domain != l0.domain:
-        raise DimensionMismatch("order comparison of Legendrians over different bases")
-    m = extremum(l1.generator - l0.generator, "max").value
-    return OrderVerdict(leq=m <= boundary, margin=m, marginal=abs(m) <= boundary)
-
-
 def pointwise_leq(
     l1: JetLegendrian, l0: JetLegendrian, boundary: float = ORDER_BOUNDARY_TOL
 ) -> bool:
@@ -103,4 +84,6 @@ def pointwise_leq(
     For jet graphs the global order relation is exactly the pointwise order
     of the generators, so the comparison reduces to one extremum.
     """
-    return pointwise_leq_detailed(l1, l0, boundary).leq
+    if l1.domain != l0.domain:
+        raise DimensionMismatch("order comparison of Legendrians over different bases")
+    return extremum(l1.generator - l0.generator, "max").value <= boundary

@@ -66,17 +66,6 @@ class IsotopyPath:
     def segment_deltas(self) -> list[FourierFunction]:
         return [b - a for a, b in zip(self.knots[:-1], self.knots[1:])]
 
-    def at(self, t: float) -> FourierFunction:
-        """Linear interpolation in coefficient space at time t in [0, 1]."""
-        ts = self.times
-        if t <= ts[0]:
-            return self.knots[0]
-        if t >= ts[-1]:
-            return self.knots[-1]
-        k = int(np.searchsorted(ts, t, side="right")) - 1
-        s = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return self.knots[k] + s * (self.knots[k + 1] - self.knots[k])
-
     def subpath(self, i: int, j: int) -> "IsotopyPath":
         """Sub-path between knot indices i < j, times renormalized to [0, 1]."""
         if not 0 <= i < j < len(self.knots):
@@ -84,7 +73,3 @@ class IsotopyPath:
         ts = np.asarray(self.times[i : j + 1])
         ts = (ts - ts[0]) / (ts[-1] - ts[0])
         return IsotopyPath(knots=self.knots[i : j + 1], times=tuple(float(t) for t in ts))
-
-    def reversed(self) -> "IsotopyPath":
-        ts = tuple(1.0 - t for t in reversed(self.times))
-        return IsotopyPath(knots=tuple(reversed(self.knots)), times=ts)

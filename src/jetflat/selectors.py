@@ -14,10 +14,8 @@ metric agree exactly on such paths.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,10 +91,6 @@ class MetricLengthReport:
     depth: int
     refinement_gap: float
     converged: bool
-
-    @property
-    def non_convergent(self) -> bool:
-        return not self.converged
 
 
 def metric_length(
@@ -348,20 +342,3 @@ def axiom_suite(
         tolerance=tol,
         membership_tolerance=membership_tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-SELECTOR_CSV_COLUMNS = ("case_id", "ell_plus", "ell_minus", "d_spec", "in_spectrum")
-
-
-def selector_csv(cases: Iterable[tuple[str, SelectorReport]]) -> str:
-    """Render (case_id, report) pairs as CSV with the documented columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SELECTOR_CSV_COLUMNS)
-    for case_id, r in cases:
-        writer.writerow([case_id, repr(r.ell_plus), repr(r.ell_minus), repr(r.d_spec), r.in_spectrum])
-    return buf.getvalue()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jetflat import fourier
+from jetflat import cli, fourier
 from jetflat.cli import main
 from jetflat.errors import SpecParseError
 from jetflat.fourier import FourierFunction
@@ -201,6 +201,28 @@ def test_cmd_props_passes(capsys):
     assert out["all_pass"] is True
 
 
+def test_degree_is_a_props_flag(monkeypatch, capsys, specs):
+    degrees = []
+    sample = cli.random_legendrian
+
+    def spy(rng, **kwargs):
+        degrees.append(kwargs["degree"])
+        return sample(rng, **kwargs)
+
+    monkeypatch.setattr(cli, "random_legendrian", spy)
+    code, out = run_json(capsys, ["props", "--count", "3", "--degree", "12"])
+    assert code == 0 and out["all_pass"] is True
+    assert degrees == [12, 12, 12]
+    degrees.clear()
+    assert main(["props", "--count", "2"]) == 0
+    assert degrees == [8, 8]
+    assert main(["props", "--count", "2", "--degree", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", specs["zero"], specs["zero"], "--degree", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_cmd_props_negative_control(capsys):
     code, out = run_json(capsys, ["props", "--count", "3", "--seed", "42", "--tol", "1e-20"])
     assert code == 1
@@ -336,7 +358,9 @@ def test_csv_output(capsys, specs):
     code = main(["dist", specs["amp"], specs["zero"], "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.splitlines()[0] == "case_id,ell_plus,ell_minus,d_spec,in_spectrum"
+    header, row = out.splitlines()
+    assert header == "case_id,ell_plus,ell_minus,d_spec,in_spectrum"
+    assert row.startswith("pair,") and row.endswith(",True") and len(row.split(",")) == 5
     code = main(["length", specs["reversal"], "--format", "csv"])
     out = capsys.readouterr().out
     assert out.startswith("key,value")

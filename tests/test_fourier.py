@@ -13,7 +13,6 @@ from jetflat.fourier import (
     attaining_sets,
     critical_set,
     extremum,
-    is_morse,
     sup_norm,
     sup_norm_by_squaring,
 )
@@ -251,27 +250,6 @@ def test_critical_set_torus_separable():
     assert len(cs.points) == 4
 
 
-# -- Morse test --------------------------------------------------------------
-
-
-def test_is_morse_cosine():
-    assert is_morse(fn(0.0, [1.0]))
-
-
-def test_is_morse_constant_false():
-    assert not is_morse(fn(1.3))
-
-
-def test_is_morse_degenerate_critical_point():
-    assert not is_morse(fn(0.0, [], [1.0, -0.5]))
-
-
-def test_is_morse_torus():
-    t = FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [1.0, 0.0]])
-    assert is_morse(t)
-    assert not is_morse(FourierFunction.constant(0.3, TORUS2))
-
-
 # -- one scan per query --------------------------------------------------------
 
 
@@ -292,7 +270,7 @@ def test_one_grid_evaluation_per_query(monkeypatch, f):
         return scan(self, *args, **kwargs)
 
     monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
-    for query in (attaining_set, extremum, sup_norm, critical_set, is_morse):
+    for query in (attaining_set, extremum, sup_norm, critical_set):
         calls.clear()
         query(f)
         assert len(calls) == 1, query.__name__
@@ -304,8 +282,9 @@ def test_one_grid_evaluation_per_query(monkeypatch, f):
         fn(0.1, [0.3, -0.2], [0.1, 0.05]),
         FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]]),
         fn(0.25),
+        FourierFunction.constant(-0.4, TORUS2),
     ],
-    ids=["S1", "T2", "constant"],
+    ids=["S1", "T2", "constant", "T2 constant"],
 )
 def test_critical_set_carries_the_attaining_set_record(f):
     ext, ref = critical_set(f).extrema, attaining_set(f)
@@ -313,6 +292,9 @@ def test_critical_set_carries_the_attaining_set_record(f):
     assert (ext.vmax, ext.vmin) == (ref.vmax, ref.vmin)
     np.testing.assert_array_equal(ext.max_points, ref.max_points)
     np.testing.assert_array_equal(ext.min_points, ref.min_points)
+    # extremum takes the same route: the record's value and first point
+    assert extremum(f, "max") == (ref.vmax, tuple(ref.max_points[0]))
+    assert extremum(f, "min") == (ref.vmin, tuple(ref.min_points[0]))
 
 
 def test_scan_stack_matches_separate_grids():
@@ -386,14 +368,21 @@ def _assert_same_records(got, want):
 
 
 def test_attaining_sets_do_not_depend_on_the_batch():
-    fs = [fn(a0, cos, sin) for _, a0, cos, sin in _batch_cases()]
+    circle = [fn(a0, cos, sin) for _, a0, cos, sin in _batch_cases()]
+    torus = [
+        FourierFunction.from_torus_coeffs(0.1, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]]),
+        FourierFunction.constant(-0.4, TORUS2),
+    ]
+    fs = circle[:4] + torus + circle[4:]
     records = attaining_sets(fs)
     assert attaining_sets([]) == []
     _assert_same_records([attaining_set(f) for f in fs], records)
     order = np.random.default_rng(3).permutation(len(fs))
     _assert_same_records(attaining_sets([fs[i] for i in order]), [records[i] for i in order])
     _assert_same_records(attaining_sets(fs[:3]) + attaining_sets(fs[3:]), records)
-    for (name, a0, cos, sin), r in zip(_batch_cases(), records):
+    assert records[5].vmax == records[5].vmin == -0.4
+    circle_records = records[:4] + records[6:]
+    for (name, a0, cos, sin), r in zip(_batch_cases(), circle_records):
         if not cos and not sin:
             assert r.vmax == r.vmin == a0, name
             continue
@@ -404,9 +393,9 @@ def test_attaining_sets_do_not_depend_on_the_batch():
         assert r.vmax == pytest.approx(dense_max(a0, cos, sin), abs=1e-11), name
         neg = [-c for c in cos], [-c for c in sin]
         assert r.vmin == pytest.approx(-dense_max(-a0, *neg), abs=1e-11), name
-    straddle = records[4].max_points[:, 0]
+    straddle = circle_records[4].max_points[:, 0]
     assert len(straddle) == 1 and straddle[0] == pytest.approx(1.0 - 1e-5, abs=1e-12)
-    twins = records[5].max_points[:, 0]
+    twins = circle_records[5].max_points[:, 0]
     assert twins == pytest.approx([0.0, 0.5], abs=1e-9)
 
 
@@ -429,6 +418,65 @@ def test_circle_constructor_matches_the_padded_construction():
     ]:
         got, want = fn(a0, cos, sin).coeffs, padded(a0, cos, sin).coeffs
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (cos, sin)
+
+
+def test_torus_layout_matches_the_double_loop(rng):
+    def looped(a0, cc, cs, sc, ss):
+        d = cc.shape[0] - 1
+        c = np.zeros((2 * d + 1, 2 * d + 1), dtype=complex)
+        c[d, d] = a0 + cc[0, 0]
+        for k1 in range(0, d + 1):
+            for k2 in range(0, d + 1):
+                if k1 == 0 and k2 == 0:
+                    continue
+                if k1 == 0:
+                    val = 0.5 * (cc[0, k2] - 1j * cs[0, k2])
+                    c[d, d + k2] += val
+                    c[d, d - k2] += np.conj(val)
+                elif k2 == 0:
+                    val = 0.5 * (cc[k1, 0] - 1j * sc[k1, 0])
+                    c[d + k1, d] += val
+                    c[d - k1, d] += np.conj(val)
+                else:
+                    p = 0.25 * ((cc[k1, k2] - ss[k1, k2]) - 1j * (cs[k1, k2] + sc[k1, k2]))
+                    q = 0.25 * ((cc[k1, k2] + ss[k1, k2]) + 1j * (cs[k1, k2] - sc[k1, k2]))
+                    c[d + k1, d + k2] += p
+                    c[d - k1, d - k2] += np.conj(p)
+                    c[d + k1, d - k2] += q
+                    c[d - k1, d + k2] += np.conj(q)
+        return FourierFunction(TORUS2, c)
+
+    def looped_blocks(f):
+        d, c = f.degree, f.coeffs
+        cc, cs, sc, ss = np.zeros((4, d + 1, d + 1))
+        for k2 in range(1, d + 1):
+            cc[0, k2], cs[0, k2] = 2.0 * c[d, d + k2].real, -2.0 * c[d, d + k2].imag
+        for k1 in range(1, d + 1):
+            cc[k1, 0], sc[k1, 0] = 2.0 * c[d + k1, d].real, -2.0 * c[d + k1, d].imag
+            for k2 in range(1, d + 1):
+                p, q = c[d + k1, d + k2], c[d + k1, d - k2]
+                cc[k1, k2] = 2.0 * (p.real + q.real)
+                ss[k1, k2] = 2.0 * (q.real - p.real)
+                cs[k1, k2] = 2.0 * (q.imag - p.imag)
+                sc[k1, k2] = -2.0 * (p.imag + q.imag)
+        return f.mean_value, cc, cs, sc, ss
+
+    def bits(a):
+        return np.asarray(a).view(np.uint64)
+
+    for degree in range(7):
+        for scale in (1e-8, 1.0, 1e8):
+            # nonzero also where the layout ignores an entry (cs[:, 0],
+            # ss[:, 0], sc[0, :] and ss[0, :]), and a row of signed zeros
+            a0 = scale * rng.normal()
+            blocks = scale * rng.normal(size=(4, degree + 1, degree + 1))
+            blocks[:, -1] *= -0.0
+            cc, cs, sc, ss = blocks
+            args = (a0, cc, cs, sc, ss)
+            got, want = FourierFunction.from_torus_coeffs(*args), looped(*args)
+            assert np.array_equal(bits(got.coeffs), bits(want.coeffs)), (degree, scale)
+            for g, w in zip(got.torus_blocks(), looped_blocks(want)):
+                assert np.array_equal(bits(g), bits(w)), (degree, scale)
 
 
 # -- structure ---------------------------------------------------------------

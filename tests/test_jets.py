@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jetflat.jets import (
-    JetLegendrian,
-    chord_spectrum,
-    pointwise_leq,
-    pointwise_leq_detailed,
-    reeb_translate,
-    zero_section,
-)
+from jetflat.errors import DimensionMismatch
+from jetflat.fourier import TORUS2
+from jetflat.jets import JetLegendrian, chord_spectrum, pointwise_leq, reeb_translate, zero_section
 
 from conftest import fn
 
@@ -79,13 +74,8 @@ def test_pointwise_leq_examples():
     assert pointwise_leq(leg(0.3, [0.1]), leg(0.3, [0.1]))  # reflexive
     assert not pointwise_leq(leg(0.0, [], [1.0]), zero_section())  # sin changes sign
     assert pointwise_leq(leg(-1.0, [0.1]), zero_section())  # max = -0.9 < 0
-
-
-def test_pointwise_leq_marginal_flag():
-    v = pointwise_leq_detailed(leg(0.2), leg(0.2))
-    assert v.leq and v.marginal
-    w = pointwise_leq_detailed(leg(-0.5), leg(0.0))
-    assert w.leq and not w.marginal and w.margin == pytest.approx(-0.5)
+    with pytest.raises(DimensionMismatch):
+        pointwise_leq(zero_section(TORUS2), zero_section())
 
 
 @given(coeffs, coeffs)

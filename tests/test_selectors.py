@@ -9,12 +9,10 @@ from jetflat.jets import JetLegendrian, reeb_translate, zero_section
 from jetflat.paths import IsotopyPath
 from jetflat.sampling import random_legendrian, random_path
 from jetflat.selectors import (
-    SELECTOR_CSV_COLUMNS,
     axiom_suite,
     hamiltonian_bounds_check,
     metric_length,
     sch_length,
-    selector_csv,
     selectors,
     spectral_distance,
 )
@@ -186,11 +184,3 @@ def test_axiom_suite_negative_control(rng):
     report = axiom_suite(sample, membership_tol=1e-20)
     assert not report.by_name("spectrality").passed
     assert not report.all_pass
-
-
-def test_selector_csv_columns():
-    r = selectors(leg(0.5), zero_section())
-    text = selector_csv([("case-1", r)])
-    lines = text.strip().splitlines()
-    assert lines[0] == ",".join(SELECTOR_CSV_COLUMNS)
-    assert lines[1].startswith("case-1,0.5,0.5,0.5,")
