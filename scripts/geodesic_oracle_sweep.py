@@ -5,7 +5,14 @@ Draws seeded random endpoint pairs, runs the variational optimizer with an
 increasing number of interior knots, and tabulates how far the best found
 length sits above the certified lower bound max|f1 - f0|.  A second block
 measures the same optimizer on reversal-style detours, where the gap of the
-initial path is large and descent has to close it.
+initial path is large and descent has to close it.  A third block sweeps
+4-segment paths with steps lambda_k h + eps g_k over the decades eps = 1e-2
+.. 1e-10, whose length gap grows like eps^2, through the geodesic check at
+tol 1e-9 and 1e-6.  Its gap and witness verdicts must agree whenever
+gap <= tol/100 or gap >= 100 tol; it prints the median gap, the mismatch
+count and the count of such out-of-band disagreements per decade.  The
+script exits 1 when an optimizer gap leaves [-1e-9, 1e-4] or when any
+out-of-band disagreement shows.
 
 Usage:
     python3 scripts/geodesic_oracle_sweep.py --pairs 5 --seed 3
@@ -20,7 +27,7 @@ import numpy as np
 from jetflat.fourier import sup_norm
 from jetflat.geodesics import minimizing_geodesic_check, optimize_path
 from jetflat.paths import IsotopyPath
-from jetflat.sampling import random_function
+from jetflat.sampling import random_function, random_quasi_autonomous_path
 
 
 def main() -> int:
@@ -57,6 +64,23 @@ def main() -> int:
             f"gap {rep.gap:.6f}, minimizing={rep.minimizing}",
             file=sys.stderr,
         )
+
+    print(f"\n{'tol':>6} {'eps':>6} {'median gap':>11} {'mismatches':>10} {'out-of-band':>11}")
+    for tol in (1e-9, 1e-6):
+        for e in range(2, 11):
+            rng = np.random.default_rng([args.seed, e])
+            reps = [
+                minimizing_geodesic_check(
+                    random_quasi_autonomous_path(rng, n_knots=5, degree=args.degree, perturbation=10.0**-e),
+                    tol,
+                )
+                for _ in range(args.pairs)
+            ]
+            mismatched = [r.gap for r in reps if r.cross_check_mismatch]
+            out_of_band = sum(not tol / 100 < g < 100 * tol for g in mismatched)
+            ok &= out_of_band == 0
+            median = float(np.median([r.gap for r in reps]))
+            print(f"{tol:>6.0e} {10.0**-e:>6.0e} {median:>11.2e} {len(mismatched):>10} {out_of_band:>11}")
     return 0 if ok else 1
 
 

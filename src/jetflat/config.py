@@ -35,8 +35,8 @@ PLATEAU_FRACTION = 0.01
 EQUALITY_TOL = 1e-9
 ORDER_BOUNDARY_TOL = 1e-12
 
-# Witness tolerances for quasi-autonomy checks.
-WITNESS_VALUE_TOL = 1e-9
+# Translated-point condition on the first knot of a contact quasi-autonomy
+# witness (|f_0'(q0)| at most this).
 WITNESS_DERIV_TOL = 1e-9
 
 # Segments whose sup-norm is below this are treated as zero length.

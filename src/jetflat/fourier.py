@@ -711,8 +711,10 @@ def attaining_sets(fs: Iterable[FourierFunction], tol: float = VALUE_CLUSTER_TOL
 
     Each function is scanned on its own and reduced to its seeds at once;
     one Newton run per sign then refines the seeds of all circle functions.
-    A record does not depend on the batch it came in.
+    A record does not depend on the batch it came in.  tol must be positive.
     """
+    if not tol > 0.0:
+        raise ValueError(f"attaining tolerance must be positive, got {tol}")
     fs = list(fs)
     return _records(fs, (_scan(f) for f in fs), tol)
 

@@ -1,11 +1,15 @@
 """Quasi-autonomy detection, geodesic verification, and the path optimizer.
 
 A piecewise-linear isotopy is quasi-autonomous when one base point attains,
-with one fixed sign, the sup norm of every segment difference and is a
-critical point of each difference: the lifted point then rides a single
-Reeb orbit while the Hamiltonian realizes +/- its sup norm.  That witness
-exists exactly when the sup-norm length of the path collapses onto the flat
-distance of its endpoints, which is what the checks here cross-validate.
+with one fixed sign, the sup norm of every segment difference.  On a closed
+base an attained maximum is an interior one, so the point is also critical
+for each difference: the lifted point rides a single Reeb orbit while the
+Hamiltonian realizes +/- its sup norm.  That witness exists exactly when the
+sup-norm length of the path collapses onto the flat distance of its
+endpoints, which is what the checks here cross-validate.  Both sides use
+one tolerance: a point q* attaining the endpoint distance attains every
+segment within the gap, and a witness within tol bounds the gap by the
+number of segments times tol.
 
 The optimizer is an independent numerical oracle: multi-start subgradient
 descent over interior knot coefficients, with the exact endpoint distance
@@ -27,8 +31,6 @@ from .config import (
     ORDER_BOUNDARY_TOL,
     RESTART_SIGMA,
     RESTART_STEP0,
-    WITNESS_DERIV_TOL,
-    WITNESS_VALUE_TOL,
     ZERO_SEGMENT_TOL,
 )
 from .errors import EquivalenceViolation, MalformedPath, ViolationReport
@@ -76,57 +78,43 @@ def _eval_at(f: FourierFunction, pt: np.ndarray) -> float:
     return float(f(pt if f.domain.ndim > 1 else float(pt[0])))
 
 
-def common_attaining_point(
-    records: Sequence[Extrema],
-    value_tol: float = WITNESS_VALUE_TOL,
-    deriv_tol: float | None = None,
-    zero_tol: float = ZERO_SEGMENT_TOL,
-):
-    """Search for (epsilon, q0) with eps * h_k(q0) = max|h_k| for all k.
+def common_attaining_point(records: Sequence[Extrema], tol: float = EQUALITY_TOL) -> QAWitness | None:
+    """Search for (epsilon, q0) with eps * h_k(q0) >= max|h_k| - tol for all k.
 
     records are the attaining_set records of the functions h_k, taken at
-    value_tol; the search evaluates h_k and its gradient at candidate points
-    only and never scans.  Near-zero functions are skipped; near-constant
-    ones constrain only the sign.  Candidates are the attaining points of
-    the first non-constant function for the sign tried, filtered through the
-    attainment (and optional critical-point) conditions of all others; that
-    set is complete because a witness must attain every sup norm.  Returns
-    (epsilon, point, residuals) with residuals in the original order, or None.
+    tol; the search evaluates h_k at candidate points only and never scans.
+    Near-zero functions are skipped; near-constant ones constrain only the
+    sign.  Candidates are the attaining points of the first non-constant
+    function for the sign tried, filtered through the attainment condition
+    of all others; that set is complete because a witness must attain every
+    sup norm.  Residuals are in the original order.
     """
     domain = records[0].f.domain
-    active = [r for r in records if r.norm > zero_tol]
+    active = [r for r in records if r.norm > ZERO_SEGMENT_TOL]
+
+    def witness(eps: int, pt: tuple[float, ...]) -> QAWitness:
+        q = np.array(pt)
+        res = tuple(0.0 if r.norm <= ZERO_SEGMENT_TOL else eps * _eval_at(r.f, q) - r.norm for r in records)
+        return QAWitness(eps, tuple(float(x) for x in pt), res)
+
     if not active:
-        return 1, _origin(domain), tuple(0.0 for _ in records)
-
-    def residuals(eps: int, pt: np.ndarray) -> tuple[float, ...]:
-        return tuple(0.0 if r.norm <= zero_tol else eps * _eval_at(r.f, pt) - r.norm for r in records)
-
+        return witness(1, _origin(domain))
     for eps in (1, -1):
         candidates: np.ndarray | None = None
         for r in active:
-            if (r.vmax if eps == 1 else -r.vmin) < r.norm - value_tol:
+            if (r.vmax if eps == 1 else -r.vmin) < r.norm - tol:
                 break  # this sign never attains the sup norm on this segment
             if r.vmax - r.vmin <= 1e-12:
                 continue  # constant: no point constraint
-            # the first function's attaining points need only the gradient test
-            first = candidates is None
-            pool = (r.max_points if eps == 1 else r.min_points) if first else candidates
-            grads = () if deriv_tol is None else r.f.gradient()
-            keep = [
-                p
-                for p in pool
-                if (first or eps * _eval_at(r.f, p) >= r.norm - value_tol)
-                and all(abs(_eval_at(g, p)) <= deriv_tol for g in grads)
-            ]
-            candidates = np.array(keep).reshape(-1, domain.ndim)
+            if candidates is None:
+                candidates = r.max_points if eps == 1 else r.min_points
+            else:
+                candidates = candidates[[eps * _eval_at(r.f, p) >= r.norm - tol for p in candidates]]
             if len(candidates) == 0:
                 break
         else:
-            if candidates is None:
-                # only constants: any base point witnesses this sign
-                return eps, _origin(domain), residuals(eps, np.array(_origin(domain)))
-            pt = min(tuple(p) for p in candidates)
-            return eps, tuple(float(x) for x in pt), residuals(eps, np.array(pt))
+            # no candidates means only constants: any base point witnesses this sign
+            return witness(eps, _origin(domain) if candidates is None else min(tuple(p) for p in candidates))
     return None
 
 
@@ -134,23 +122,15 @@ def _records(path: IsotopyPath, tol: float) -> list[Extrema]:
     return attaining_sets(path.segment_deltas(), tol)
 
 
-def _witness(records: Sequence[Extrema], value_tol: float, deriv_tol: float) -> QAWitness | None:
-    found = common_attaining_point(records, value_tol, deriv_tol)
-    return None if found is None else QAWitness(*found)
-
-
-def quasi_autonomy_check(
-    path: IsotopyPath,
-    value_tol: float = WITNESS_VALUE_TOL,
-    deriv_tol: float = WITNESS_DERIV_TOL,
-) -> QAWitness | None:
+def quasi_autonomy_check(path: IsotopyPath) -> QAWitness | None:
     """Witness search for the whole path; None when no witness exists.
 
     The witness point must attain every segment's sup norm with a common
-    sign and be a critical point of every segment difference, so the slope
-    of the lifted point never moves and it stays on one Reeb orbit.
+    sign.  No separate critical-point test is needed: on a closed base an
+    attained maximum is interior, so the slope of the lifted point never
+    moves and it stays on one Reeb orbit.
     """
-    return _witness(_records(path, value_tol), value_tol, deriv_tol)
+    return common_attaining_point(_records(path, EQUALITY_TOL))
 
 
 @dataclass(frozen=True)
@@ -173,11 +153,7 @@ class SegmentationReport:
         }
 
 
-def local_quasi_autonomy_check(
-    path: IsotopyPath,
-    value_tol: float = WITNESS_VALUE_TOL,
-    deriv_tol: float = WITNESS_DERIV_TOL,
-) -> SegmentationReport:
+def local_quasi_autonomy_check(path: IsotopyPath) -> SegmentationReport:
     """Maximal knot-index windows on which the witness search succeeds.
 
     Every segment difference is scanned once, into one extrema record, and
@@ -187,17 +163,15 @@ def local_quasi_autonomy_check(
     the passing windows are exactly those up to one end e(i), and a
     two-pointer sweep finds all maximal windows.
     """
-    return _segmentation(_records(path, value_tol), value_tol, deriv_tol)
+    return _segmentation(_records(path, EQUALITY_TOL), EQUALITY_TOL)
 
 
-def _segmentation(
-    records: Sequence[Extrema], value_tol: float, deriv_tol: float
-) -> SegmentationReport:
+def _segmentation(records: Sequence[Extrema], tol: float) -> SegmentationReport:
     """Maximal windows of consecutive segments whose records share a witness."""
     k = len(records)
 
     def window_ok(i: int, j: int) -> bool:
-        return common_attaining_point(records[i : j + 1], value_tol, deriv_tol) is not None
+        return common_attaining_point(records[i : j + 1], tol) is not None
 
     # a window from i is maximal exactly when e(i) passes every earlier end,
     # so j carries over from the previous start and only windows beyond it
@@ -263,8 +237,8 @@ def integral_criterion(
     rhs = sup_norm(integral)
     gap = lhs - rhs
     holds = gap <= tol
-    found = common_attaining_point(records, value_tol=tol)
-    witness = None if found is None else (found[0], found[1])
+    found = common_attaining_point(records, tol)
+    witness = None if found is None else (found.epsilon, found.base_point)
     if holds != (witness is not None):
         raise EquivalenceViolation(
             f"integral criterion mismatch: gap={gap:.3e}, witness={witness}"
@@ -306,11 +280,11 @@ def minimizing_geodesic_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> G
     and the segmentation; a disagreement is reported (discretization too
     coarse), not raised.
     """
-    records = _records(path, WITNESS_VALUE_TOL)
+    records = _records(path, tol)
     length = float(sum(r.norm for r in records))
     dist = sup_norm(path.knots[-1] - path.knots[0])
     gap = length - dist
-    witness = _witness(records, WITNESS_VALUE_TOL, WITNESS_DERIV_TOL)
+    witness = common_attaining_point(records, tol)
     minimizing = gap <= tol
     mismatch = minimizing != (witness is not None)
     if mismatch:
@@ -322,7 +296,7 @@ def minimizing_geodesic_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> G
         minimizing=minimizing,
         witness=witness,
         cross_check_mismatch=mismatch,
-        segmentation=_segmentation(records, WITNESS_VALUE_TOL, WITNESS_DERIV_TOL),
+        segmentation=_segmentation(records, tol),
     )
 
 

@@ -58,14 +58,23 @@ def random_quasi_autonomous_path(
     n_knots: int = 5,
     degree: int = 6,
     amplitude: float = 0.3,
+    perturbation: float = 0.0,
 ) -> IsotopyPath:
-    """Knots f_{k+1} = f_k + lambda_k h with lambda_k > 0: one shared witness."""
+    """Knots f_{k+1} = f_k + lambda_k h with lambda_k > 0: one shared witness.
+
+    A nonzero perturbation eps adds eps * g_k, a fresh random g_k per step,
+    drawn after the lambdas: the path is then eps away from quasi-autonomy,
+    and its length gap grows like eps^2.
+    """
     h = random_function(rng, CIRCLE, degree, amplitude)
     start = random_function(rng, CIRCLE, degree, amplitude)
     lams = rng.uniform(0.2, 1.0, n_knots - 1)
     knots = [start]
     for lam in lams:
-        knots.append(knots[-1] + float(lam) * h)
+        step = float(lam) * h
+        if perturbation:
+            step = step + perturbation * random_function(rng, CIRCLE, degree, amplitude)
+        knots.append(knots[-1] + step)
     return IsotopyPath.uniform(knots)
 
 

@@ -186,6 +186,19 @@ def test_cmd_geodesic_check_reversal(capsys, specs):
     assert out["segmentation"] == {"windows": [[0, 1], [1, 2]], "multi_segment_windows": []}
 
 
+@pytest.mark.parametrize("eps,tol", [(1e-7, 1e-9), (1e-4, 1e-6)])
+def test_cmd_geodesic_check_near_geodesic(capsys, specs, eps, tol):
+    # 4 steps lambda_k h + eps g_k of degree 6: the gap, about eps^2, lies
+    # far below tol, so the witness search at the same tol must find the
+    # witness and the verdicts agree
+    path = random_quasi_autonomous_path(np.random.default_rng(3), n_knots=5, perturbation=eps)
+    spec = _write(specs["tmp"], "near.json", dump_path(path))
+    code, out = run_json(capsys, ["geodesic", spec, "--tol", repr(tol)])
+    assert out["gap"] <= tol / 100
+    assert code == 0 and out["cross_check_mismatch"] is False
+    assert out["minimizing"] and out["qa_witness"] is not None
+
+
 def test_cmd_geodesic_optimize(capsys, specs):
     code, out = run_json(
         capsys,

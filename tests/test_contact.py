@@ -15,7 +15,7 @@ from jetflat.contact import (
 from jetflat.errors import CrossCheckMismatch, NotADiffeomorphism
 from jetflat.fourier import critical_set, sup_norm
 from jetflat.jets import zero_section
-from jetflat.sampling import random_contactomorphism
+from jetflat.sampling import random_contactomorphism, random_quasi_autonomous_path
 
 from conftest import fn
 
@@ -163,6 +163,20 @@ def test_contact_qa_rotating_profile():
         for k in range(9)
     ]
     assert contact_qa_check(path) is None
+
+
+def test_contact_qa_near_quasi_autonomous_paths_from_the_identity():
+    # steps lambda_k h + 1e-7 g_k: every segment attains its sup norm within
+    # 1e-9 at the witness, where its slope and the knots' slopes are about
+    # 1e-8, above the 1e-9 translated-point tolerance; that condition falls
+    # on knot 0 alone, the identity
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        path = random_quasi_autonomous_path(rng, n_knots=5, amplitude=0.005, perturbation=1e-7)
+        maps = [CircleContactomorphism(k - path.knots[0]) for k in path.knots]
+        w = contact_qa_check(maps)
+        assert w is not None
+        assert max(abs(r) for r in w.per_knot_residuals) <= 1e-9
 
 
 def test_contact_qa_cross_check_requires_translated_points():

@@ -399,6 +399,17 @@ def test_attaining_sets_do_not_depend_on_the_batch():
     assert twins == pytest.approx([0.0, 0.5], abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+def test_attaining_sets_reject_a_tolerance_that_is_not_positive(tol):
+    # the bound of the command line's --tol, checked where a library caller
+    # hands its own tolerance in, before either domain scans
+    for f in (fn(0.0, [0.3], [0.1]), FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ValueError, match="positive"):
+            attaining_set(f, tol)
+        with pytest.raises(ValueError, match="positive"):
+            attaining_sets([f], tol)
+
+
 def test_circle_constructor_matches_the_padded_construction():
     def padded(a0, cos, sin):
         d = max(len(cos), len(sin))

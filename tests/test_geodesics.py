@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetflat import geodesics
-from jetflat.config import EQUALITY_TOL, WITNESS_DERIV_TOL, WITNESS_VALUE_TOL
+from jetflat.config import EQUALITY_TOL
 from jetflat.errors import MalformedPath
 from jetflat.fourier import CIRCLE, TORUS2, FourierFunction, attaining_set, sup_norm
 from jetflat.geodesics import (
@@ -134,8 +134,8 @@ def _maximal_windows(path):
     k = len(deltas)
 
     def search(window):
-        records = [attaining_set(d, WITNESS_VALUE_TOL) for d in window]
-        return geodesics.common_attaining_point(records, deriv_tol=WITNESS_DERIV_TOL)
+        records = [attaining_set(d, EQUALITY_TOL) for d in window]
+        return geodesics.common_attaining_point(records)
 
     ok = {(i, j): search(deltas[i:j]) is not None for i in range(k) for j in range(i + 1, k + 1)}
     return tuple(
@@ -231,7 +231,7 @@ def test_no_witness_on_a_torus_path_of_two_directions(rng):
 @pytest.mark.parametrize("domain", [CIRCLE, TORUS2], ids=["S1", "T2"])
 def test_witness_search_reads_records_without_scanning(monkeypatch, rng, domain):
     h = random_function(rng, domain, 3)
-    records = [attaining_set(lam * h, WITNESS_VALUE_TOL) for lam in (0.5, 1.0, 2.0)]
+    records = [attaining_set(lam * h, EQUALITY_TOL) for lam in (0.5, 1.0, 2.0)]
     calls = []
     scan = FourierFunction.values_on_grid
 
@@ -240,8 +240,8 @@ def test_witness_search_reads_records_without_scanning(monkeypatch, rng, domain)
         return scan(self, *args, **kwargs)
 
     monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
-    found = geodesics.common_attaining_point(records, deriv_tol=WITNESS_DERIV_TOL)
-    assert found is not None
+    found = geodesics.common_attaining_point(records)
+    assert isinstance(found, geodesics.QAWitness)
     assert calls == []
 
 
@@ -355,6 +355,27 @@ def test_witness_iff_zero_gap_random(seed):
     rep = minimizing_geodesic_check(path)
     assert not rep.cross_check_mismatch
     assert rep.minimizing == (rep.witness is not None)
+
+
+@pytest.mark.parametrize("tol", [EQUALITY_TOL, 1e-6])
+def test_verdicts_agree_outside_the_tolerance_band(tol):
+    # steps lambda_k h + eps g_k: the length gap grows like eps^2, so nine
+    # decades of eps sweep it from far above tol to far below.  A point
+    # attaining the endpoint distance attains every segment within the gap,
+    # and a witness within tol bounds the gap by 4 tol; so the two verdicts
+    # must agree whenever gap <= tol/100 or gap >= 100 tol
+    rng = np.random.default_rng(7)
+    sides = set()
+    for e in range(2, 11):
+        for _ in range(6):
+            path = random_quasi_autonomous_path(rng, n_knots=5, degree=6, perturbation=10.0**-e)
+            rep = minimizing_geodesic_check(path, tol)
+            if tol / 100 < rep.gap < 100 * tol:
+                continue
+            assert rep.minimizing == (rep.witness is not None), (e, rep.gap)
+            assert not rep.cross_check_mismatch, (e, rep.gap)
+            sides.add(rep.minimizing)
+    assert sides == {True, False}
 
 
 def test_witness_stability():
