@@ -181,7 +181,7 @@ def _cmd_integral(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
 def _cmd_contact(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
     if args.sub == "qa":
         maps, times = parse_contact_path(_load_json(args.spec))
-        witness = contact_qa_check(maps, times)
+        witness = contact_qa_check(maps, times, cfg.tolerance)
         return {"qa_witness": None if witness is None else witness.to_json_dict()}, True, None
     if args.sub == "upper":
         phi = parse_contactomorphism(_load_json(args.spec))

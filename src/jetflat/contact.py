@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import VALUE_CLUSTER_TOL, WITNESS_DERIV_TOL
+from .config import EQUALITY_TOL, VALUE_CLUSTER_TOL, WITNESS_DERIV_TOL
 from .errors import CrossCheckMismatch, NotADiffeomorphism, ViolationReport
 from .fourier import CIRCLE, Extrema, FourierFunction, attaining_set
 from .geodesics import QAWitness, optimize_path, quasi_autonomy_check
@@ -194,12 +194,12 @@ def spectral_norm(phi: CircleContactomorphism, tol: float = VALUE_CLUSTER_TOL) -
 
 
 def contact_qa_check(
-    maps: Sequence[CircleContactomorphism], times: Sequence[float] | None = None
+    maps: Sequence[CircleContactomorphism], times: Sequence[float] | None = None, tol: float = EQUALITY_TOL
 ) -> QAWitness | None:
     """Quasi-autonomy of a contact path through its Legendrian graphs.
 
-    The displacement path is fed to the jet-side witness search; a witness
-    base point q0 must also be a translated point of every knot,
+    The displacement path is fed to the jet-side witness search at tol; a
+    witness base point q0 must also be a translated point of every knot,
     f_k'(q0) = 0.  Given the witness that is a condition on knot 0 alone:
     f_k' = f_0' + the derivatives of the segment differences, and those
     vanish at q0, where each attains its maximum.  It holds automatically
@@ -213,7 +213,7 @@ def contact_qa_check(
         if times is not None
         else IsotopyPath.uniform(knots)
     )
-    witness = quasi_autonomy_check(path)
+    witness = quasi_autonomy_check(path, tol)
     if witness is not None:
         slope = knots[0].derivative()(witness.base_point[0])
         if abs(slope) > WITNESS_DERIV_TOL:

@@ -300,9 +300,9 @@ class FourierFunction:
             return float(vals[0]) if scalar else vals
         pts = np.asarray(x, dtype=float)
         if pts.shape == (2,):
-            return float(self._eval_torus(pts[None, :])[0])
+            return float(_torus_at(self.coeffs[None], pts[None, :])[0, 0])
         if pts.ndim == 2 and pts.shape[1] == 2:
-            return self._eval_torus(pts)
+            return _torus_at(self.coeffs[None], pts)[:, 0]
         raise DimensionMismatch("torus points must have shape (2,) or (m, 2)")
 
     def _eval_circle(self, x: np.ndarray) -> np.ndarray:
@@ -312,13 +312,6 @@ class FourierFunction:
             return np.full(x.shape, a0)
         ang = TWO_PI * np.mod(x, 1.0)[:, None] * np.arange(1, d + 1)[None, :]
         return a0 + np.cos(ang) @ a + np.sin(ang) @ b
-
-    def _eval_torus(self, pts: np.ndarray) -> np.ndarray:
-        d = self.degree
-        k = np.arange(-d, d + 1)
-        e1 = np.exp(TWO_PI * 1j * np.mod(pts[:, 0], 1.0)[:, None] * k[None, :])
-        e2 = np.exp(TWO_PI * 1j * np.mod(pts[:, 1], 1.0)[:, None] * k[None, :])
-        return np.einsum("mi,ij,mj->m", e1, self.coeffs, e2).real
 
     def values_on_grid(self, n: int, derivatives: bool = False) -> np.ndarray:
         """Values at the uniform grid (i/n) — (n,) on S1, (n, n) on T2.
@@ -344,10 +337,7 @@ class FourierFunction:
             rows = np.stack([stack.real, -stack.imag], axis=-1).reshape(len(stack), -1)
             grids = rows @ e[:, d:].view(float).T
         else:
-            w = TWO_PI * 1j * np.arange(-d, d + 1)
-            w1, w2 = w[:, None], w[None, :]
-            parts = [c, c * w1, c * w2, c * w1 * w1, c * w1 * w2, c * w2 * w2]
-            left = e @ np.stack(parts if derivatives else [c])
+            left = e @ (_torus_stacks([self])[0] if derivatives else c[None])
             grids = left.view(float) @ np.conj(e).view(float).T
         return grids if derivatives else grids[0]
 
@@ -359,6 +349,32 @@ def _phase_table(n: int, degree: int) -> np.ndarray:
     e = np.exp(TWO_PI * 1j * (np.arange(n) / n)[:, None] * k[None, :])
     e.flags.writeable = False
     return e
+
+
+def _torus_stacks(fs: Sequence[FourierFunction]) -> np.ndarray:
+    """Coefficients of f, f_1, f_2, f_11, f_12, f_22 for each torus f, shape (m, 6, 2D+1, 2D+1).
+
+    D is the top degree of fs; a function of lower degree is zero-padded.
+    """
+    d = max(f.degree for f in fs)
+    c = np.stack([f.pad_to_degree(d).coeffs for f in fs])
+    w = TWO_PI * 1j * np.arange(-d, d + 1)
+    w1, w2 = w[:, None], w[None, :]
+    return np.stack([c, c * w1, c * w2, c * w1 * w1, c * w1 * w2, c * w2 * w2], axis=1)
+
+
+def _torus_at(stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Real parts of the torus series stack[..., s, :, :] at each point of pts (m, 2), shape (m, s).
+
+    stack holds one coefficient stack per point, (m, s, 2D+1, 2D+1), or one
+    for all points, (s, 2D+1, 2D+1).  The unoptimized einsum adds the terms
+    one at a time in index order, so zero padding adds exact zeros and a
+    padded stack gives the same bits.
+    """
+    d = stack.shape[-1] // 2
+    e = np.exp(TWO_PI * 1j * np.mod(pts, 1.0)[:, :, None] * np.arange(-d, d + 1))
+    stack = np.broadcast_to(stack, (len(pts),) + stack.shape[-3:])
+    return np.einsum("mi,msij,mj->ms", e[:, 0], stack, e[:, 1]).real
 
 
 def grid_points(n: int) -> np.ndarray:
@@ -513,21 +529,20 @@ def _canonical_mod1(x: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_points(points: np.ndarray, tol: float = POINT_CLUSTER_TOL) -> np.ndarray:
-    """Merge points closer than tol in the circular sup metric."""
-    if len(points) == 0:
+    """Points kept in order unless one kept before lies within tol (circular sup metric), sorted."""
+    if len(points) <= 1:
         return points
-    kept: list[np.ndarray] = []
-    for p in points:
-        dup = False
-        for q in kept:
-            d = np.abs(p - q)
-            if np.max(np.minimum(d, 1.0 - d)) <= tol:
-                dup = True
-                break
-        if not dup:
-            kept.append(p)
-    order = sorted(range(len(kept)), key=lambda i: tuple(kept[i]))
-    return np.array([kept[i] for i in order])
+    d = np.abs(points[:, None] - points[None, :])
+    near = np.max(np.minimum(d, 1.0 - d), axis=-1) <= tol
+    free = np.ones(len(points), dtype=bool)
+    kept = []
+    while free.any():
+        i = int(np.argmax(free))
+        kept.append(i)
+        free &= ~near[i]
+        free[i] = False
+    kept = points[kept]
+    return kept[np.lexsort(kept.T[::-1])]
 
 
 def _local_max_mask(a: np.ndarray) -> np.ndarray:
@@ -598,74 +613,34 @@ def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> lis
     return peaks
 
 
-def _attain_circles(
-    fs: Sequence[FourierFunction], peaks: Sequence[_Peaks], sign: int, tol: float
-) -> list[tuple[float, np.ndarray]]:
-    """Max (sign 1) or min (sign -1) of non-constant circle functions, with attaining points.
+def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
+    """Newton for grad f = 0 from every seed at once.
 
-    peaks[j] is the scan of fs[j] reduced for this sign.  One Newton run
-    refines the seeds of every function, a seed that fails falls back to
-    golden-section search on its two grid cells, and each function keeps
-    its refined seeds within tol of its best value.
+    stack[i] holds the derivative stack (_torus_stacks) of the function seed
+    i belongs to, so one run serves the seeds of many functions; each step
+    reads the gradient and Hessian from one pair of phase vectors.  Seeds
+    converge at max |grad f| <= residual (a scalar or one value per seed);
+    seeds that meet a singular Hessian, step further than 0.1 (the basin
+    guard) or do not converge come back as NaN.
     """
-    if not fs:
-        return []
-    counts = [len(p.seeds) for p in peaks]
-    owner = np.repeat(np.arange(len(fs)), counts)
-    dq = np.repeat([1.0 / p.n for p in peaks], counts)
-    seeds = np.concatenate([p.seeds for p in peaks])
-    rows = _cos_sin_rows(fs)[owner]
-    residual = np.repeat([p.residual for p in peaks], counts)
-    roots = _newton_circle(rows, seeds, 2.0 * dq, residual)
-    for i in np.flatnonzero(np.isnan(roots)):
-        roots[i] = _ternary_max_circle(sign * fs[owner[i]], seeds[i] - dq[i], seeds[i] + dq[i])
-    vals = sign * _series_at(rows, roots)
-    starts = np.cumsum([0] + counts[:-1])
-    best = np.maximum(np.maximum.reduceat(vals, starts), [p.top for p in peaks])
-    keep = vals >= best[owner] - tol
-    points = _canonical_mod1(roots)
-    return [
-        (sign * top, _dedupe_points(points[lo : lo + m][keep[lo : lo + m], None]))
-        for top, lo, m in zip(best.tolist(), starts.tolist(), counts)
-    ]
-
-
-def _newton_torus(f: FourierFunction, seeds: np.ndarray, residual: float) -> np.ndarray:
-    """Vectorized 2-d Newton for grad f = 0; returns converged points only."""
-    pts = np.array(seeds, dtype=float)
-    alive = np.ones(len(pts), dtype=bool)
-    g1, g2 = f.gradient()
-    h11, h12, h22 = f.hessian()
-    for _ in range(NEWTON_MAX_ITER):
-        if not alive.any():
+    x = np.array(seeds, dtype=float)
+    tol = np.zeros(len(x)) + residual
+    roots = np.full(x.shape, np.nan)
+    live = np.arange(len(x))
+    for it in range(NEWTON_MAX_ITER + 1):
+        a, b, m11, m12, m22 = _torus_at(stack[live, 1:], x[live]).T
+        done = np.maximum(np.abs(a), np.abs(b)) <= tol[live]
+        roots[live[done]] = x[live[done]]
+        if done.all() or it == NEWTON_MAX_ITER:
             break
-        p = pts[alive]
-        a = g1(p)
-        b = g2(p)
-        done = np.maximum(np.abs(a), np.abs(b)) <= residual
-        if done.all():
-            break
-        m11 = h11(p)
-        m12 = h12(p)
-        m22 = h22(p)
         det = m11 * m22 - m12 * m12
         bad = np.abs(det) < 1e-30
         det[bad] = 1.0
-        dx = (m22 * a - m12 * b) / det
-        dy = (m11 * b - m12 * a) / det
-        dx[bad | done] = 0.0
-        dy[bad | done] = 0.0
-        # basin guard: overly long steps mark the seed as non-convergent
-        overshoot = np.maximum(np.abs(dx), np.abs(dy)) > 0.1
-        step = np.stack([dx, dy], axis=1)
-        step[overshoot] = 0.0
-        pts[alive] = p - step
-        drop = bad | overshoot
-        if drop.any():
-            alive_idx = np.flatnonzero(alive)
-            alive[alive_idx[drop]] = False
-    g = np.maximum(np.abs(g1(pts)), np.abs(g2(pts)))
-    return pts[g <= residual]
+        step = np.stack([(m22 * a - m12 * b) / det, (m11 * b - m12 * a) / det], axis=1)
+        ok = ~(done | bad) & (np.max(np.abs(step), axis=1) <= 0.1)
+        live = live[ok]
+        x[live] -= step[ok]
+    return roots
 
 
 def _refine(
@@ -674,23 +649,41 @@ def _refine(
     """Max (sign 1) or min (sign -1) of every f and its attaining points.
 
     peaks[j] is the scan of fs[j] reduced for this sign.  A constant is
-    attained everywhere and reported at the origin.  The circle functions
-    are refined in one batch; torus functions one at a time, their seeds
-    kept as candidates in case Newton lost a basin.
+    attained everywhere and reported at the origin.  One Newton run per
+    domain refines the seeds of all other functions; a seed that fails falls
+    back to golden-section search on its two grid cells (S1) or to itself
+    (T2), and each function keeps its refined seeds within tol of its best
+    value.
     """
     out = [(sign * p.top, np.zeros((1, f.domain.ndim))) for f, p in zip(fs, peaks)]
-    live = [j for j, p in enumerate(peaks) if p.seeds is not None]
-    circle = [j for j in live if fs[j].domain.kind == "S1"]
-    refined = _attain_circles([fs[j] for j in circle], [peaks[j] for j in circle], sign, tol)
-    for j, r in zip(circle, refined):
-        out[j] = r
-    for j in live:
-        f, p = fs[j], peaks[j]
-        if f.domain.kind == "T2":
-            cand = np.concatenate([_newton_torus(f, p.seeds, p.residual), p.seeds])
-            vals = sign * f(cand)
-            best = max(p.top, float(vals.max()))
-            out[j] = (sign * best, _dedupe_points(_canonical_mod1(cand[vals >= best - tol])))
+    for kind in ("S1", "T2"):
+        js = [j for j, p in enumerate(peaks) if p.seeds is not None and fs[j].domain.kind == kind]
+        if not js:
+            continue
+        counts = [len(peaks[j].seeds) for j in js]
+        owner = np.repeat(np.arange(len(js)), counts)
+        seeds = np.concatenate([peaks[j].seeds for j in js])
+        residual = np.repeat([peaks[j].residual for j in js], counts)
+        if kind == "S1":
+            dq = np.repeat([1.0 / peaks[j].n for j in js], counts)
+            rows = _cos_sin_rows([fs[j] for j in js])[owner]
+            roots = _newton_circle(rows, seeds, 2.0 * dq, residual)
+            for i in np.flatnonzero(np.isnan(roots)):
+                roots[i] = _ternary_max_circle(sign * fs[js[owner[i]]], seeds[i] - dq[i], seeds[i] + dq[i])
+            vals = sign * _series_at(rows, roots)
+            roots = roots[:, None]
+        else:
+            stack = _torus_stacks([fs[j] for j in js])[owner]
+            roots = _newton_torus(stack, seeds, residual)
+            failed = np.isnan(roots[:, 0])
+            roots[failed] = seeds[failed]
+            vals = sign * _torus_at(stack[:, :1], roots)[:, 0]
+        starts = np.cumsum([0] + counts[:-1])
+        best = np.maximum(np.maximum.reduceat(vals, starts), [peaks[j].top for j in js])
+        keep = vals >= best[owner] - tol
+        points = _canonical_mod1(roots)
+        for j, top, lo, m in zip(js, best.tolist(), starts.tolist(), counts):
+            out[j] = (sign * top, _dedupe_points(points[lo : lo + m][keep[lo : lo + m]]))
     return out
 
 
@@ -707,10 +700,10 @@ def _records(fs: Sequence[FourierFunction], scans: Iterable[np.ndarray], tol: fl
 
 
 def attaining_sets(fs: Iterable[FourierFunction], tol: float = VALUE_CLUSTER_TOL) -> list[Extrema]:
-    """The attaining_set record of every function, circle ones in one batch.
+    """The attaining_set record of every function, in one batch per domain.
 
     Each function is scanned on its own and reduced to its seeds at once;
-    one Newton run per sign then refines the seeds of all circle functions.
+    one Newton run per domain and sign then refines the seeds of all of them.
     A record does not depend on the batch it came in.  tol must be positive.
     """
     if not tol > 0.0:
@@ -803,7 +796,8 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float) -> float:
 def _critical_points_torus(f: FourierFunction, grids: np.ndarray, residual: float) -> np.ndarray:
     gn = np.max(np.abs(grids[1:3]), axis=0)
     seeds = np.argwhere(_local_max_mask(-gn)) / grids.shape[-1]
-    return _dedupe_points(_canonical_mod1(_newton_torus(f, seeds, residual)))
+    roots = _newton_torus(_torus_stacks([f])[np.zeros(len(seeds), dtype=int)], seeds, residual)
+    return _dedupe_points(_canonical_mod1(roots[~np.isnan(roots[:, 0])]))
 
 
 def _cluster_values(values: Iterable[float], tol: float) -> list[float]:

@@ -122,15 +122,15 @@ def _records(path: IsotopyPath, tol: float) -> list[Extrema]:
     return attaining_sets(path.segment_deltas(), tol)
 
 
-def quasi_autonomy_check(path: IsotopyPath) -> QAWitness | None:
-    """Witness search for the whole path; None when no witness exists.
+def quasi_autonomy_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> QAWitness | None:
+    """Witness search for the whole path at tol; None when no witness exists.
 
     The witness point must attain every segment's sup norm with a common
     sign.  No separate critical-point test is needed: on a closed base an
     attained maximum is interior, so the slope of the lifted point never
     moves and it stays on one Reeb orbit.
     """
-    return common_attaining_point(_records(path, EQUALITY_TOL))
+    return common_attaining_point(_records(path, tol), tol)
 
 
 @dataclass(frozen=True)

@@ -49,3 +49,25 @@ def grid_path_gap(knot_values):
         np.sum(np.max(np.abs(deltas), axis=1))
         - np.max(np.abs(knot_values[-1] - knot_values[0]))
     )
+
+
+def dedupe_points_loop(points, tol):
+    """Greedy merge in the circular sup metric, one pair at a time, sorted.
+
+    The pairwise loop the package's vectorized _dedupe_points replaced,
+    kept as its bit-for-bit reference.
+    """
+    if len(points) == 0:
+        return points
+    kept = []
+    for p in points:
+        dup = False
+        for q in kept:
+            d = np.abs(p - q)
+            if np.max(np.minimum(d, 1.0 - d)) <= tol:
+                dup = True
+                break
+        if not dup:
+            kept.append(p)
+    order = sorted(range(len(kept)), key=lambda i: tuple(kept[i]))
+    return np.array([kept[i] for i in order])

@@ -5,12 +5,14 @@ import pytest
 
 from jetflat import cli, fourier
 from jetflat.cli import main
+from jetflat.contact import CircleContactomorphism
 from jetflat.errors import SpecParseError
-from jetflat.fourier import FourierFunction
+from jetflat.fourier import TORUS2, FourierFunction
 from jetflat.paths import IsotopyPath
-from jetflat.sampling import random_function, random_quasi_autonomous_path
+from jetflat.sampling import random_function, random_path, random_quasi_autonomous_path
 from jetflat.serialization import (
     canonical_json,
+    dump_contactomorphism,
     dump_function,
     dump_path,
     parse_contact_path,
@@ -299,6 +301,21 @@ def test_cmd_contact_norm_translated_qa_upper(capsys, specs, tmp_path):
     assert code == 0 and out["gap"] <= 1e-4
 
 
+def test_cmd_contact_qa_follows_tol(capsys, specs):
+    # 4 steps lambda_k h + 1e-3 g_k from the identity: the jet-side gap, about
+    # 7.6e-10, lies far below 1e-4, so the witness search at --tol 1e-4 finds
+    # the witness, and at 1e-9 it does not
+    rng = np.random.default_rng(5)
+    path = random_quasi_autonomous_path(rng, n_knots=5, amplitude=0.005, perturbation=1e-3)
+    maps = [CircleContactomorphism(k - path.knots[0]) for k in path.knots]
+    doc = {"times": list(path.times), "knots": [dump_contactomorphism(m) for m in maps]}
+    spec = _write(specs["tmp"], "near-contact.json", doc)
+    code, out = run_json(capsys, ["contact", "qa", spec, "--tol", "1e-4"])
+    assert code == 0 and out["qa_witness"] is not None
+    code, out = run_json(capsys, ["contact", "qa", spec, "--tol", "1e-9"])
+    assert code == 0 and out["qa_witness"] is None
+
+
 def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     # one scan per function per command: dist and spectrum scan f1 - f0 once
     # and read the selectors from the critical set's extrema record; a
@@ -306,45 +323,56 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     # translated points then scan f once; the integral criterion scans each
     # knot once plus the integral; the geodesic check scans each segment
     # once, for the length, the witness and the segmentation, and the
-    # endpoint difference once.  One circle Newton run per batch and sign:
-    # the 64 knots and the 15 segments are one batch each, the integral and
-    # the endpoint difference one sup_norm, a batch of one per sign
+    # endpoint difference once.  One Newton run per domain, batch and sign:
+    # the 64 knots and the 15 (or 4) segments are one batch each, the
+    # integral and the endpoint difference one sup_norm, a batch of one per
+    # sign; a torus critical set adds one run for its critical points
     tzero = _write(specs["tmp"], "tzero.json", {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0]]}})
     h = random_function(rng, degree=5, amplitude=0.4)
     ts = np.linspace(0.0, 1.0, 64)
     family = IsotopyPath(knots=tuple(float(lam) * h for lam in rng.uniform(0.2, 1.5, 64)), times=tuple(ts))
     family_spec = _write(specs["tmp"], "family.json", dump_path(family))
     path_spec = _write(specs["tmp"], "path.json", dump_path(random_quasi_autonomous_path(rng, 16)))
-    calls, runs = [], []
+    torus_path_spec = _write(specs["tmp"], "tpath.json", dump_path(random_path(rng, 5, TORUS2, degree=3)))
+    calls = []
+    runs = {"_newton_circle": [], "_newton_torus": []}
     scan = FourierFunction.values_on_grid
-    newton = fourier._newton_circle
 
     def counted(self, *args, **kwargs):
         calls.append(args)
         return scan(self, *args, **kwargs)
 
-    def counted_runs(*args):
-        runs.append(args)
-        return newton(*args)
+    def counted_runs(name):
+        newton = getattr(fourier, name)
+
+        def wrapper(*args):
+            runs[name].append(args)
+            return newton(*args)
+
+        return wrapper
 
     monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
-    monkeypatch.setattr(fourier, "_newton_circle", counted_runs)
-    for argv, scans, newton_runs in (
-        (["dist", specs["amp"], specs["zero"]], 1, None),
-        (["dist", specs["torus"], tzero], 1, None),
-        (["spectrum", specs["amp"], specs["zero"]], 1, None),
-        (["contact", "norm", specs["phi"]], 2, None),
-        (["contact", "translated", specs["phi"]], 2, None),
-        (["integral-criterion", family_spec], 65, 4),
-        (["geodesic", path_spec], 16, 4),
-        (["props", "--count", "8"], 332, None),
-        (["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"], 9, None),
+    for name in runs:
+        monkeypatch.setattr(fourier, name, counted_runs(name))
+    for argv, scans, circle_runs, torus_runs in (
+        (["dist", specs["amp"], specs["zero"]], 1, None, 0),
+        (["dist", specs["torus"], tzero], 1, 0, 3),
+        (["spectrum", specs["amp"], specs["zero"]], 1, None, 0),
+        (["contact", "norm", specs["phi"]], 2, None, 0),
+        (["contact", "translated", specs["phi"]], 2, None, 0),
+        (["integral-criterion", family_spec], 65, 4, 0),
+        (["geodesic", path_spec], 16, 4, 0),
+        (["geodesic", torus_path_spec], 5, 0, 4),
+        (["props", "--count", "8"], 332, None, 0),
+        (["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"], 9, None, 0),
     ):
         calls.clear()
-        runs.clear()
+        for r in runs.values():
+            r.clear()
         assert main(argv) == 0
         assert len(calls) == scans, argv[:2]
-        assert newton_runs is None or len(runs) == newton_runs, argv[:2]
+        assert circle_runs is None or len(runs["_newton_circle"]) == circle_runs, argv[:2]
+        assert len(runs["_newton_torus"]) == torus_runs, argv[:2]
     capsys.readouterr()
 
 

@@ -16,9 +16,10 @@ from jetflat.fourier import (
     sup_norm,
     sup_norm_by_squaring,
 )
+from jetflat.sampling import random_function
 
 from conftest import fn
-from oracles import dense_max, dense_sup_norm, eval_direct
+from oracles import dedupe_points_loop, dense_max, dense_sup_norm, eval_direct
 
 coeff_lists = st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4)
 
@@ -311,6 +312,23 @@ def test_scan_stack_matches_separate_grids():
         np.testing.assert_allclose(grid.ravel(), g(pts), atol=1e-11)
 
 
+def test_fallbacks_when_torus_newton_fails(monkeypatch, rng):
+    # every torus seed falls back to itself: a grid point of the scan whose
+    # value is the scan's top
+    n = fourier.DEFAULT_TORUS_SCAN
+
+    def failed(stack, seeds, residual):
+        return np.full(np.shape(seeds), np.nan)
+
+    monkeypatch.setattr(fourier, "_newton_torus", failed)
+    fs = [random_function(rng, TORUS2, d) for d in (1, 2, 3, 3)]
+    for f, r in zip(fs, attaining_sets(fs)):
+        grid = f.values_on_grid(n)
+        for value, top, points in ((r.vmax, grid.max(), r.max_points), (r.vmin, grid.min(), r.min_points)):
+            assert abs(value - top) <= 1e-12
+            assert len(points) and np.array_equal(points * n, np.round(points * n))
+
+
 def test_fallbacks_when_circle_newton_fails(monkeypatch, rng):
     used = []
 
@@ -369,9 +387,13 @@ def _assert_same_records(got, want):
 
 def test_attaining_sets_do_not_depend_on_the_batch():
     circle = [fn(a0, cos, sin) for _, a0, cos, sin in _batch_cases()]
+    # torus functions of degrees 1, 3 and 2 share one zero-padded Newton run
+    rng = np.random.default_rng(8)
     torus = [
         FourierFunction.from_torus_coeffs(0.1, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]]),
         FourierFunction.constant(-0.4, TORUS2),
+        random_function(rng, TORUS2, 3),
+        random_function(rng, TORUS2, 2),
     ]
     fs = circle[:4] + torus + circle[4:]
     records = attaining_sets(fs)
@@ -381,7 +403,7 @@ def test_attaining_sets_do_not_depend_on_the_batch():
     _assert_same_records(attaining_sets([fs[i] for i in order]), [records[i] for i in order])
     _assert_same_records(attaining_sets(fs[:3]) + attaining_sets(fs[3:]), records)
     assert records[5].vmax == records[5].vmin == -0.4
-    circle_records = records[:4] + records[6:]
+    circle_records = records[:4] + records[4 + len(torus) :]
     for (name, a0, cos, sin), r in zip(_batch_cases(), circle_records):
         if not cos and not sin:
             assert r.vmax == r.vmin == a0, name
@@ -397,6 +419,49 @@ def test_attaining_sets_do_not_depend_on_the_batch():
     assert len(straddle) == 1 and straddle[0] == pytest.approx(1.0 - 1e-5, abs=1e-12)
     twins = circle_records[5].max_points[:, 0]
     assert twins == pytest.approx([0.0, 0.5], abs=1e-9)
+
+
+def test_torus_stacks_are_the_derivative_coefficients():
+    # the Newton stacks hold the coefficients of f, its gradient and its
+    # Hessian, zero-padded to the batch's top degree
+    fs = [
+        FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]]),
+        random_function(np.random.default_rng(4), TORUS2, 3),
+    ]
+    for stack, f in zip(fourier._torus_stacks(fs), fs):
+        for c, g in zip(stack, (f,) + f.gradient() + f.hessian()):
+            np.testing.assert_array_equal(c, g.pad_to_degree(3).coeffs)
+
+
+def _dedupe_cases():
+    rng = np.random.default_rng(12)
+    tol = 1e-6
+    centres = rng.random((20, 2))
+    spread = 10.0 ** rng.integers(-12, -6, (200, 1))
+    clusters = np.repeat(centres, 10, axis=0) + spread * rng.standard_normal((200, 2))
+    chain = 0.3 + tol * np.cumsum(1.0 + 1e-3 * rng.standard_normal(30))
+    straddle = np.array([[0.0], [1.0 - 4e-7], [3e-7], [0.5], [1.0 - 2e-6], [2e-6]])
+    return {
+        "empty (m,1)": np.zeros((0, 1)),
+        "empty (m,2)": np.zeros((0, 2)),
+        "single (m,1)": np.array([[0.25]]),
+        "single (m,2)": np.array([[0.25, 0.75]]),
+        "clusters (m,2)": rng.permutation(np.mod(clusters, 1.0)),
+        "clusters (m,1)": rng.permutation(np.mod(clusters[:, :1], 1.0)),
+        "chain (m,1)": chain[:, None],
+        "shuffled chain (m,1)": rng.permutation(chain)[:, None],
+        "chain (m,2)": np.stack([chain, 0.9 + 1e-3 * tol * rng.standard_normal(30)], axis=1),
+        "straddles 0/1 (m,1)": straddle,
+        "straddles 0/1 (m,2)": np.concatenate([straddle, straddle[[1, 0, 3, 2, 5, 4]]], axis=1),
+    }
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_dedupe_points_matches_the_pairwise_loop(tol):
+    for name, pts in _dedupe_cases().items():
+        got, want = fourier._dedupe_points(pts, tol), dedupe_points_loop(pts, tol)
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
