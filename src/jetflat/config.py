@@ -42,10 +42,10 @@ WITNESS_DERIV_TOL = 1e-9
 # Segments whose sup-norm is below this are treated as zero length.
 ZERO_SEGMENT_TOL = 1e-12
 
-# Path optimizer schedule: subgradient grid size per domain, iterations per
-# restart, scale of the Gaussian perturbation of every restart but the
-# first, and the initial step (decaying as 1/sqrt(iteration)).
-OPTIMIZER_GRID = {"S1": 4096, "T2": 64}
+# Path optimizer schedule: iterations (all restarts run them in lockstep,
+# on a subgradient grid sized by the degree), scale of the Gaussian
+# perturbation of every restart but the first, and the initial step
+# (decaying as 1/sqrt(iteration)).
 OPTIMIZER_ITERS = 500
 RESTART_SIGMA = 0.2
 RESTART_STEP0 = 0.1

@@ -13,6 +13,7 @@ immutable after construction and every operation here is a pure function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Literal, NamedTuple, Sequence
@@ -357,7 +358,12 @@ def _torus_stacks(fs: Sequence[FourierFunction]) -> np.ndarray:
     D is the top degree of fs; a function of lower degree is zero-padded.
     """
     d = max(f.degree for f in fs)
-    c = np.stack([f.pad_to_degree(d).coeffs for f in fs])
+    return _derivative_stack(np.stack([f.pad_to_degree(d).coeffs for f in fs]))
+
+
+def _derivative_stack(c: np.ndarray) -> np.ndarray:
+    """Coefficients of f, f_1, f_2, f_11, f_12, f_22 from those of f, (m, 2D+1, 2D+1) -> (m, 6, 2D+1, 2D+1)."""
+    d = c.shape[-1] // 2
     w = TWO_PI * 1j * np.arange(-d, d + 1)
     w1, w2 = w[:, None], w[None, :]
     return np.stack([c, c * w1, c * w2, c * w1 * w1, c * w1 * w2, c * w2 * w2], axis=1)
@@ -455,12 +461,13 @@ def _cos_sin_rows(fs: Sequence[FourierFunction]) -> np.ndarray:
 def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k a_k cos(2 pi k x_i) + b_k sin(2 pi k x_i) with (a, b) = rows[i].
 
-    The terms are summed strictly in order of k, so a zero-padded tail adds
-    exact zeros and a row sums to the same bits whatever degree its batch
-    was padded to.
+    rows is (m, 2, K), or (m, s, 2, K) for s series at each point (result
+    (m, s)).  The terms are summed strictly in order of k, so a zero-padded
+    tail adds exact zeros and a row sums to the same bits whatever degree
+    its batch was padded to.
     """
-    ang = x[:, None] * (TWO_PI * np.arange(rows.shape[-1]))
-    return np.cumsum(rows[:, 0] * np.cos(ang) + rows[:, 1] * np.sin(ang), axis=1)[:, -1]
+    ang = x.reshape((-1,) + (1,) * (rows.ndim - 2)) * (TWO_PI * np.arange(rows.shape[-1]))
+    return np.cumsum(rows[..., 0, :] * np.cos(ang) + rows[..., 1, :] * np.sin(ang), axis=-1)[..., -1]
 
 
 def _newton_circle(
@@ -480,26 +487,22 @@ def _newton_circle(
     """
     k = TWO_PI * np.arange(rows.shape[-1])
     # f' = sum 2 pi k (b_k cos - a_k sin), f'' = -sum (2 pi k)^2 (a_k cos + b_k sin)
-    d1 = np.stack([k * rows[:, 1], -k * rows[:, 0]], axis=1)
-    d2 = -(k * k) * rows
+    d12 = np.stack([np.stack([k * rows[:, 1], -k * rows[:, 0]], axis=1), -(k * k) * rows], axis=1)
     x0 = np.asarray(seeds, dtype=float)
     width = np.zeros_like(x0) + halfwidth
     tol = np.zeros_like(x0) + residual
-    x = x0.copy()
     roots = np.full(x0.shape, np.nan)
-    live = np.arange(len(x0))
-    for it in range(NEWTON_MAX_ITER + 1):
-        g = _series_at(d1[live], x[live])
-        done = np.abs(g) <= tol[live]
-        roots[live[done]] = x[live[done]]
-        live, g = live[~done], g[~done]
-        if len(live) == 0 or it == NEWTON_MAX_ITER:
+    live, x = np.arange(len(x0)), x0
+    for it in range(NEWTON_MAX_ITER + 1):  # d12, x0, tol and width hold the live seeds only
+        g, h = _series_at(d12, x).T
+        done = np.abs(g) <= tol
+        roots[live[done]] = x[done]
+        if done.all() or it == NEWTON_MAX_ITER:
             break
-        h = _series_at(d2[live], x[live])
-        x_new = x[live] - g / np.where(h == 0.0, 1.0, h)
-        ok = (h != 0.0) & (np.abs(x_new - x0[live]) <= width[live])
-        x[live[ok]] = x_new[ok]
-        live = live[ok]
+        x = x - g / np.where(h == 0.0, 1.0, h)
+        ok = ~done & (h != 0.0) & (np.abs(x - x0) <= width)
+        if not ok.all():
+            live, d12, x, x0, tol, width = live[ok], d12[ok], x[ok], x0[ok], tol[ok], width[ok]
     return roots
 
 
@@ -545,14 +548,24 @@ def _dedupe_points(points: np.ndarray, tol: float = POINT_CLUSTER_TOL) -> np.nda
     return kept[np.lexsort(kept.T[::-1])]
 
 
+# offsets of a grid point's periodic 3^ndim neighbourhood, itself included, shape (ndim, 3^ndim, 1)
+_NEIGHBOURHOOD = {d: np.array(list(itertools.product((-1, 0, 1), repeat=d))).T[:, :, None] for d in (1, 2)}
+
+
 def _local_max_mask(a: np.ndarray) -> np.ndarray:
-    """Torus grid points at least as large as all eight (periodic) neighbours."""
+    """Grid points at least as large as all their (periodic) neighbours."""
     mask = np.ones(a.shape, dtype=bool)
-    for sx in (-1, 0, 1):
-        for sy in (-1, 0, 1):
-            if sx or sy:
-                mask &= a >= np.roll(np.roll(a, sx, axis=0), sy, axis=1)
+    for shift in _NEIGHBOURHOOD[a.ndim][:, :, 0].T:
+        if shift.any():
+            mask &= a >= np.roll(a, tuple(shift), axis=tuple(range(a.ndim)))
     return mask
+
+
+def _local_maxima(a: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Indices (k, ndim) of the points of mask near where a is at least its neighbours; only those are tested."""
+    idx = np.array(np.nonzero(near))
+    nb = (idx[:, None] + _NEIGHBOURHOOD[a.ndim]) % a.shape[0]
+    return idx.T[a[tuple(idx)] >= a[tuple(nb)].max(axis=0)]
 
 
 class _Peaks(NamedTuple):
@@ -564,29 +577,11 @@ class _Peaks(NamedTuple):
     residual: float  # Newton residual, scaled by max|grad f|
 
 
-def _run_tops(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """First index of the largest value in each circular run of consecutive idx."""
-    starts = np.flatnonzero(np.diff(idx) != 1) + 1
-    if len(starts) == 0:
-        return idx[[np.argmax(vals[idx])]]
-    if idx[0] == 0 and idx[-1] == len(vals) - 1:
-        # the run through q = 0 wraps around: its tail leads
-        tail = starts[-1]
-        idx = np.concatenate([idx[tail:], idx[:tail]])
-        starts = starts[:-1] + (len(idx) - tail)
-    starts = np.concatenate([[0], starts])
-    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(idx)))
-    v = vals[idx]
-    tops = np.flatnonzero(v == np.maximum.reduceat(v, starts)[run])
-    return idx[tops[np.concatenate([[True], np.diff(run[tops]) != 0])]]
-
-
 def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Peaks]:
     """Per sign, the top of a stacked scan and the seeds within the margin of it.
 
-    Circle seeds are the tops of the circular runs of scan points within
-    the margin; torus seeds are the local maxima within it, or the argmax
-    when there is none.
+    Seeds are the scan's local maxima within the margin, so maxima whose dip
+    lies inside the margin each get one; the top itself is always one.
     """
     ndim = grids.ndim - 1
     n = grids.shape[-1]
@@ -602,13 +597,7 @@ def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> lis
     for sign in signs:
         vals = sign * grids[0]
         top = hi if sign == 1 else -lo
-        near = vals >= top - margin
-        if ndim == 1:
-            seeds = _run_tops(vals, np.flatnonzero(near))
-        else:
-            seeds = np.argwhere(near & _local_max_mask(vals))
-            if len(seeds) == 0:
-                seeds = np.argwhere(vals == top)
+        seeds = _local_maxima(vals, vals >= top - margin)
         peaks.append(_Peaks(n, top, seeds / n, residual))
     return peaks
 
@@ -667,9 +656,9 @@ def _refine(
         if kind == "S1":
             dq = np.repeat([1.0 / peaks[j].n for j in js], counts)
             rows = _cos_sin_rows([fs[j] for j in js])[owner]
-            roots = _newton_circle(rows, seeds, 2.0 * dq, residual)
+            roots = _newton_circle(rows, seeds[:, 0], 2.0 * dq, residual)
             for i in np.flatnonzero(np.isnan(roots)):
-                roots[i] = _ternary_max_circle(sign * fs[js[owner[i]]], seeds[i] - dq[i], seeds[i] + dq[i])
+                roots[i] = _ternary_max_circle(sign * fs[js[owner[i]]], seeds[i, 0] - dq[i], seeds[i, 0] + dq[i])
             vals = sign * _series_at(rows, roots)
             roots = roots[:, None]
         else:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .config import (
     EQUALITY_TOL,
-    OPTIMIZER_GRID,
     OPTIMIZER_ITERS,
     ORDER_BOUNDARY_TOL,
     RESTART_SIGMA,
@@ -35,9 +34,16 @@ from .config import (
 )
 from .errors import EquivalenceViolation, MalformedPath, ViolationReport
 from .fourier import (
+    CIRCLE,
+    TWO_PI,
     DomainDescriptor,
     Extrema,
     FourierFunction,
+    _derivative_stack,
+    _newton_circle,
+    _newton_torus,
+    _series_at,
+    _torus_at,
     attaining_sets,
     extremum,
     grid_points,
@@ -359,43 +365,97 @@ def grid_quasi_autonomy_witness(
 
 
 def to_real_vector(f: FourierFunction) -> np.ndarray:
-    """Flatten to the real coefficient vector the optimizer works in."""
+    """Coefficients against products of the axis bases (cos 2 pi k q, then sin 2 pi k q, k = 0..D).
+
+    (a0, a_1..a_D, 0, b_1..b_D) on S1; on T2 the matrix [[cc, cs], [sc, ss]]
+    with the mean at cc[0, 0], flattened.  The sin 0 slots multiply zero.
+    """
     if f.domain.kind == "S1":
         a0, a, b = f.circle_cos_sin()
-        return np.concatenate(([a0], a, b))
+        return np.concatenate(([a0], a, [0.0], b))
     a0, cc, cs, sc, ss = f.torus_blocks()
-    return np.concatenate(([a0], cc.ravel(), cs.ravel(), sc.ravel(), ss.ravel()))
+    cc[0, 0] = a0
+    return np.block([[cc, cs], [sc, ss]]).ravel()
 
 
 def from_real_vector(domain: DomainDescriptor, vec: np.ndarray, degree: int) -> FourierFunction:
-    vec = np.asarray(vec, dtype=float)
-    if domain.kind == "S1":
-        return FourierFunction.from_circle_coeffs(
-            vec[0], vec[1 : degree + 1], vec[degree + 1 : 2 * degree + 1]
-        )
     n = degree + 1
-    blocks = vec[1:].reshape(4, n, n)
-    return FourierFunction.from_torus_coeffs(vec[0], blocks[0], blocks[1], blocks[2], blocks[3])
-
-
-def _real_basis(domain: DomainDescriptor, degree: int, n: int) -> np.ndarray:
-    """B with B[i] the basis-function values at grid point i."""
     if domain.kind == "S1":
-        ang = 2.0 * np.pi * (np.arange(n) / n)[:, None] * np.arange(1, degree + 1)[None, :]
-        return np.hstack([np.ones((n, 1)), np.cos(ang), np.sin(ang)])
-    g = grid_points(n)
-    q1, q2 = np.meshgrid(g, g, indexing="ij")
-    pts = np.stack([q1.ravel(), q2.ravel()], axis=1)
+        return FourierFunction.from_circle_coeffs(vec[0], vec[1:n], vec[n + 1 :])
+    return FourierFunction.from_torus_coeffs(0.0, *np.reshape(vec, (2, n, 2, n)).swapaxes(1, 2).reshape(4, n, n))
+
+
+def _real_basis(domain: DomainDescriptor, degree: int, pts: np.ndarray) -> np.ndarray:
+    """B with B[i] the basis-function values (to_real_vector order) at pts[i], shape (m, dim)."""
+    ang = pts[:, :, None] * (TWO_PI * np.arange(degree + 1))
+    axes = np.concatenate([np.cos(ang), np.sin(ang)], axis=2)  # (m, ndim, 2(D+1))
+    if domain.kind == "S1":
+        return axes[:, 0]
+    return (axes[:, 0, :, None] * axes[:, 1, None, :]).reshape(len(pts), -1)
+
+
+def _torus_coeffs(seg: np.ndarray, degree: int) -> np.ndarray:
+    """Complex coefficients (m, 2D+1, 2D+1) of the torus functions with real vectors seg (m, dim).
+
+    P M P^T, with P taking each axis's (cos 2 pi k q, sin 2 pi k q) to e^{+-2 pi i k q}.
+    """
     k = np.arange(degree + 1)
-    c1 = np.cos(2 * np.pi * pts[:, :1] * k)
-    s1 = np.sin(2 * np.pi * pts[:, :1] * k)
-    c2 = np.cos(2 * np.pi * pts[:, 1:] * k)
-    s2 = np.sin(2 * np.pi * pts[:, 1:] * k)
-    def outer(u, v):
-        return (u[:, :, None] * v[:, None, :]).reshape(len(pts), -1)
-    cc = outer(c1, c2)
-    cc[:, 0] = 0.0  # the constant slot lives in the leading column
-    return np.hstack([np.ones((len(pts), 1)), cc, outer(c1, s2), outer(s1, c2), outer(s1, s2)])
+    p = np.zeros((2 * degree + 1, 2 * degree + 2), dtype=complex)
+    p[degree + k, k] += 0.5
+    p[degree - k, k] += 0.5
+    p[degree + k, degree + 1 + k] -= 0.5j
+    p[degree - k, degree + 1 + k] += 0.5j
+    return p @ seg.reshape(len(seg), 2 * degree + 2, -1) @ p.T
+
+
+def _subgradient_grid(domain: DomainDescriptor, degree: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Points (N, ndim), spacing and per-axis basis (n, 2(D+1)) of the coarse scan of _segment_sups.
+
+    16 points per top-frequency period on S1, 8 per period and axis on T2.
+    """
+    n = (16 if domain.kind == "S1" else 8) * max(degree, 1)
+    axis = grid_points(n)[:, None]
+    pts = np.stack(np.meshgrid(*[axis[:, 0]] * domain.ndim, indexing="ij"), axis=-1).reshape(-1, domain.ndim)
+    return pts, 1.0 / n, _real_basis(CIRCLE, degree, axis)
+
+
+def _segment_sups(
+    seg: np.ndarray, domain: DomainDescriptor, degree: int, grid: tuple[np.ndarray, float, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """max |v| of each function with real vector v = seg[i], and the signed basis row where it is attained.
+
+    The coarse scan (_subgradient_grid) is B v on S1 and B V B^T on T2, with
+    V the coefficient matrix of v; each argmax of |v| is finished by the
+    Newton kernel of the extremum search, and stays where Newton fails or
+    lowers |v|.  Every row gets its own products of the same shape and the
+    Newton kernels work seed by seed, so a row's result does not depend on
+    the other rows.
+    """
+    pts, dq, basis = grid
+    coef = seg.reshape(len(seg), len(basis.T), -1)  # (m, 2(D+1), 1) on S1, (m, 2(D+1), 2(D+1)) on T2
+    v = (basis @ coef if domain.kind == "S1" else basis @ coef @ basis.T).reshape(len(seg), -1)
+    m = np.arange(len(seg))
+    idx = np.argmax(np.abs(v), axis=1)
+    top = v[m, idx]
+    q0 = pts[idx]
+    # a slope residual r leaves |v| short by about r^2 / 2|v''|, so 1e-8 of the
+    # Bernstein bound |grad v| <= 2 pi D max|v| reaches the value to rounding
+    residual = 1e-8 * np.maximum(1.0, TWO_PI * degree * np.abs(top))
+    if domain.kind == "S1":
+        rows = seg.reshape(len(seg), 2, degree + 1)
+        # Newton starts at the vertex of the parabola through the argmax and its two neighbours
+        lo, hi = v[m, idx - 1], v[m, (idx + 1) % len(pts)]
+        bend = lo - 2.0 * top + hi
+        start = q0[:, 0] + 0.5 * dq * (lo - hi) / np.where(bend == 0.0, np.inf, bend)
+        q = _newton_circle(rows, start, dq, residual)[:, None]
+        val = _series_at(rows, q[:, 0])
+    else:
+        stack = _derivative_stack(_torus_coeffs(seg, degree))
+        q = _newton_torus(stack, q0, residual)
+        val = _torus_at(stack[:, :1], q)[:, 0]
+    stay = ~(np.abs(val) >= np.abs(top))  # NaN where Newton failed
+    q[stay], val[stay] = q0[stay], top[stay]
+    return np.abs(val), np.sign(val)[:, None] * _real_basis(domain, degree, q)
 
 
 @dataclass(frozen=True)
@@ -410,38 +470,19 @@ class OptimizeResult:
         return self.length - self.certified_lower
 
 
-def _run_restart(
-    x0: np.ndarray,
-    basis: np.ndarray,
-    interior: slice,
-    rng: np.random.Generator,
-    sigma: float,
-) -> np.ndarray:
-    """One subgradient-descent restart; returns best iterate found."""
-    x = np.array(x0)
-    if sigma > 0.0:
-        x[interior] += sigma * rng.standard_normal(x[interior].shape)
-
-    def objective_and_argmax(xc):
-        v = np.diff(xc, axis=0) @ basis.T  # (segments, n_points)
-        idx = np.argmax(np.abs(v), axis=1)
-        vals = v[np.arange(len(idx)), idx]
-        return float(np.sum(np.abs(vals))), idx, np.sign(vals)
-
-    best_val, _, _ = objective_and_argmax(x)
-    best_x = np.array(x)
-    for it in range(OPTIMIZER_ITERS):
-        val, idx, signs = objective_and_argmax(x)
-        if val < best_val:
-            best_val, best_x = val, np.array(x)
-        rows = basis[idx] * signs[:, None]  # (segments, dim)
-        grad = np.zeros_like(x)
-        grad[1:] += rows
-        grad[:-1] -= rows
-        x[interior] -= (RESTART_STEP0 / np.sqrt(it + 1.0)) * grad[interior]
-    val, _, _ = objective_and_argmax(x)
-    if val < best_val:
-        best_x = x
+def _run_restart(x: np.ndarray, domain: DomainDescriptor, degree: int) -> np.ndarray:
+    """The best iterate of subgradient descent from each start x[r] (knots, dim), all in lockstep."""
+    grid = _subgradient_grid(domain, degree)
+    x, best_x = np.array(x), np.array(x)
+    r, k, dim = x.shape
+    best_val = np.full(r, np.inf)
+    for it in range(OPTIMIZER_ITERS + 1):
+        sups, rows = _segment_sups(np.diff(x, axis=1).reshape(-1, dim), domain, degree, grid)
+        val = np.sum(sups.reshape(r, k - 1), axis=1)
+        better = val < best_val
+        best_val[better], best_x[better] = val[better], x[better]
+        if it < OPTIMIZER_ITERS:  # interior knot i moves against rows[i - 1] - rows[i]
+            x[:, 1:-1] += (RESTART_STEP0 / np.sqrt(it + 1.0)) * np.diff(rows.reshape(r, k - 1, dim), axis=1)
     return best_x
 
 
@@ -454,12 +495,13 @@ def optimize_path(
 ) -> OptimizeResult:
     """Minimize the sup-norm length over interior knot coefficient vectors.
 
-    Multi-start subgradient descent with the subgradient taken at a point
-    attaining each segment's sup norm.  The first start is the straight
-    path itself (zero perturbation) so the flat upper bound is always in
-    the candidate set; the remaining starts are Gaussian perturbations.
-    Every candidate is re-measured with the exact extremum machinery, and
-    the result is certified against the endpoint distance lower bound.
+    Multi-start subgradient descent, all restarts in lockstep, with the
+    subgradient taken at a point attaining each segment's sup norm.  The
+    straight path is always a candidate and restart 0 starts from it;
+    restart r > 0 starts from it perturbed by its own Gaussian draw from
+    default_rng([seed, r]).  Every candidate is re-measured with the exact
+    extremum machinery, and the result is certified against the endpoint
+    distance lower bound.
     """
     if knots < 2:
         raise MalformedPath("optimize_path needs at least two knots")
@@ -467,44 +509,23 @@ def optimize_path(
         raise MalformedPath("endpoint domains disagree")
     domain = f0.domain
     degree = max(f0.degree, f1.degree)
-    basis = _real_basis(domain, degree, OPTIMIZER_GRID[domain.kind])
-
-    v0 = to_real_vector(f0.pad_to_degree(degree))
-    v1 = to_real_vector(f1.pad_to_degree(degree))
-    straight = np.array(
-        [v0 + (i / (knots - 1)) * (v1 - v0) for i in range(knots)]
-    )
-    interior = slice(1, knots - 1)
-
-    def exact_length(xmat: np.ndarray) -> tuple[float, IsotopyPath]:
-        fns = [from_real_vector(domain, row, degree) for row in xmat]
-        p = IsotopyPath.uniform(fns)
-        return sch_length(p), p
+    v0, v1 = (to_real_vector(f.pad_to_degree(degree)) for f in (f0, f1))
+    straight = np.array([v0 + (i / (knots - 1)) * (v1 - v0) for i in range(knots)])
 
     candidates = [straight]
-    if knots > 2:
-        for r in range(restarts):
+    if knots > 2 and restarts > 0:
+        starts = np.repeat(straight[None], restarts, axis=0)
+        for r in range(1, restarts):
             rng = np.random.default_rng([seed, r])
-            sigma = 0.0 if r == 0 else RESTART_SIGMA
-            candidates.append(_run_restart(straight, basis, interior, rng, sigma))
+            starts[r, 1:-1] += RESTART_SIGMA * rng.standard_normal(straight[1:-1].shape)
+        candidates += list(_run_restart(starts, domain, degree))
 
+    paths = [IsotopyPath.uniform([from_real_vector(domain, row, degree) for row in c]) for c in candidates]
+    lengths = [sch_length(p) for p in paths]  # every candidate re-measured exactly
+    best_len, best_path = min(zip(lengths, paths), key=lambda lp: lp[0])
     lower = sup_norm(f1 - f0)
-    best_len, best_path = exact_length(candidates[0])
-    lengths = [best_len]
-    for cand in candidates[1:]:
-        length, p = exact_length(cand)
-        lengths.append(length)
-        if length < best_len:
-            best_len, best_path = length, p
     if best_len < lower - 1e-9:
-        raise ViolationReport(
-            f"optimizer undercut the certified lower bound: {best_len} < {lower}"
-        )
+        raise ViolationReport(f"optimizer undercut the certified lower bound: {best_len} < {lower}")
     if best_len >= lengths[0] - 1e-12:
         log.info("optimizer found no path shorter than the straight one (length %.6g)", best_len)
-    return OptimizeResult(
-        path=best_path,
-        length=best_len,
-        certified_lower=lower,
-        restart_lengths=tuple(lengths[1:]),
-    )
+    return OptimizeResult(best_path, best_len, lower, restart_lengths=tuple(lengths[1:]))

@@ -201,6 +201,18 @@ def test_cmd_geodesic_check_near_geodesic(capsys, specs, eps, tol):
     assert out["minimizing"] and out["qa_witness"] is not None
 
 
+def test_cmd_geodesic_tied_maxima(capsys, specs):
+    # f has two equal maxima near 0.007118 and 0.992882, and h peaks at the
+    # second one, so 0 -> f -> f + h is quasi-autonomous through it
+    f = fn(0.5, [0.999, -0.25])
+    path = IsotopyPath.uniform([fn(0.0), f, f + fn(0.1, [0.0999], [-0.00447])])
+    spec = _write(specs["tmp"], "tied.json", dump_path(path))
+    code, out = run_json(capsys, ["geodesic", spec])
+    assert code == 0 and out["cross_check_mismatch"] is False
+    assert out["minimizing"] and out["qa_witness"]["base_point"] == pytest.approx([0.992882], abs=1e-6)
+    assert out["segmentation"]["windows"] == [[0, 2]]
+
+
 def test_cmd_geodesic_optimize(capsys, specs):
     code, out = run_json(
         capsys,

@@ -421,6 +421,18 @@ def test_attaining_sets_do_not_depend_on_the_batch():
     assert twins == pytest.approx([0.0, 0.5], abs=1e-9)
 
 
+def test_tied_circle_maxima_each_get_a_point():
+    # two equal maxima at +-arccos(0.999) / 2 pi ~ +-0.007118; the dip between
+    # them (5e-7) lies far above tol but inside the margin of the scan
+    f = fn(0.5, [0.999, -0.25])
+    r = attaining_set(f, 1e-9)
+    top = dense_max(0.5, [0.999, -0.25], [])
+    q = np.arccos(0.999) / (2 * np.pi)
+    assert r.vmax == pytest.approx(top, abs=1e-12)
+    assert r.max_points[:, 0] == pytest.approx([q, 1.0 - q], abs=1e-9)
+    assert f(r.max_points[:, 0]) == pytest.approx([top, top], abs=1e-12)
+
+
 def test_torus_stacks_are_the_derivative_coefficients():
     # the Newton stacks hold the coefficients of f, its gradient and its
     # Hessian, zero-padded to the batch's top degree

@@ -27,7 +27,7 @@ from jetflat.sampling import (
 from jetflat.selectors import sch_length
 
 from conftest import fn
-from oracles import grid_path_gap
+from oracles import dense_max, eval_direct, grid_path_gap
 
 
 def bump(shift, amp=0.2):
@@ -505,6 +505,87 @@ def test_optimize_reproducible():
     a = optimize_path(f0, f1, knots=5, restarts=4, seed=3)
     b = optimize_path(f0, f1, knots=5, restarts=4, seed=3)
     assert a.length == b.length
+
+
+def test_restarts_do_not_depend_on_how_many_run():
+    rng = np.random.default_rng(606)
+    f0 = random_function(rng, degree=8, amplitude=0.3)
+    f1 = random_function(rng, degree=8, amplitude=0.3)
+    many = optimize_path(f0, f1, knots=6, restarts=16, seed=617)
+    few = optimize_path(f0, f1, knots=6, restarts=3, seed=617)
+    assert many.restart_lengths[:3] == few.restart_lengths
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_optimize_torus(degree):
+    rng = np.random.default_rng(40 + degree)
+    f0, f1 = random_function(rng, TORUS2, degree), random_function(rng, TORUS2, degree)
+    a = optimize_path(f0, f1, knots=4, restarts=4, seed=9)
+    assert -1e-9 <= a.gap <= 1e-4
+    assert a.certified_lower == sup_norm(f1 - f0)
+    b = optimize_path(f0, f1, knots=4, restarts=4, seed=9)
+    assert (a.length, a.restart_lengths) == (b.length, b.restart_lengths)
+
+
+@pytest.mark.parametrize("domain", [CIRCLE, TORUS2])
+def test_real_vectors_round_trip(domain):
+    # the optimizer's real vectors, their basis rows and, on T2, the complex
+    # coefficients its Newton kernel reads all describe the same function
+    rng = np.random.default_rng(23)
+    for degree in (1, 3):
+        f = random_function(rng, domain, degree)
+        vec = geodesics.to_real_vector(f)
+        assert geodesics.from_real_vector(domain, vec, degree).coeffs == pytest.approx(f.coeffs, abs=1e-15)
+        pts = rng.uniform(0.0, 1.0, (7, domain.ndim))
+        vals = f(pts) if domain.kind == "T2" else f(pts[:, 0])
+        assert geodesics._real_basis(domain, degree, pts) @ vec == pytest.approx(vals, abs=1e-14)
+        if domain.kind == "T2":
+            assert geodesics._torus_coeffs(vec[None], degree)[0] == pytest.approx(f.coeffs, abs=1e-15)
+
+
+def _peak_lead(a0, cos, sin, n=4096):
+    """Sign of f at |f|'s top peak, the lead of that peak over the next, and max|f''|, on n points."""
+    xs = np.arange(n) / n
+    vals = eval_direct(a0, cos, sin, xs)
+    w = (2 * np.pi * np.arange(1, len(cos) + 1)) ** 2
+    curv = np.max(np.abs(eval_direct(0.0, -w * cos, -w * sin, xs)))
+    mag = np.abs(vals)
+    peaks = np.sort(mag[(mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))])
+    return np.sign(vals[np.argmax(mag)]), peaks[-1] - peaks[-2], curv
+
+
+def test_segment_sups_reach_the_maximum():
+    rng = np.random.default_rng(17)
+    # degree 1 in closed form: max |a0 + a cos + b sin| = |a0| + sqrt(a^2 + b^2)
+    a0, a, b = rng.uniform(-1.0, 1.0, (3, 40))
+    seg = np.array([geodesics.to_real_vector(fn(*c)) for c in zip(a0, a[:, None], b[:, None])])
+    sups, rows = geodesics._segment_sups(seg, CIRCLE, 1, geodesics._subgradient_grid(CIRCLE, 1))
+    assert sups == pytest.approx(np.abs(a0) + np.hypot(a, b), abs=1e-12)
+    assert np.sum(rows * seg, axis=1) == pytest.approx(sups, abs=1e-15)
+    # separable degree 1 on T2, a0 + (a cos + b sin)(2 pi q1) + (c cos + d sin)(2 pi q2):
+    # the axes add up
+    a0, a, b, c, d = rng.uniform(-1.0, 1.0, (5, 20))
+    tor = [
+        FourierFunction.from_torus_coeffs(p0, [[0, pc], [pa, 0]], cs=[[0, pd], [0, 0]], sc=[[0, 0], [pb, 0]])
+        for p0, pa, pb, pc, pd in zip(a0, a, b, c, d)
+    ]
+    seg = np.array([geodesics.to_real_vector(f) for f in tor])
+    sups, _ = geodesics._segment_sups(seg, TORUS2, 1, geodesics._subgradient_grid(TORUS2, 1))
+    assert sups == pytest.approx(np.abs(a0) + np.hypot(a, b) + np.hypot(c, d), abs=1e-12)
+    # degree 8 against the dense oracle, wherever |v|'s top peak leads the
+    # next by more than the Taylor margin of the 128-point grid
+    grid = geodesics._subgradient_grid(CIRCLE, 8)
+    checked = 0
+    for _ in range(12):
+        f = random_function(rng, degree=8) - random_function(rng, degree=8)
+        a0, cos, sin = f.circle_cos_sin()
+        sign, lead, curv = _peak_lead(a0, cos, sin)
+        if lead <= 0.5 * curv / 128**2:
+            continue
+        (s,), _ = geodesics._segment_sups(geodesics.to_real_vector(f)[None], CIRCLE, 8, grid)
+        assert s == pytest.approx(dense_max(sign * a0, sign * cos, sign * sin), abs=1e-12)
+        checked += 1
+    assert checked >= 10
 
 
 def test_reversal_doubling_and_sch():
