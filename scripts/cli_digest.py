@@ -61,6 +61,8 @@ def _runs(seed: int, out: Path) -> list[tuple[str, list[str]]]:
         "contact-path",
         {"times": [0.0, 0.5, 1.0], "knots": [serialization.dump_contactomorphism(m) for m in maps]},
     )
+    # drawn last, so that every earlier spec keeps its bytes
+    torus_path = write("torus-path", serialization.dump_path(sampling.random_path(rng, 4, TORUS2, 3)))
 
     runs = []
     for domain, (f, g) in pairs.items():
@@ -80,6 +82,8 @@ def _runs(seed: int, out: Path) -> list[tuple[str, list[str]]]:
         ("contact-translated", ["contact", "translated", phi_spec]),
         ("contact-qa", ["contact", "qa", contact_path]),
         ("contact-upper", ["contact", "upper", phi_spec, *short]),
+        ("geodesic-t2", ["geodesic", torus_path]),
+        ("geodesic-optimize-t2", ["geodesic", torus_path, "--mode", "optimize", *short]),
     ]
     return runs
 

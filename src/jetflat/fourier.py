@@ -4,6 +4,8 @@ A function is stored as complex Fourier coefficients ``c[k]`` (circle) or
 ``c[k1, k2]`` (torus) with indices running over ``-D..D`` and the Hermitian
 symmetry ``c[-k] = conj(c[k])``, so every represented function is real,
 exactly 1-periodic in each coordinate, and differentiable term by term.
+The kernels (scan, Newton, evaluation at points) read one real layout
+instead, the cos/sin coefficients of ``FourierFunction.real_coeffs``.
 The truncation degree bounds the oscillation, which is what makes
 scan-plus-Newton extraction of extrema and critical values reliable.
 
@@ -165,31 +167,50 @@ class FourierFunction:
         ctr = (self.degree,) * self.domain.ndim
         return float(self.coeffs[ctr].real)
 
+    def real_coeffs(self) -> np.ndarray:
+        """Coefficients against the real axis basis (cos 2 pi k q, sin 2 pi k q), k = 0..D.
+
+        Shape (2, D+1) on S1: (a0, a_1..a_D) over (0, b_1..b_D).  Shape
+        (2, D+1, 2, D+1) on T2: entry [i, k1, j, k2] multiplies basis i of
+        the first axis at k1 times basis j of the second at k2, so the
+        blocks [0, :, 0], [0, :, 1], [1, :, 0], [1, :, 1] are cc, cs, sc,
+        ss with the mean at [0, 0, 0, 0].  The sin 0 slots hold zeros.
+        """
+        d, c = self.degree, self.coeffs
+        if self.domain.kind == "S1":
+            r = np.zeros((2, d + 1))
+            r[0, 0] = c[d].real
+            r[0, 1:] = 2.0 * c[d + 1 :].real
+            r[1, 1:] = -2.0 * c[d + 1 :].imag
+            return r
+        p = c[d:, d:]  # (k1, k2) for k1, k2 >= 0
+        q = c[d:, d::-1]  # (k1, -k2)
+        u, v = p + q, q - p
+        r = np.empty((2, d + 1, 2, d + 1))
+        np.multiply(u.real, 2.0, out=r[0, :, 0])  # cc
+        np.multiply(v.imag, 2.0, out=r[0, :, 1])  # cs
+        np.multiply(u.imag, -2.0, out=r[1, :, 0])  # sc
+        np.multiply(v.real, 2.0, out=r[1, :, 1])  # ss
+        # on an axis p and q are one entry (k2 = 0) or conjugates (k1 = 0),
+        # so u and v count it twice; halving is exact
+        r[:, 0] *= 0.5
+        r[..., 0] *= 0.5
+        r[1, 0] = 0.0  # sin 0 of the first axis
+        return r
+
     def circle_cos_sin(self) -> tuple[float, np.ndarray, np.ndarray]:
         """Real (a0, cos, sin) coefficient view; circle functions only."""
         if self.domain.kind != "S1":
             raise DimensionMismatch("circle_cos_sin on a torus function")
-        d = self.degree
-        pos = self.coeffs[d + 1 :]
-        return self.mean_value, 2.0 * pos.real, -2.0 * pos.imag
+        r = self.real_coeffs()
+        return float(r[0, 0]), r[0, 1:], r[1, 1:]
 
     def torus_blocks(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Real (a0, cc, cs, sc, ss) blocks of shape (D+1, D+1)."""
+        """Real (a0, cc, cs, sc, ss) blocks of shape (D+1, D+1), with the mean in a0 only."""
         if self.domain.kind != "T2":
             raise DimensionMismatch("torus_blocks on a circle function")
-        d = self.degree
-        c = self.coeffs
-        cc, cs, sc, ss = np.zeros((4, d + 1, d + 1))
-        cc[0, 1:] = 2.0 * c[d, d + 1 :].real
-        cs[0, 1:] = -2.0 * c[d, d + 1 :].imag
-        cc[1:, 0] = 2.0 * c[d + 1 :, d].real
-        sc[1:, 0] = -2.0 * c[d + 1 :, d].imag
-        p = c[d + 1 :, d + 1 :]  # (k1, k2)
-        q = c[d + 1 :, :d][:, ::-1]  # (k1, -k2)
-        cc[1:, 1:] = 2.0 * (p.real + q.real)
-        ss[1:, 1:] = 2.0 * (q.real - p.real)
-        cs[1:, 1:] = 2.0 * (q.imag - p.imag)
-        sc[1:, 1:] = -2.0 * (p.imag + q.imag)
+        cc, cs, sc, ss = self.real_coeffs().swapaxes(1, 2).reshape(4, self.degree + 1, -1)
+        cc[0, 0] = 0.0
         return self.mean_value, cc, cs, sc, ss
 
     def pad_to_degree(self, d: int) -> "FourierFunction":
@@ -280,15 +301,6 @@ class FourierFunction:
             return FourierFunction(self.domain, self.coeffs * factor[:, None])
         return FourierFunction(self.domain, self.coeffs * factor[None, :])
 
-    def gradient(self) -> tuple["FourierFunction", ...]:
-        return tuple(self.derivative(axis) for axis in range(self.domain.ndim))
-
-    def hessian(self) -> tuple["FourierFunction", ...]:
-        """Second partials f_ij with i <= j: (f'',) on S1, (f_11, f_12, f_22) on T2."""
-        grad = self.gradient()
-        nd = self.domain.ndim
-        return tuple(grad[i].derivative(j) for i in range(nd) for j in range(i, nd))
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
@@ -301,9 +313,9 @@ class FourierFunction:
             return float(vals[0]) if scalar else vals
         pts = np.asarray(x, dtype=float)
         if pts.shape == (2,):
-            return float(_torus_at(self.coeffs[None], pts[None, :])[0, 0])
+            return float(_torus_at(self.real_coeffs()[None], pts[None, :])[0, 0])
         if pts.ndim == 2 and pts.shape[1] == 2:
-            return _torus_at(self.coeffs[None], pts)[:, 0]
+            return _torus_at(self.real_coeffs()[None], pts)[:, 0]
         raise DimensionMismatch("torus points must have shape (2,) or (m, 2)")
 
     def _eval_circle(self, x: np.ndarray) -> np.ndarray:
@@ -314,73 +326,91 @@ class FourierFunction:
         ang = TWO_PI * np.mod(x, 1.0)[:, None] * np.arange(1, d + 1)[None, :]
         return a0 + np.cos(ang) @ a + np.sin(ang) @ b
 
-    def values_on_grid(self, n: int, derivatives: bool = False) -> np.ndarray:
-        """Values at the uniform grid (i/n) — (n,) on S1, (n, n) on T2.
+    def values_on_grid(self, n: int) -> np.ndarray:
+        """Value, gradient and Hessian grids at the uniform grid (i/n), stacked on a new leading axis.
 
-        With derivatives the result stacks the first and second derivative
-        grids behind the values along a new leading axis: f, f', f'' on S1
-        and f, f_1, f_2, f_11, f_12, f_22 on T2.  All of them come from one
-        product of the coefficient stack c (2 pi i k)^j against one cached
-        phase table.
+        f, f', f'' on S1, shape (3, n); f, f_1, f_2, f_11, f_12, f_22 on T2,
+        shape (6, n, n).  Each grid is one coefficient array of the real
+        derivative stack against one cached basis table B: B v on S1 and
+        B V B^T on T2.
         """
-        c = self.coeffs
-        d = self.degree
-        e = _phase_table(n, d)
-        # Only real parts are wanted, so the last product reads complex arrays
-        # as interleaved (re, im) reals: a complex product of these shapes
-        # runs multithreaded in OpenBLAS, which doubles the CPU time of a scan
-        # (S1) or materializes a complex (n, n) stack (T2).
+        b = _grid_basis(n, self.degree)
+        stack = _derivative_stack(self.real_coeffs()[None])[0]
         if self.domain.kind == "S1":
-            # Hermitian symmetry: f = Re(c_0 + 2 sum_{k>0} c_k e^{2 pi i k q})
-            pos = c[d:] * np.where(np.arange(d + 1) > 0, 2.0, 1.0)
-            w = TWO_PI * 1j * np.arange(d + 1)
-            stack = np.stack([pos, pos * w, pos * w * w] if derivatives else [pos])
-            rows = np.stack([stack.real, -stack.imag], axis=-1).reshape(len(stack), -1)
-            grids = rows @ e[:, d:].view(float).T
-        else:
-            left = e @ (_torus_stacks([self])[0] if derivatives else c[None])
-            grids = left.view(float) @ np.conj(e).view(float).T
-        return grids if derivatives else grids[0]
+            return stack.reshape(3, -1) @ b.T
+        # B V for all six V, then one (6n, 2(D+1)) @ B^T product: half the time of six
+        return ((b @ stack.reshape(6, b.shape[1], -1)).reshape(-1, b.shape[1]) @ b.T).reshape(6, n, n)
+
+
+def _basis(degree: int, x: np.ndarray) -> np.ndarray:
+    """The real axis basis (cos 2 pi k x, sin 2 pi k x), k = 0..D, at every x: shape x.shape + (2, D+1)."""
+    ang = x[..., None] * (TWO_PI * np.arange(degree + 1))
+    b = np.empty(x.shape + (2, degree + 1))
+    np.cos(ang, out=b[..., 0, :])
+    np.sin(ang, out=b[..., 1, :])
+    return b
 
 
 @lru_cache(maxsize=64)
-def _phase_table(n: int, degree: int) -> np.ndarray:
-    """exp(2 pi i k j / n) for grid index j and k = -D..D, shape (n, 2D+1)."""
-    k = np.arange(-degree, degree + 1)
-    e = np.exp(TWO_PI * 1j * (np.arange(n) / n)[:, None] * k[None, :])
-    e.flags.writeable = False
-    return e
+def _grid_basis(n: int, degree: int) -> np.ndarray:
+    """The axis basis at the grid points i/n, flattened to rows of the real_coeffs layout: shape (n, 2(D+1))."""
+    b = _basis(degree, grid_points(n)).reshape(n, -1)
+    b.flags.writeable = False
+    return b
 
 
-def _torus_stacks(fs: Sequence[FourierFunction]) -> np.ndarray:
-    """Coefficients of f, f_1, f_2, f_11, f_12, f_22 for each torus f, shape (m, 6, 2D+1, 2D+1).
+def _derivative_stack(r: np.ndarray) -> np.ndarray:
+    """Real coefficients of f, f', f'' (S1) or f, f_1, f_2, f_11, f_12, f_22 (T2) for each f in r.
 
-    D is the top degree of fs; a function of lower degree is zero-padded.
+    r holds real_coeffs arrays, (m, 2, K) on S1 or (m, 2, K, 2, K) on T2;
+    the result has the new axis after m.  d/dq takes the (cos, sin) pair
+    of frequency k to 2 pi k (sin, -cos), so coefficients (a, b) go to
+    2 pi k (b, -a), the pair reversed times (w, -w), and d^2/dq^2
+    multiplies them by -(2 pi k)^2.
     """
+    w = TWO_PI * np.arange(r.shape[-1])
+    turn = np.array([w, -w])  # d/dq along the last axis, on the reversed pair
+    bend = -(w * w)  # d^2/dq^2 along the last axis
+    out = np.empty((len(r), 3 if r.ndim == 3 else 6) + r.shape[1:])
+    out[:, 0] = r
+    if r.ndim == 3:
+        np.multiply(r[:, ::-1], turn, out=out[:, 1])
+        np.multiply(r, bend, out=out[:, 2])
+        return out
+    np.multiply(r[:, ::-1], turn[:, :, None, None], out=out[:, 1])
+    np.multiply(r[..., ::-1, :], turn, out=out[:, 2])
+    np.multiply(r, bend[:, None, None], out=out[:, 3])
+    np.multiply(out[:, 1, ..., ::-1, :], turn, out=out[:, 4])  # f_12 = d_2 f_1
+    np.multiply(r, bend, out=out[:, 5])
+    return out
+
+
+def _stacks(fs: Sequence[FourierFunction]) -> np.ndarray:
+    """Derivative stacks of functions of one domain, zero-padded to their top degree D.
+
+    Shape (m, 3, 2, D+1) on S1 and (m, 6, 2, D+1, 2, D+1) on T2.
+    """
+    ndim = fs[0].domain.ndim
     d = max(f.degree for f in fs)
-    return _derivative_stack(np.stack([f.pad_to_degree(d).coeffs for f in fs]))
-
-
-def _derivative_stack(c: np.ndarray) -> np.ndarray:
-    """Coefficients of f, f_1, f_2, f_11, f_12, f_22 from those of f, (m, 2D+1, 2D+1) -> (m, 6, 2D+1, 2D+1)."""
-    d = c.shape[-1] // 2
-    w = TWO_PI * 1j * np.arange(-d, d + 1)
-    w1, w2 = w[:, None], w[None, :]
-    return np.stack([c, c * w1, c * w2, c * w1 * w1, c * w1 * w2, c * w2 * w2], axis=1)
+    r = np.zeros((len(fs),) + (2, d + 1) * ndim)
+    for row, f in zip(r, fs):
+        row[(slice(None), slice(f.degree + 1)) * ndim] = f.real_coeffs()
+    return _derivative_stack(r)
 
 
 def _torus_at(stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Real parts of the torus series stack[..., s, :, :] at each point of pts (m, 2), shape (m, s).
+    """The torus series stack[..., s, :, :, :, :] at each point of pts (m, 2), shape (m, s).
 
-    stack holds one coefficient stack per point, (m, s, 2D+1, 2D+1), or one
-    for all points, (s, 2D+1, 2D+1).  The unoptimized einsum adds the terms
-    one at a time in index order, so zero padding adds exact zeros and a
-    padded stack gives the same bits.
+    stack holds real_coeffs arrays, one stack per point, (m, s, 2, K, 2,
+    K), or one for all points, (s, 2, K, 2, K).  The unoptimized einsum
+    adds the terms one at a time in index order, so zero padding adds
+    exact zeros and a padded stack gives the same bits.
     """
-    d = stack.shape[-1] // 2
-    e = np.exp(TWO_PI * 1j * np.mod(pts, 1.0)[:, :, None] * np.arange(-d, d + 1))
+    k = stack.shape[-1]
+    b = _basis(k - 1, np.mod(pts, 1.0)).reshape(len(pts), 2, 2 * k)
+    stack = stack.reshape(stack.shape[:-4] + (2 * k, 2 * k))
     stack = np.broadcast_to(stack, (len(pts),) + stack.shape[-3:])
-    return np.einsum("mi,msij,mj->ms", e[:, 0], stack, e[:, 1]).real
+    return np.einsum("mi,msij,mj->ms", b[:, 0], stack, b[:, 1])
 
 
 def grid_points(n: int) -> np.ndarray:
@@ -440,54 +470,37 @@ def _scan(f: FourierFunction) -> np.ndarray:
     """The stacked value, gradient and Hessian grids of f."""
     # never undersample relative to the degree
     n = max(DEFAULT_CIRCLE_SCAN, 8 * f.degree) if f.domain.kind == "S1" else DEFAULT_TORUS_SCAN
-    return f.values_on_grid(n, derivatives=True)
-
-
-def _cos_sin_rows(fs: Sequence[FourierFunction]) -> np.ndarray:
-    """Real coefficients of circle functions, shape (m, 2, D+1) for the top degree D.
-
-    Row j holds (a_k, b_k), k = 0..D, with f_j = sum_k a_k cos(2 pi k q) +
-    b_k sin(2 pi k q), and zeros beyond the degree of f_j.
-    """
-    rows = np.zeros((len(fs), 2, 1 + max((f.degree for f in fs), default=0)))
-    for row, f in zip(rows, fs):
-        a0, a, b = f.circle_cos_sin()
-        row[0, 0] = a0
-        row[0, 1 : len(a) + 1] = a
-        row[1, 1 : len(b) + 1] = b
-    return rows
+    return f.values_on_grid(n)
 
 
 def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k a_k cos(2 pi k x_i) + b_k sin(2 pi k x_i) with (a, b) = rows[i].
 
-    rows is (m, 2, K), or (m, s, 2, K) for s series at each point (result
-    (m, s)).  The terms are summed strictly in order of k, so a zero-padded
-    tail adds exact zeros and a row sums to the same bits whatever degree
-    its batch was padded to.
+    rows holds circle real_coeffs arrays, (m, 2, K), or (m, s, 2, K) for s
+    series at each point (result (m, s)).  The terms are summed strictly in
+    order of k, so a zero-padded tail adds exact zeros and a row sums to
+    the same bits whatever degree its batch was padded to.  It does not
+    read _basis: two contiguous cos and sin arrays are a tenth faster here.
     """
     ang = x.reshape((-1,) + (1,) * (rows.ndim - 2)) * (TWO_PI * np.arange(rows.shape[-1]))
     return np.cumsum(rows[..., 0, :] * np.cos(ang) + rows[..., 1, :] * np.sin(ang), axis=-1)[..., -1]
 
 
 def _newton_circle(
-    rows: np.ndarray,
+    stack: np.ndarray,
     seeds: np.ndarray,
     halfwidth,
     residual=NEWTON_RESIDUAL,
 ) -> np.ndarray:
     """Newton for f'(x) = 0 from every seed at once.
 
-    rows[i] holds the coefficients (_cos_sin_rows) of the function seed i
-    belongs to, so one run serves the seeds of many functions; f' and f''
-    are evaluated from coefficient rows.  Each seed stays confined to
-    |x - seed| <= halfwidth and converges at |f'| <= residual (scalars or
-    one value per seed); seeds that leave their window, meet f'' = 0 or do
-    not converge come back as NaN.
+    stack[i] holds the derivative stack (_derivative_stack) of the function
+    seed i belongs to, so one run serves the seeds of many functions.  Each
+    seed stays confined to |x - seed| <= halfwidth and converges at |f'| <=
+    residual (scalars or one value per seed); seeds that leave their
+    window, meet f'' = 0 or do not converge come back as NaN.
     """
-    k = TWO_PI * np.arange(rows.shape[-1])
-    # f' = sum 2 pi k (b_k cos - a_k sin), f'' = -sum (2 pi k)^2 (a_k cos + b_k sin)
-    d12 = np.stack([np.stack([k * rows[:, 1], -k * rows[:, 0]], axis=1), -(k * k) * rows], axis=1)
+    d12 = stack[:, 1:]
     x0 = np.asarray(seeds, dtype=float)
     width = np.zeros_like(x0) + halfwidth
     tol = np.zeros_like(x0) + residual
@@ -577,6 +590,11 @@ class _Peaks(NamedTuple):
     residual: float  # Newton residual, scaled by max|grad f|
 
 
+def _abs_max(a: np.ndarray) -> float:
+    """max |a| without an |a| temporary the size of a scan."""
+    return max(float(a.max()), -float(a.min()))
+
+
 def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Peaks]:
     """Per sign, the top of a stacked scan and the seeds within the margin of it.
 
@@ -589,10 +607,10 @@ def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> lis
     if hi - lo <= 1e-12:  # constant: attained everywhere
         return [_Peaks(n, hi if sign == 1 else -lo, None, 0.0) for sign in signs]
     dq = 1.0 / n
-    residual = NEWTON_RESIDUAL * max(1.0, float(np.max(np.abs(grids[1 : 1 + ndim]))))
+    residual = NEWTON_RESIDUAL * max(1.0, _abs_max(grids[1 : 1 + ndim]))
     # margin below which a grid point may still hide the global max: the
     # Taylor bound 0.5 max|f_ij| (ndim dq)^2 over a cell, plus the tolerance
-    margin = 10.0 * tol + 0.5 * ndim**2 * float(np.max(np.abs(grids[1 + ndim :]))) * dq * dq
+    margin = 10.0 * tol + 0.5 * ndim**2 * _abs_max(grids[1 + ndim :]) * dq * dq
     peaks = []
     for sign in signs:
         vals = sign * grids[0]
@@ -605,9 +623,9 @@ def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> lis
 def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
     """Newton for grad f = 0 from every seed at once.
 
-    stack[i] holds the derivative stack (_torus_stacks) of the function seed
-    i belongs to, so one run serves the seeds of many functions; each step
-    reads the gradient and Hessian from one pair of phase vectors.  Seeds
+    stack[i] holds the derivative stack (_derivative_stack) of the function
+    seed i belongs to, so one run serves the seeds of many functions; each
+    step reads the gradient and Hessian from one pair of axis bases.  Seeds
     converge at max |grad f| <= residual (a scalar or one value per seed);
     seeds that meet a singular Hessian, step further than 0.1 (the basin
     guard) or do not converge come back as NaN.
@@ -653,16 +671,15 @@ def _refine(
         owner = np.repeat(np.arange(len(js)), counts)
         seeds = np.concatenate([peaks[j].seeds for j in js])
         residual = np.repeat([peaks[j].residual for j in js], counts)
+        stack = _stacks([fs[j] for j in js])[owner]
         if kind == "S1":
             dq = np.repeat([1.0 / peaks[j].n for j in js], counts)
-            rows = _cos_sin_rows([fs[j] for j in js])[owner]
-            roots = _newton_circle(rows, seeds[:, 0], 2.0 * dq, residual)
+            roots = _newton_circle(stack, seeds[:, 0], 2.0 * dq, residual)
             for i in np.flatnonzero(np.isnan(roots)):
                 roots[i] = _ternary_max_circle(sign * fs[js[owner[i]]], seeds[i, 0] - dq[i], seeds[i, 0] + dq[i])
-            vals = sign * _series_at(rows, roots)
+            vals = sign * _series_at(stack[:, 0], roots)
             roots = roots[:, None]
         else:
-            stack = _torus_stacks([fs[j] for j in js])[owner]
             roots = _newton_torus(stack, seeds, residual)
             failed = np.isnan(roots[:, 0])
             roots[failed] = seeds[failed]
@@ -716,8 +733,7 @@ def extremum(
 
     Uniform scan plus Newton refinement on the derivative; ties are broken
     toward the lexicographically smallest coordinates.  grids, a stacked
-    scan of f from values_on_grid(n, derivatives=True), is read instead of
-    scanning again.
+    scan of f from values_on_grid, is read instead of scanning again.
     """
     sign = -1 if mode == "min" else 1
     peaks = _peaks(_scan(f) if grids is None else grids, VALUE_CLUSTER_TOL, (sign,))
@@ -756,8 +772,7 @@ def _critical_points_circle(f: FourierFunction, grids: np.ndarray, residual: flo
     tangential = xs[local_min & ~change & ~np.roll(change, 1)]
     seeds = np.concatenate([0.5 * (lo + (lo + dq)), tangential])
     widths = np.concatenate([np.full(len(lo), dq), np.full(len(tangential), 2.0 * dq)])
-    rows = _cos_sin_rows([f])[np.zeros(len(seeds), dtype=int)]
-    roots = _newton_circle(rows, seeds, widths, residual)
+    roots = _newton_circle(_stacks([f])[np.zeros(len(seeds), dtype=int)], seeds, widths, residual)
     bracketed = roots[: len(lo)]
     exact = dvals[change] == 0.0
     bracketed[exact] = lo[exact]
@@ -785,7 +800,7 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float) -> float:
 def _critical_points_torus(f: FourierFunction, grids: np.ndarray, residual: float) -> np.ndarray:
     gn = np.max(np.abs(grids[1:3]), axis=0)
     seeds = np.argwhere(_local_max_mask(-gn)) / grids.shape[-1]
-    roots = _newton_torus(_torus_stacks([f])[np.zeros(len(seeds), dtype=int)], seeds, residual)
+    roots = _newton_torus(_stacks([f])[np.zeros(len(seeds), dtype=int)], seeds, residual)
     return _dedupe_points(_canonical_mod1(roots[~np.isnan(roots[:, 0])]))
 
 

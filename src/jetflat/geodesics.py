@@ -34,12 +34,13 @@ from .config import (
 )
 from .errors import EquivalenceViolation, MalformedPath, ViolationReport
 from .fourier import (
-    CIRCLE,
     TWO_PI,
     DomainDescriptor,
     Extrema,
     FourierFunction,
+    _basis,
     _derivative_stack,
+    _grid_basis,
     _newton_circle,
     _newton_torus,
     _series_at,
@@ -365,17 +366,12 @@ def grid_quasi_autonomy_witness(
 
 
 def to_real_vector(f: FourierFunction) -> np.ndarray:
-    """Coefficients against products of the axis bases (cos 2 pi k q, then sin 2 pi k q, k = 0..D).
+    """Coefficients against products of the axis bases (cos 2 pi k q, then sin 2 pi k q, k = 0..D): real_coeffs, flattened.
 
     (a0, a_1..a_D, 0, b_1..b_D) on S1; on T2 the matrix [[cc, cs], [sc, ss]]
     with the mean at cc[0, 0], flattened.  The sin 0 slots multiply zero.
     """
-    if f.domain.kind == "S1":
-        a0, a, b = f.circle_cos_sin()
-        return np.concatenate(([a0], a, [0.0], b))
-    a0, cc, cs, sc, ss = f.torus_blocks()
-    cc[0, 0] = a0
-    return np.block([[cc, cs], [sc, ss]]).ravel()
+    return f.real_coeffs().ravel()
 
 
 def from_real_vector(domain: DomainDescriptor, vec: np.ndarray, degree: int) -> FourierFunction:
@@ -387,25 +383,10 @@ def from_real_vector(domain: DomainDescriptor, vec: np.ndarray, degree: int) -> 
 
 def _real_basis(domain: DomainDescriptor, degree: int, pts: np.ndarray) -> np.ndarray:
     """B with B[i] the basis-function values (to_real_vector order) at pts[i], shape (m, dim)."""
-    ang = pts[:, :, None] * (TWO_PI * np.arange(degree + 1))
-    axes = np.concatenate([np.cos(ang), np.sin(ang)], axis=2)  # (m, ndim, 2(D+1))
+    axes = _basis(degree, pts).reshape(len(pts), domain.ndim, -1)  # (m, ndim, 2(D+1))
     if domain.kind == "S1":
         return axes[:, 0]
     return (axes[:, 0, :, None] * axes[:, 1, None, :]).reshape(len(pts), -1)
-
-
-def _torus_coeffs(seg: np.ndarray, degree: int) -> np.ndarray:
-    """Complex coefficients (m, 2D+1, 2D+1) of the torus functions with real vectors seg (m, dim).
-
-    P M P^T, with P taking each axis's (cos 2 pi k q, sin 2 pi k q) to e^{+-2 pi i k q}.
-    """
-    k = np.arange(degree + 1)
-    p = np.zeros((2 * degree + 1, 2 * degree + 2), dtype=complex)
-    p[degree + k, k] += 0.5
-    p[degree - k, k] += 0.5
-    p[degree + k, degree + 1 + k] -= 0.5j
-    p[degree - k, degree + 1 + k] += 0.5j
-    return p @ seg.reshape(len(seg), 2 * degree + 2, -1) @ p.T
 
 
 def _subgradient_grid(domain: DomainDescriptor, degree: int) -> tuple[np.ndarray, float, np.ndarray]:
@@ -414,9 +395,9 @@ def _subgradient_grid(domain: DomainDescriptor, degree: int) -> tuple[np.ndarray
     16 points per top-frequency period on S1, 8 per period and axis on T2.
     """
     n = (16 if domain.kind == "S1" else 8) * max(degree, 1)
-    axis = grid_points(n)[:, None]
-    pts = np.stack(np.meshgrid(*[axis[:, 0]] * domain.ndim, indexing="ij"), axis=-1).reshape(-1, domain.ndim)
-    return pts, 1.0 / n, _real_basis(CIRCLE, degree, axis)
+    axis = grid_points(n)
+    pts = np.stack(np.meshgrid(*[axis] * domain.ndim, indexing="ij"), axis=-1).reshape(-1, domain.ndim)
+    return pts, 1.0 / n, _grid_basis(n, degree)
 
 
 def _segment_sups(
@@ -441,16 +422,16 @@ def _segment_sups(
     # a slope residual r leaves |v| short by about r^2 / 2|v''|, so 1e-8 of the
     # Bernstein bound |grad v| <= 2 pi D max|v| reaches the value to rounding
     residual = 1e-8 * np.maximum(1.0, TWO_PI * degree * np.abs(top))
+    real = seg.reshape((len(seg),) + (2, degree + 1) * domain.ndim)  # real_coeffs layout
+    stack = _derivative_stack(real)
     if domain.kind == "S1":
-        rows = seg.reshape(len(seg), 2, degree + 1)
         # Newton starts at the vertex of the parabola through the argmax and its two neighbours
         lo, hi = v[m, idx - 1], v[m, (idx + 1) % len(pts)]
         bend = lo - 2.0 * top + hi
         start = q0[:, 0] + 0.5 * dq * (lo - hi) / np.where(bend == 0.0, np.inf, bend)
-        q = _newton_circle(rows, start, dq, residual)[:, None]
-        val = _series_at(rows, q[:, 0])
+        q = _newton_circle(stack, start, dq, residual)[:, None]
+        val = _series_at(real, q[:, 0])
     else:
-        stack = _derivative_stack(_torus_coeffs(seg, degree))
         q = _newton_torus(stack, q0, residual)
         val = _torus_at(stack[:, :1], q)[:, 0]
     stay = ~(np.abs(val) >= np.abs(top))  # NaN where Newton failed

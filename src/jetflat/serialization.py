@@ -31,13 +31,15 @@ def _require(cond: bool, msg: str) -> None:
         raise SpecParseError(msg)
 
 
+def _finite(v: Any, msg: str) -> float:
+    """v as a float; JSON booleans are not numbers, although bool is an int subclass."""
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v), msg)
+    return float(v)
+
+
 def _finite_list(obj: Any, name: str) -> list[float]:
     _require(isinstance(obj, (list, tuple)), f"{name} must be an array")
-    out = []
-    for v in obj:
-        _require(isinstance(v, (int, float)) and math.isfinite(v), f"{name} entries must be finite numbers")
-        out.append(float(v))
-    return out
+    return [_finite(v, f"{name} entries must be finite numbers") for v in obj]
 
 
 def _finite_matrix(obj: Any, name: str) -> np.ndarray:
@@ -52,16 +54,14 @@ def parse_function(obj: Any) -> FourierFunction:
     _require(isinstance(obj, dict), "function spec must be an object")
     domain = obj.get("domain")
     if domain == "S1":
-        a0 = obj.get("a0", 0.0)
-        _require(isinstance(a0, (int, float)) and math.isfinite(a0), "a0 must be a finite number")
+        a0 = _finite(obj.get("a0", 0.0), "a0 must be a finite number")
         cos = _finite_list(obj.get("cos", []), "cos")
         sin = _finite_list(obj.get("sin", []), "sin")
-        return FourierFunction.from_circle_coeffs(float(a0), cos, sin)
+        return FourierFunction.from_circle_coeffs(a0, cos, sin)
     if domain == "T2":
         coeffs = obj.get("coeffs")
         _require(isinstance(coeffs, dict), "T2 spec needs a coeffs object")
-        a0 = coeffs.get("a0", 0.0)
-        _require(isinstance(a0, (int, float)) and math.isfinite(a0), "a0 must be a finite number")
+        a0 = _finite(coeffs.get("a0", 0.0), "a0 must be a finite number")
         blocks = {}
         size = None
         for key in ("cc", "cs", "sc", "ss"):
@@ -73,7 +73,7 @@ def parse_function(obj: Any) -> FourierFunction:
         _require(size is not None, "T2 spec needs at least one of cc/cs/sc/ss")
         zero = np.zeros((size, size))
         return FourierFunction.from_torus_coeffs(
-            float(a0),
+            a0,
             blocks.get("cc", zero),
             blocks.get("cs", zero),
             blocks.get("sc", zero),

@@ -2,7 +2,9 @@
 
 Nothing here touches the package's evaluation or refinement machinery; the
 formulas are written out from the real cos/sin coefficients so the oracles
-stay independent of the code paths they check.
+stay independent of the code paths they check.  The partial derivatives
+take the complex route, FourierFunction.derivative, which the package's
+real derivative stacks are checked against.
 """
 
 import numpy as np
@@ -17,6 +19,18 @@ def eval_direct(a0, cos_coeffs, sin_coeffs, x):
     for k, s in enumerate(sin_coeffs, start=1):
         total = total + s * np.sin(2 * np.pi * k * x)
     return total if x.shape else float(total[0])
+
+
+def eval_torus_direct(a0, cc, cs, sc, ss, pts):
+    """Plain double-loop summation of the torus cos/sin blocks at points (m, 2)."""
+    pts = np.asarray(pts, dtype=float)
+    total = np.full(len(pts), float(a0))
+    for k1 in range(len(cc)):
+        c1, s1 = np.cos(2 * np.pi * k1 * pts[:, 0]), np.sin(2 * np.pi * k1 * pts[:, 0])
+        for k2 in range(len(cc)):
+            c2, s2 = np.cos(2 * np.pi * k2 * pts[:, 1]), np.sin(2 * np.pi * k2 * pts[:, 1])
+            total = total + cc[k1][k2] * c1 * c2 + cs[k1][k2] * c1 * s2 + sc[k1][k2] * s1 * c2 + ss[k1][k2] * s1 * s2
+    return total
 
 
 def _parabolic_peak(vm, v0, vp):
@@ -71,3 +85,15 @@ def dedupe_points_loop(points, tol):
             kept.append(p)
     order = sorted(range(len(kept)), key=lambda i: tuple(kept[i]))
     return np.array([kept[i] for i in order])
+
+
+def gradient(f):
+    """(f',) on S1, (f_1, f_2) on T2, through the complex coefficients."""
+    return tuple(f.derivative(axis) for axis in range(f.domain.ndim))
+
+
+def hessian(f):
+    """Second partials f_ij with i <= j: (f'',) on S1, (f_11, f_12, f_22) on T2."""
+    grad = gradient(f)
+    nd = f.domain.ndim
+    return tuple(grad[i].derivative(j) for i in range(nd) for j in range(i, nd))

@@ -164,6 +164,22 @@ def test_cmd_dist_parse_failure_exit_2(capsys, specs, tmp_path):
     assert main(["dist", str(bad), specs["zero"]]) == 2
 
 
+def test_boolean_numbers_exit_2(capsys, specs, tmp_path):
+    # JSON true/false are not numbers, in any slot that takes one
+    torus = {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0, True], [1.0, 0.0]]}}
+    docs = {
+        "a0": {"domain": "S1", "a0": True, "cos": [0.5]},
+        "cos": {"domain": "S1", "a0": 0.0, "cos": [False, True]},
+        "torus a0": {"domain": "T2", "coeffs": {"a0": False, "cc": [[0.0, 1.0], [1.0, 0.0]]}},
+        "torus block": torus,
+    }
+    for name, doc in docs.items():
+        assert main(["dist", _write(tmp_path, "bad.json", doc), specs["zero"]]) == 2, name
+    path = {"times": [0.0, True], "knots": [dump_function(fn(0.0)), dump_function(fn(0.0, [0.5]))]}
+    assert main(["geodesic", _write(tmp_path, "bad-path.json", path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cmd_dist_domain_mismatch_exit_3(capsys, specs):
     assert main(["dist", specs["torus"], specs["zero"]]) == 3
 

@@ -19,7 +19,15 @@ from jetflat.fourier import (
 from jetflat.sampling import random_function
 
 from conftest import fn
-from oracles import dedupe_points_loop, dense_max, dense_sup_norm, eval_direct
+from oracles import (
+    dedupe_points_loop,
+    dense_max,
+    dense_sup_norm,
+    eval_direct,
+    eval_torus_direct,
+    gradient,
+    hessian,
+)
 
 coeff_lists = st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4)
 
@@ -47,7 +55,7 @@ def test_evaluation_matches_dense_grid_oracle():
     g = fn(0.1, [1.0, 0.2], [0.0, 0.5])
     n = 1 << 20
     xs = np.arange(n) / n
-    gap = np.max(np.abs(g.values_on_grid(n) - eval_direct(0.1, [1.0, 0.2], [0.0, 0.5], xs)))
+    gap = np.max(np.abs(g.values_on_grid(n)[0] - eval_direct(0.1, [1.0, 0.2], [0.0, 0.5], xs)))
     assert gap <= 1e-12
 
 
@@ -104,7 +112,7 @@ def test_gradient_on_torus():
     sc = np.zeros((2, 2))
     sc[1, 1] = 1.0  # sin(2 pi q1) cos(2 pi q2)
     t = FourierFunction.from_torus_coeffs(0.0, np.zeros((2, 2)), sc=sc)
-    g1, g2 = t.gradient()
+    g1, g2 = gradient(t)
     q = (0.1, 0.2)
     assert g1(q) == pytest.approx(
         2 * np.pi * np.cos(2 * np.pi * 0.1) * np.cos(2 * np.pi * 0.2), abs=1e-12
@@ -157,7 +165,7 @@ def test_extremum_tie_break_lexicographic():
 @given(coeff_lists, coeff_lists)
 def test_extremum_sandwich(cos, sin):
     f = fn(0.0, cos, sin)
-    grid = f.values_on_grid(512)
+    grid = f.values_on_grid(512)[0]
     lo = extremum(f, "min").value
     hi = extremum(f, "max").value
     assert lo <= grid.min() + 1e-12
@@ -301,14 +309,14 @@ def test_critical_set_carries_the_attaining_set_record(f):
 def test_scan_stack_matches_separate_grids():
     f = fn(0.1, [0.3, -0.2], [0.1, 0.05])
     fp = f.derivative()
-    stack = f.values_on_grid(64, derivatives=True)
+    stack = f.values_on_grid(64)
     for grid, g in zip(stack, (f, fp, fp.derivative())):
         np.testing.assert_allclose(grid, g(np.arange(64) / 64), atol=1e-12)
     t = FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]])
     q = np.arange(16) / 16
     pts = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
-    stack = t.values_on_grid(16, derivatives=True)
-    for grid, g in zip(stack, (t,) + t.gradient() + t.hessian()):
+    stack = t.values_on_grid(16)
+    for grid, g in zip(stack, (t,) + gradient(t) + hessian(t)):
         np.testing.assert_allclose(grid.ravel(), g(pts), atol=1e-11)
 
 
@@ -323,7 +331,7 @@ def test_fallbacks_when_torus_newton_fails(monkeypatch, rng):
     monkeypatch.setattr(fourier, "_newton_torus", failed)
     fs = [random_function(rng, TORUS2, d) for d in (1, 2, 3, 3)]
     for f, r in zip(fs, attaining_sets(fs)):
-        grid = f.values_on_grid(n)
+        grid = f.values_on_grid(n)[0]
         for value, top, points in ((r.vmax, grid.max(), r.max_points), (r.vmin, grid.min(), r.min_points)):
             assert abs(value - top) <= 1e-12
             assert len(points) and np.array_equal(points * n, np.round(points * n))
@@ -434,15 +442,18 @@ def test_tied_circle_maxima_each_get_a_point():
 
 
 def test_torus_stacks_are_the_derivative_coefficients():
-    # the Newton stacks hold the coefficients of f, its gradient and its
-    # Hessian, zero-padded to the batch's top degree
-    fs = [
-        FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]]),
-        random_function(np.random.default_rng(4), TORUS2, 3),
-    ]
-    for stack, f in zip(fourier._torus_stacks(fs), fs):
-        for c, g in zip(stack, (f,) + f.gradient() + f.hessian()):
-            np.testing.assert_array_equal(c, g.pad_to_degree(3).coeffs)
+    # the real derivative stacks hold the real coefficients of f, its
+    # gradient and its Hessian, zero-padded to the batch's top degree, as
+    # the complex route of the oracle derives them; on both domains
+    rng = np.random.default_rng(4)
+    for domain in (CIRCLE, TORUS2):
+        for scale in (1e-8, 1.0, 1e8):
+            fs = [scale * random_function(rng, domain, d) for d in (1, 3, 0)]
+            for stack, f in zip(fourier._stacks(fs), fs):
+                for c, g in zip(stack, (f,) + gradient(f) + hessian(f)):
+                    want = g.pad_to_degree(3).real_coeffs()
+                    atol = 1e-15 * np.max(np.abs(want))
+                    np.testing.assert_allclose(c, want, rtol=0, atol=atol, err_msg=f"{domain.kind} {scale}")
 
 
 def _dedupe_cases():
@@ -565,6 +576,33 @@ def test_torus_layout_matches_the_double_loop(rng):
             assert np.array_equal(bits(got.coeffs), bits(want.coeffs)), (degree, scale)
             for g, w in zip(got.torus_blocks(), looped_blocks(want)):
                 assert np.array_equal(bits(g), bits(w)), (degree, scale)
+
+
+def test_real_coeffs_sum_to_the_function(rng):
+    # the real layout every kernel reads, summed term by term, gives the
+    # function its constructor inputs describe; the sin 0 slots hold zeros
+    for degree in range(7):
+        for scale in (1e-8, 1.0, 1e8):
+            a0, cos, sin = scale * rng.normal(), scale * rng.normal(size=degree), scale * rng.normal(size=degree)
+            r = fn(a0, cos, sin).real_coeffs()
+            assert r.shape == (2, degree + 1) and r[1, 0] == 0.0
+            xs = rng.uniform(0.0, 1.0, 9)
+            want = eval_direct(a0, cos, sin, xs)
+            tol = 1e-15 * scale * (1 + 2 * degree)
+            np.testing.assert_allclose(eval_direct(r[0, 0], r[0, 1:], r[1, 1:], xs), want, rtol=0, atol=tol)
+            a0, cc, cs, sc, ss = scale * rng.normal(), *(scale * rng.normal(size=(4, degree + 1, degree + 1)))
+            for b in (cs[:, 0], sc[0], ss[0], ss[:, 0]):
+                b[:] = 0.0  # these slots multiply sin 0
+            t = FourierFunction.from_torus_coeffs(a0, cc, cs, sc, ss)
+            r = t.real_coeffs()
+            assert r.shape == (2, degree + 1, 2, degree + 1)
+            assert not r[:, :, 1, 0].any() and not r[1, 0].any()
+            pts = rng.uniform(0.0, 1.0, (9, 2))
+            want = eval_torus_direct(a0, cc, cs, sc, ss, pts)
+            tol = 1e-15 * scale * 4 * (degree + 1) ** 2
+            got = eval_torus_direct(0.0, r[0, :, 0], r[0, :, 1], r[1, :, 0], r[1, :, 1], pts)
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol, err_msg=f"{degree} {scale}")
+            np.testing.assert_allclose(t(pts), want, rtol=0, atol=tol, err_msg=f"{degree} {scale}")
 
 
 # -- structure ---------------------------------------------------------------

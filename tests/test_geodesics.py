@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetflat import geodesics
+from jetflat import fourier, geodesics
 from jetflat.config import EQUALITY_TOL
 from jetflat.errors import MalformedPath
 from jetflat.fourier import CIRCLE, TORUS2, FourierFunction, attaining_set, sup_norm
@@ -27,7 +27,7 @@ from jetflat.sampling import (
 from jetflat.selectors import sch_length
 
 from conftest import fn
-from oracles import dense_max, eval_direct, grid_path_gap
+from oracles import dense_max, eval_direct, eval_torus_direct, grid_path_gap
 
 
 def bump(shift, amp=0.2):
@@ -529,18 +529,22 @@ def test_optimize_torus(degree):
 
 @pytest.mark.parametrize("domain", [CIRCLE, TORUS2])
 def test_real_vectors_round_trip(domain):
-    # the optimizer's real vectors, their basis rows and, on T2, the complex
-    # coefficients its Newton kernel reads all describe the same function
+    # the optimizer's real vectors, their basis rows and, on T2, the value
+    # row of the derivative stack its Newton kernel reads all describe the
+    # function the oracle sums
     rng = np.random.default_rng(23)
     for degree in (1, 3):
         f = random_function(rng, domain, degree)
         vec = geodesics.to_real_vector(f)
         assert geodesics.from_real_vector(domain, vec, degree).coeffs == pytest.approx(f.coeffs, abs=1e-15)
         pts = rng.uniform(0.0, 1.0, (7, domain.ndim))
-        vals = f(pts) if domain.kind == "T2" else f(pts[:, 0])
-        assert geodesics._real_basis(domain, degree, pts) @ vec == pytest.approx(vals, abs=1e-14)
         if domain.kind == "T2":
-            assert geodesics._torus_coeffs(vec[None], degree)[0] == pytest.approx(f.coeffs, abs=1e-15)
+            vals = eval_torus_direct(*f.torus_blocks(), pts)
+            assert f(pts) == pytest.approx(vals, abs=1e-14)
+            assert fourier._torus_at(fourier._stacks([f])[0, :1], pts)[:, 0] == pytest.approx(vals, abs=1e-14)
+        else:
+            vals = eval_direct(*f.circle_cos_sin(), pts[:, 0])
+        assert geodesics._real_basis(domain, degree, pts) @ vec == pytest.approx(vals, abs=1e-14)
 
 
 def _peak_lead(a0, cos, sin, n=4096):
