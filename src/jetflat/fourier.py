@@ -1,13 +1,12 @@
 """Truncated Fourier models of smooth functions on the circle and 2-torus.
 
-A function is stored as complex Fourier coefficients ``c[k]`` (circle) or
-``c[k1, k2]`` (torus) with indices running over ``-D..D`` and the Hermitian
-symmetry ``c[-k] = conj(c[k])``, so every represented function is real,
-exactly 1-periodic in each coordinate, and differentiable term by term.
-The kernels (scan, Newton, evaluation at points) read one real layout
-instead, the cos/sin coefficients of ``FourierFunction.real_coeffs``.
-The truncation degree bounds the oscillation, which is what makes
-scan-plus-Newton extraction of extrema and critical values reliable.
+A function is stored as its real coefficients against the axis basis
+(cos 2 pi k q, sin 2 pi k q), k = 0..D, in every axis, so every represented
+function is real, exactly 1-periodic in each coordinate, and differentiable
+term by term.  Every kernel (scan, Newton, evaluation at points) reads that
+one array, ``FourierFunction.coeffs``.  The truncation degree bounds the
+oscillation, which is what makes scan-plus-Newton extraction of extrema and
+critical values reliable.
 
 Coordinates live on [0, 1) with period 1 in every axis.  All values are
 immutable after construction and every operation here is a pure function.
@@ -21,7 +20,6 @@ from functools import lru_cache
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .config import (
     DEFAULT_CIRCLE_SCAN,
@@ -60,38 +58,40 @@ CIRCLE = DomainDescriptor("S1")
 TORUS2 = DomainDescriptor("T2")
 
 
-def _hermitian_project(c: np.ndarray) -> np.ndarray:
-    """Average c with its conjugate reversal; exact when already Hermitian."""
-    rev = np.conj(c[::-1] if c.ndim == 1 else c[::-1, ::-1])
-    return 0.5 * (c + rev)
-
-
 class FourierFunction:
     """Real-valued truncated Fourier series on S1 or T2.
 
     The circle series of degree D is
         f(q) = a0 + sum_{k=1..D} a_k cos(2 pi k q) + b_k sin(2 pi k q)
-    stored as ``c[k] = (a_k - i b_k) / 2`` with ``c[-k] = conj(c[k])``.
-    The torus series is the analogous double sum stored as a (2D+1)^2
-    complex array.  Derivatives multiply coefficients by ``2 pi i k`` and
-    are therefore exact; no finite differences appear anywhere.
+    stored against the axis basis (cos 2 pi k q, sin 2 pi k q), k = 0..D,
+    as coeffs of shape (2, D+1): (a0, a_1..a_D) over (0, b_1..b_D).  The
+    torus series is stored with shape (2, D+1, 2, D+1): entry [i, k1, j, k2]
+    multiplies basis i of the first axis at k1 times basis j of the second
+    at k2, so the blocks [0, :, 0], [0, :, 1], [1, :, 0], [1, :, 1] are cc,
+    cs, sc, ss with the mean at [0, 0, 0, 0].  The sin 0 slots are zeroed
+    at construction.  d/dq takes the (cos, sin) pair of frequency k to
+    2 pi k (sin, -cos), so derivatives are exact; no finite differences
+    appear anywhere.
     """
 
     __slots__ = ("domain", "coeffs")
 
     def __init__(self, domain: DomainDescriptor, coeffs) -> None:
-        c = np.asarray(coeffs, dtype=complex)
-        if c.ndim != domain.ndim:
+        c = np.asarray(coeffs)
+        if c.dtype.kind not in "iuf":
+            raise TypeError(f"coefficients must be real numbers, got dtype {c.dtype}")
+        c = np.array(c, dtype=float, order="C")  # a copy of its own
+        if c.ndim != 2 * domain.ndim:
             raise DimensionMismatch(
                 f"coefficient array of rank {c.ndim} for domain {domain.kind}"
             )
-        if any(n % 2 == 0 for n in c.shape):
-            raise ValueError("coefficient arrays must have odd length 2D+1 per axis")
-        if domain.kind == "T2" and c.shape[0] != c.shape[1]:
-            raise ValueError("torus coefficient array must be square")
-        if not np.all(np.isfinite(c.view(float))):
+        if c.shape != (2, c.shape[1]) * domain.ndim or c.shape[1] == 0:
+            raise ValueError("coefficient arrays must have shape (2, D+1) per axis, one D for all axes")
+        if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        c = _hermitian_project(c)
+        c[1, 0] = 0.0  # sin 0 of the first axis
+        if domain.ndim == 2:
+            c[:, :, 1, 0] = 0.0  # and of the second
         c.flags.writeable = False
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "coeffs", c)
@@ -103,27 +103,22 @@ class FourierFunction:
 
     @classmethod
     def zero(cls, domain: DomainDescriptor = CIRCLE) -> "FourierFunction":
-        shape = (1,) * domain.ndim
-        return cls(domain, np.zeros(shape, dtype=complex))
+        return cls.constant(0.0, domain)
 
     @classmethod
     def constant(cls, value: float, domain: DomainDescriptor = CIRCLE) -> "FourierFunction":
-        shape = (1,) * domain.ndim
-        c = np.full(shape, complex(value))
+        c = np.zeros((2, 1) * domain.ndim)
+        c.flat[0] = value
         return cls(domain, c)
 
     @classmethod
     def from_circle_coeffs(cls, a0: float, cos: Sequence[float] = (), sin: Sequence[float] = ()) -> "FourierFunction":
         a = np.asarray(cos, dtype=float)
         b = np.asarray(sin, dtype=float)
-        d = max(len(a), len(b))
-        ab = np.zeros((2, d))  # the shorter list is zero-padded
-        ab[0, : len(a)] = a
-        ab[1, : len(b)] = b
-        c = np.zeros(2 * d + 1, dtype=complex)
-        c[d] = a0
-        c[d + 1 :] = 0.5 * (ab[0] - 1j * ab[1])
-        c[:d] = np.conj(c[d + 1 :][::-1])
+        c = np.zeros((2, max(len(a), len(b)) + 1))  # the shorter list is zero-padded
+        c[0, 0] = a0
+        c[0, 1 : len(a) + 1] = a
+        c[1, 1 : len(b) + 1] = b
         return cls(CIRCLE, c)
 
     @classmethod
@@ -135,83 +130,34 @@ class FourierFunction:
         cs, sc, ss = (np.zeros((n, n)) if b is None else np.asarray(b, dtype=float) for b in (cs, sc, ss))
         if not cs.shape == sc.shape == ss.shape == (n, n):
             raise ValueError("cs/sc/ss blocks must match the cc shape")
-        d = n - 1
-        c = np.zeros((2 * d + 1, 2 * d + 1), dtype=complex)
-        c[d, d] = float(a0) + float(cc[0, 0])  # fold any constant stored in cc
-        # Index k maps to d + k and -k to d - k, so a negative frequency block
-        # is a reversed view.  Every entry is added onto a zero once, which
-        # keeps the signed zeros of entry-by-entry accumulation.
-        ax2 = 0.5 * (cc[0, 1:] - 1j * cs[0, 1:])  # cos/sin(2 pi k2 q2) terms
-        ax1 = 0.5 * (cc[1:, 0] - 1j * sc[1:, 0])
-        c[d, d + 1 :] += ax2
-        c[d, :d][::-1] += np.conj(ax2)
-        c[d + 1 :, d] += ax1
-        c[:d, d][::-1] += np.conj(ax1)
-        cc, cs, sc, ss = cc[1:, 1:], cs[1:, 1:], sc[1:, 1:], ss[1:, 1:]
-        p = 0.25 * ((cc - ss) - 1j * (cs + sc))  # at (k1, k2)
-        q = 0.25 * ((cc + ss) + 1j * (cs - sc))  # at (k1, -k2)
-        c[d + 1 :, d + 1 :] += p
-        c[:d, :d][::-1, ::-1] += np.conj(p)
-        c[d + 1 :, :d][:, ::-1] += q
-        c[:d, d + 1 :][::-1] += np.conj(q)
+        c = np.stack([cc, cs, sc, ss]).reshape(2, 2, n, n).swapaxes(1, 2)
+        c[0, 0, 0, 0] = float(a0) + float(cc[0, 0])  # fold any constant stored in cc
         return cls(TORUS2, c)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
+        return self.coeffs.shape[-1] - 1
 
     @property
     def mean_value(self) -> float:
-        ctr = (self.degree,) * self.domain.ndim
-        return float(self.coeffs[ctr].real)
-
-    def real_coeffs(self) -> np.ndarray:
-        """Coefficients against the real axis basis (cos 2 pi k q, sin 2 pi k q), k = 0..D.
-
-        Shape (2, D+1) on S1: (a0, a_1..a_D) over (0, b_1..b_D).  Shape
-        (2, D+1, 2, D+1) on T2: entry [i, k1, j, k2] multiplies basis i of
-        the first axis at k1 times basis j of the second at k2, so the
-        blocks [0, :, 0], [0, :, 1], [1, :, 0], [1, :, 1] are cc, cs, sc,
-        ss with the mean at [0, 0, 0, 0].  The sin 0 slots hold zeros.
-        """
-        d, c = self.degree, self.coeffs
-        if self.domain.kind == "S1":
-            r = np.zeros((2, d + 1))
-            r[0, 0] = c[d].real
-            r[0, 1:] = 2.0 * c[d + 1 :].real
-            r[1, 1:] = -2.0 * c[d + 1 :].imag
-            return r
-        p = c[d:, d:]  # (k1, k2) for k1, k2 >= 0
-        q = c[d:, d::-1]  # (k1, -k2)
-        u, v = p + q, q - p
-        r = np.empty((2, d + 1, 2, d + 1))
-        np.multiply(u.real, 2.0, out=r[0, :, 0])  # cc
-        np.multiply(v.imag, 2.0, out=r[0, :, 1])  # cs
-        np.multiply(u.imag, -2.0, out=r[1, :, 0])  # sc
-        np.multiply(v.real, 2.0, out=r[1, :, 1])  # ss
-        # on an axis p and q are one entry (k2 = 0) or conjugates (k1 = 0),
-        # so u and v count it twice; halving is exact
-        r[:, 0] *= 0.5
-        r[..., 0] *= 0.5
-        r[1, 0] = 0.0  # sin 0 of the first axis
-        return r
+        return float(self.coeffs.flat[0])
 
     def circle_cos_sin(self) -> tuple[float, np.ndarray, np.ndarray]:
         """Real (a0, cos, sin) coefficient view; circle functions only."""
         if self.domain.kind != "S1":
             raise DimensionMismatch("circle_cos_sin on a torus function")
-        r = self.real_coeffs()
-        return float(r[0, 0]), r[0, 1:], r[1, 1:]
+        c = self.coeffs
+        return float(c[0, 0]), c[0, 1:], c[1, 1:]
 
     def torus_blocks(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Real (a0, cc, cs, sc, ss) blocks of shape (D+1, D+1), with the mean in a0 only."""
         if self.domain.kind != "T2":
             raise DimensionMismatch("torus_blocks on a circle function")
-        cc, cs, sc, ss = self.real_coeffs().swapaxes(1, 2).reshape(4, self.degree + 1, -1)
-        cc[0, 0] = 0.0
-        return self.mean_value, cc, cs, sc, ss
+        blocks = self.coeffs.swapaxes(1, 2).reshape(4, self.degree + 1, -1).copy()
+        blocks[0, 0, 0] = 0.0
+        return (self.mean_value, *blocks)
 
     def pad_to_degree(self, d: int) -> "FourierFunction":
         cur = self.degree
@@ -219,8 +165,7 @@ class FourierFunction:
             raise ValueError("cannot pad to a smaller degree")
         if d == cur:
             return self
-        w = d - cur
-        pad = ((w, w),) * self.domain.ndim
+        pad = ((0, 0), (0, d - cur)) * self.domain.ndim
         return FourierFunction(self.domain, np.pad(self.coeffs, pad))
 
     def __eq__(self, other) -> bool:
@@ -250,8 +195,7 @@ class FourierFunction:
             )
         if isinstance(other, (int, float, np.integer, np.floating)):
             c = np.array(self.coeffs)
-            ctr = (self.degree,) * self.domain.ndim
-            c[ctr] = op(c[ctr], complex(other))
+            c.flat[0] = op(c.flat[0], float(other))
             return FourierFunction(self.domain, c)
         return NotImplemented
 
@@ -280,10 +224,11 @@ class FourierFunction:
         """Exact series product; the degree adds (used by oracle code paths)."""
         if other.domain != self.domain:
             raise DimensionMismatch("domain mismatch in multiply")
+        t = _product_table(self.degree, other.degree)
         if self.domain.kind == "S1":
-            c = np.convolve(self.coeffs, other.coeffs)
+            c = np.einsum("ik,jl,ikjlmn->mn", self.coeffs, other.coeffs, t)
         else:
-            c = convolve2d(self.coeffs, other.coeffs)
+            c = np.einsum("ikIK,jlJL,ikjlmn,IKJLMN->mnMN", self.coeffs, other.coeffs, t, t, optimize=True)
         return FourierFunction(self.domain, c)
 
     # -- calculus ----------------------------------------------------------
@@ -292,14 +237,7 @@ class FourierFunction:
         """Analytic partial derivative along the given coordinate axis."""
         if not 0 <= axis < self.domain.ndim:
             raise DimensionMismatch(f"axis {axis} for domain {self.domain.kind}")
-        d = self.degree
-        k = np.arange(-d, d + 1)
-        factor = TWO_PI * 1j * k
-        if self.domain.ndim == 1:
-            return FourierFunction(self.domain, self.coeffs * factor)
-        if axis == 0:
-            return FourierFunction(self.domain, self.coeffs * factor[:, None])
-        return FourierFunction(self.domain, self.coeffs * factor[None, :])
+        return FourierFunction(self.domain, _derivative_stack(self.coeffs[None])[0, 1 + axis])
 
     # -- evaluation --------------------------------------------------------
 
@@ -313,9 +251,9 @@ class FourierFunction:
             return float(vals[0]) if scalar else vals
         pts = np.asarray(x, dtype=float)
         if pts.shape == (2,):
-            return float(_torus_at(self.real_coeffs()[None], pts[None, :])[0, 0])
+            return float(_torus_at(self.coeffs[None], pts[None, :])[0, 0])
         if pts.ndim == 2 and pts.shape[1] == 2:
-            return _torus_at(self.real_coeffs()[None], pts)[:, 0]
+            return _torus_at(self.coeffs[None], pts)[:, 0]
         raise DimensionMismatch("torus points must have shape (2,) or (m, 2)")
 
     def _eval_circle(self, x: np.ndarray) -> np.ndarray:
@@ -335,7 +273,7 @@ class FourierFunction:
         B V B^T on T2.
         """
         b = _grid_basis(n, self.degree)
-        stack = _derivative_stack(self.real_coeffs()[None])[0]
+        stack = _derivative_stack(self.coeffs[None])[0]
         if self.domain.kind == "S1":
             return stack.reshape(3, -1) @ b.T
         # B V for all six V, then one (6n, 2(D+1)) @ B^T product: half the time of six
@@ -353,16 +291,39 @@ def _basis(degree: int, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _grid_basis(n: int, degree: int) -> np.ndarray:
-    """The axis basis at the grid points i/n, flattened to rows of the real_coeffs layout: shape (n, 2(D+1))."""
+    """The axis basis at the grid points i/n, flattened to rows of the coeffs layout: shape (n, 2(D+1))."""
     b = _basis(degree, grid_points(n)).reshape(n, -1)
     b.flags.writeable = False
     return b
 
 
+@lru_cache(maxsize=64)
+def _product_table(d1: int, d2: int) -> np.ndarray:
+    """T with e_ik e_jl = sum_mn T[i, k, j, l, m, n] e_mn, shape (2, d1+1, 2, d2+1, 2, d1+d2+1).
+
+    e_0k = cos 2 pi k q and e_1k = sin 2 pi k q are the axis basis; the
+    product formulas take frequencies k, l to k + l and |k - l|, and
+    sin 2 pi (k - l) q = sign(k - l) sin 2 pi |k - l| q.
+    """
+    k, l = np.meshgrid(np.arange(d1 + 1), np.arange(d2 + 1), indexing="ij")
+    hi, lo, sg = k + l, np.abs(k - l), 0.5 * np.sign(k - l)
+    t = np.zeros((2, d1 + 1, 2, d2 + 1, 2, d1 + d2 + 1))
+    for i, j, m, n, w in (
+        (0, 0, 0, hi, 0.5), (0, 0, 0, lo, 0.5),  # cos cos
+        (1, 1, 0, lo, 0.5), (1, 1, 0, hi, -0.5),  # sin sin
+        (1, 0, 1, hi, 0.5), (1, 0, 1, lo, sg),  # sin cos
+        (0, 1, 1, hi, 0.5), (0, 1, 1, lo, -sg),  # cos sin
+    ):
+        np.add.at(t, (i, k, j, l, m, n), w)
+    t[..., 1, 0] = 0.0  # sin 0
+    t.flags.writeable = False
+    return t
+
+
 def _derivative_stack(r: np.ndarray) -> np.ndarray:
     """Real coefficients of f, f', f'' (S1) or f, f_1, f_2, f_11, f_12, f_22 (T2) for each f in r.
 
-    r holds real_coeffs arrays, (m, 2, K) on S1 or (m, 2, K, 2, K) on T2;
+    r holds coeffs arrays, (m, 2, K) on S1 or (m, 2, K, 2, K) on T2;
     the result has the new axis after m.  d/dq takes the (cos, sin) pair
     of frequency k to 2 pi k (sin, -cos), so coefficients (a, b) go to
     2 pi k (b, -a), the pair reversed times (w, -w), and d^2/dq^2
@@ -394,14 +355,14 @@ def _stacks(fs: Sequence[FourierFunction]) -> np.ndarray:
     d = max(f.degree for f in fs)
     r = np.zeros((len(fs),) + (2, d + 1) * ndim)
     for row, f in zip(r, fs):
-        row[(slice(None), slice(f.degree + 1)) * ndim] = f.real_coeffs()
+        row[(slice(None), slice(f.degree + 1)) * ndim] = f.coeffs
     return _derivative_stack(r)
 
 
 def _torus_at(stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """The torus series stack[..., s, :, :, :, :] at each point of pts (m, 2), shape (m, s).
 
-    stack holds real_coeffs arrays, one stack per point, (m, s, 2, K, 2,
+    stack holds coeffs arrays, one stack per point, (m, s, 2, K, 2,
     K), or one for all points, (s, 2, K, 2, K).  The unoptimized einsum
     adds the terms one at a time in index order, so zero padding adds
     exact zeros and a padded stack gives the same bits.
@@ -476,7 +437,7 @@ def _scan(f: FourierFunction) -> np.ndarray:
 def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k a_k cos(2 pi k x_i) + b_k sin(2 pi k x_i) with (a, b) = rows[i].
 
-    rows holds circle real_coeffs arrays, (m, 2, K), or (m, s, 2, K) for s
+    rows holds circle coeffs arrays, (m, 2, K), or (m, s, 2, K) for s
     series at each point (result (m, s)).  The terms are summed strictly in
     order of k, so a zero-padded tail adds exact zeros and a row sums to
     the same bits whatever degree its batch was padded to.  It does not
@@ -797,9 +758,9 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _critical_points_torus(f: FourierFunction, grids: np.ndarray, residual: float) -> np.ndarray:
-    gn = np.max(np.abs(grids[1:3]), axis=0)
-    seeds = np.argwhere(_local_max_mask(-gn)) / grids.shape[-1]
+def _critical_points_torus(f: FourierFunction, dnorm: np.ndarray, residual: float) -> np.ndarray:
+    """Newton roots of grad f from the scan's local minima of dnorm = max(|f_1|, |f_2|)."""
+    seeds = np.argwhere(_local_max_mask(-dnorm)) / dnorm.shape[-1]
     roots = _newton_torus(_stacks([f])[np.zeros(len(seeds), dtype=int)], seeds, residual)
     return _dedupe_points(_canonical_mod1(roots[~np.isnan(roots[:, 0])]))
 
@@ -836,8 +797,10 @@ def critical_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Critical
         # constant function: every point is critical, report the value once
         points, values, plateau = ((0.0,) * f.domain.ndim,), (f.mean_value,), True
     else:
-        find = _critical_points_circle if f.domain.kind == "S1" else _critical_points_torus
-        pts = find(f, grids, point_tol)
+        if f.domain.kind == "S1":
+            pts = _critical_points_circle(f, grids, point_tol)
+        else:
+            pts = _critical_points_torus(f, dnorm, point_tol)
         values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
         pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
         points = tuple(tuple(float(x) for x in p) for p in pts)

@@ -365,24 +365,8 @@ def grid_quasi_autonomy_witness(
 # ---------------------------------------------------------------------------
 
 
-def to_real_vector(f: FourierFunction) -> np.ndarray:
-    """Coefficients against products of the axis bases (cos 2 pi k q, then sin 2 pi k q, k = 0..D): real_coeffs, flattened.
-
-    (a0, a_1..a_D, 0, b_1..b_D) on S1; on T2 the matrix [[cc, cs], [sc, ss]]
-    with the mean at cc[0, 0], flattened.  The sin 0 slots multiply zero.
-    """
-    return f.real_coeffs().ravel()
-
-
-def from_real_vector(domain: DomainDescriptor, vec: np.ndarray, degree: int) -> FourierFunction:
-    n = degree + 1
-    if domain.kind == "S1":
-        return FourierFunction.from_circle_coeffs(vec[0], vec[1:n], vec[n + 1 :])
-    return FourierFunction.from_torus_coeffs(0.0, *np.reshape(vec, (2, n, 2, n)).swapaxes(1, 2).reshape(4, n, n))
-
-
 def _real_basis(domain: DomainDescriptor, degree: int, pts: np.ndarray) -> np.ndarray:
-    """B with B[i] the basis-function values (to_real_vector order) at pts[i], shape (m, dim)."""
+    """B with B[i] the basis-function values (coeffs order, flattened) at pts[i], shape (m, dim)."""
     axes = _basis(degree, pts).reshape(len(pts), domain.ndim, -1)  # (m, ndim, 2(D+1))
     if domain.kind == "S1":
         return axes[:, 0]
@@ -422,7 +406,7 @@ def _segment_sups(
     # a slope residual r leaves |v| short by about r^2 / 2|v''|, so 1e-8 of the
     # Bernstein bound |grad v| <= 2 pi D max|v| reaches the value to rounding
     residual = 1e-8 * np.maximum(1.0, TWO_PI * degree * np.abs(top))
-    real = seg.reshape((len(seg),) + (2, degree + 1) * domain.ndim)  # real_coeffs layout
+    real = seg.reshape((len(seg),) + (2, degree + 1) * domain.ndim)  # coeffs layout
     stack = _derivative_stack(real)
     if domain.kind == "S1":
         # Newton starts at the vertex of the parabola through the argmax and its two neighbours
@@ -490,7 +474,7 @@ def optimize_path(
         raise MalformedPath("endpoint domains disagree")
     domain = f0.domain
     degree = max(f0.degree, f1.degree)
-    v0, v1 = (to_real_vector(f.pad_to_degree(degree)) for f in (f0, f1))
+    v0, v1 = (f.pad_to_degree(degree).coeffs.ravel() for f in (f0, f1))
     straight = np.array([v0 + (i / (knots - 1)) * (v1 - v0) for i in range(knots)])
 
     candidates = [straight]
@@ -501,9 +485,13 @@ def optimize_path(
             starts[r, 1:-1] += RESTART_SIGMA * rng.standard_normal(straight[1:-1].shape)
         candidates += list(_run_restart(starts, domain, degree))
 
-    paths = [IsotopyPath.uniform([from_real_vector(domain, row, degree) for row in c]) for c in candidates]
+    shape = (2, degree + 1) * domain.ndim
+    paths = [IsotopyPath.uniform([FourierFunction(domain, row.reshape(shape)) for row in c]) for c in candidates]
     lengths = [sch_length(p) for p in paths]  # every candidate re-measured exactly
-    best_len, best_path = min(zip(lengths, paths), key=lambda lp: lp[0])
+    # the earliest candidate within 1e-12 of the shortest: candidates that tie
+    # to rounding must not swap places on a one-ulp change
+    best = next(i for i, v in enumerate(lengths) if v <= min(lengths) + 1e-12)
+    best_len, best_path = lengths[best], paths[best]
     lower = sup_norm(f1 - f0)
     if best_len < lower - 1e-9:
         raise ViolationReport(f"optimizer undercut the certified lower bound: {best_len} < {lower}")

@@ -314,8 +314,10 @@ def axiom_suite(
             d = max(lp[i, j], -lm[i, j])
             if d <= tol:
                 gap = _coeff_gap(gens[i], gens[j])
+                # each cos/sin coefficient is at most 2 sup|f| per axis, so
+                # sup|f| <= tol bounds the real coefficients by 2^ndim tol
                 non_degeneracy.record(
-                    gap <= 2.0 * tol + 1e-12,
+                    gap <= 2.0 ** gens[i].domain.ndim * tol + 1e-12,
                     f"d_spec({i},{j}) = {d:.3e} but coefficient gap {gap:.3e}",
                 )
             else:

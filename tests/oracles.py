@@ -3,9 +3,11 @@
 Nothing here touches the package's evaluation or refinement machinery; the
 formulas are written out from the real cos/sin coefficients so the oracles
 stay independent of the code paths they check.  The partial derivatives
-take the complex route, FourierFunction.derivative, which the package's
-real derivative stacks are checked against.
+are written out the same way, term by term at points, for the package's
+derivative stacks to be checked against.
 """
+
+from itertools import zip_longest
 
 import numpy as np
 
@@ -87,13 +89,35 @@ def dedupe_points_loop(points, tol):
     return np.array([kept[i] for i in order])
 
 
-def gradient(f):
-    """(f',) on S1, (f_1, f_2) on T2, through the complex coefficients."""
-    return tuple(f.derivative(axis) for axis in range(f.domain.ndim))
+def partials_direct(a0, cos_coeffs, sin_coeffs, x):
+    """(f, f', f'') at x, summing the differentiated series term by term."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((3,) + x.shape)
+    out[0] = a0
+    for k, (a, b) in enumerate(zip_longest(cos_coeffs, sin_coeffs, fillvalue=0.0), start=1):
+        w = 2 * np.pi * k
+        c, s = np.cos(w * x), np.sin(w * x)
+        out = out + np.array([a * c + b * s, w * (b * c - a * s), -w * w * (a * c + b * s)])
+    return out
 
 
-def hessian(f):
-    """Second partials f_ij with i <= j: (f'',) on S1, (f_11, f_12, f_22) on T2."""
-    grad = gradient(f)
-    nd = f.domain.ndim
-    return tuple(grad[i].derivative(j) for i in range(nd) for j in range(i, nd))
+def torus_partials_direct(a0, cc, cs, sc, ss, pts):
+    """(f, f_1, f_2, f_11, f_12, f_22) at points (m, 2), by a double loop over the differentiated terms.
+
+    The term of block coefficient a at (k1, k2) is a u(q1) v(q2), with u the
+    cos or sin of 2 pi k1 q1 and v that of 2 pi k2 q2.
+    """
+    pts = np.asarray(pts, dtype=float)
+    out = np.zeros((6, len(pts)))
+    out[0] = a0
+    for k1 in range(len(cc)):
+        w1 = 2 * np.pi * k1
+        c1, s1 = np.cos(w1 * pts[:, 0]), np.sin(w1 * pts[:, 0])
+        for k2 in range(len(cc)):
+            w2 = 2 * np.pi * k2
+            c2, s2 = np.cos(w2 * pts[:, 1]), np.sin(w2 * pts[:, 1])
+            for (u, du), row in zip(((c1, -w1 * s1), (s1, w1 * c1)), ((cc, cs), (sc, ss))):
+                for (v, dv), block in zip(((c2, -w2 * s2), (s2, w2 * c2)), row):
+                    a = block[k1][k2]
+                    out = out + a * np.array([u * v, du * v, u * dv, -w1 * w1 * u * v, du * dv, -w2 * w2 * u * v])
+    return out

@@ -25,8 +25,8 @@ from oracles import (
     dense_sup_norm,
     eval_direct,
     eval_torus_direct,
-    gradient,
-    hessian,
+    partials_direct,
+    torus_partials_direct,
 )
 
 coeff_lists = st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4)
@@ -112,14 +112,15 @@ def test_gradient_on_torus():
     sc = np.zeros((2, 2))
     sc[1, 1] = 1.0  # sin(2 pi q1) cos(2 pi q2)
     t = FourierFunction.from_torus_coeffs(0.0, np.zeros((2, 2)), sc=sc)
-    g1, g2 = gradient(t)
     q = (0.1, 0.2)
-    assert g1(q) == pytest.approx(
-        2 * np.pi * np.cos(2 * np.pi * 0.1) * np.cos(2 * np.pi * 0.2), abs=1e-12
+    want = (
+        2 * np.pi * np.cos(2 * np.pi * 0.1) * np.cos(2 * np.pi * 0.2),
+        -2 * np.pi * np.sin(2 * np.pi * 0.1) * np.sin(2 * np.pi * 0.2),
     )
-    assert g2(q) == pytest.approx(
-        -2 * np.pi * np.sin(2 * np.pi * 0.1) * np.sin(2 * np.pi * 0.2), abs=1e-12
-    )
+    assert (t.derivative(0)(q), t.derivative(1)(q)) == pytest.approx(want, abs=1e-12)
+    # the oracle's written-out partials agree with the closed form
+    partials = torus_partials_direct(*t.torus_blocks(), [q])[1:3, 0]
+    assert tuple(partials) == pytest.approx(want, abs=1e-12)
 
 
 # -- extremum --------------------------------------------------------------
@@ -308,16 +309,13 @@ def test_critical_set_carries_the_attaining_set_record(f):
 
 def test_scan_stack_matches_separate_grids():
     f = fn(0.1, [0.3, -0.2], [0.1, 0.05])
-    fp = f.derivative()
-    stack = f.values_on_grid(64)
-    for grid, g in zip(stack, (f, fp, fp.derivative())):
-        np.testing.assert_allclose(grid, g(np.arange(64) / 64), atol=1e-12)
+    want = partials_direct(*f.circle_cos_sin(), np.arange(64) / 64)
+    np.testing.assert_allclose(f.values_on_grid(64), want, atol=1e-12)
     t = FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]])
     q = np.arange(16) / 16
     pts = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
-    stack = t.values_on_grid(16)
-    for grid, g in zip(stack, (t,) + gradient(t) + hessian(t)):
-        np.testing.assert_allclose(grid.ravel(), g(pts), atol=1e-11)
+    want = torus_partials_direct(*t.torus_blocks(), pts)
+    np.testing.assert_allclose(t.values_on_grid(16).reshape(6, -1), want, atol=1e-11)
 
 
 def test_fallbacks_when_torus_newton_fails(monkeypatch, rng):
@@ -442,18 +440,25 @@ def test_tied_circle_maxima_each_get_a_point():
 
 
 def test_torus_stacks_are_the_derivative_coefficients():
-    # the real derivative stacks hold the real coefficients of f, its
-    # gradient and its Hessian, zero-padded to the batch's top degree, as
-    # the complex route of the oracle derives them; on both domains
+    # the rows of the derivative stacks, zero-padded to the batch's top
+    # degree and summed term by term, give f, its gradient and its Hessian
+    # as the oracle writes them out at points; on both domains
     rng = np.random.default_rng(4)
     for domain in (CIRCLE, TORUS2):
         for scale in (1e-8, 1.0, 1e8):
             fs = [scale * random_function(rng, domain, d) for d in (1, 3, 0)]
-            for stack, f in zip(fourier._stacks(fs), fs):
-                for c, g in zip(stack, (f,) + gradient(f) + hessian(f)):
-                    want = g.pad_to_degree(3).real_coeffs()
-                    atol = 1e-15 * np.max(np.abs(want))
-                    np.testing.assert_allclose(c, want, rtol=0, atol=atol, err_msg=f"{domain.kind} {scale}")
+            pts = rng.uniform(0.0, 1.0, (9, domain.ndim))
+            stacks = fourier._stacks(fs)
+            assert stacks.shape[-1] == 4
+            for stack, f in zip(stacks, fs):
+                if domain.kind == "S1":
+                    want = partials_direct(*f.circle_cos_sin(), pts[:, 0])
+                    got = [eval_direct(c[0, 0], c[0, 1:], c[1, 1:], pts[:, 0]) for c in stack]
+                else:
+                    want = torus_partials_direct(*f.torus_blocks(), pts)
+                    got = [eval_torus_direct(0.0, c[0, :, 0], c[0, :, 1], c[1, :, 0], c[1, :, 1], pts) for c in stack]
+                err = np.max(np.abs(np.array(got) - want), axis=1)
+                assert np.all(err <= 1e-14 * np.max(np.abs(want), axis=1)), (domain.kind, scale, err)
 
 
 def _dedupe_cases():
@@ -498,93 +503,54 @@ def test_attaining_sets_reject_a_tolerance_that_is_not_positive(tol):
             attaining_sets([f], tol)
 
 
-def test_circle_constructor_matches_the_padded_construction():
-    def padded(a0, cos, sin):
-        d = max(len(cos), len(sin))
-        a = np.pad(np.asarray(cos, dtype=float), (0, d - len(cos)))
-        b = np.pad(np.asarray(sin, dtype=float), (0, d - len(sin)))
-        c = np.zeros(2 * d + 1, dtype=complex)
-        c[d] = a0
-        c[d + 1 :] = 0.5 * (a - 1j * b)
-        c[:d] = np.conj(c[d + 1 :][::-1])
-        return FourierFunction(CIRCLE, c)
+def test_constructors_store_their_inputs(rng):
+    # constructor inputs, signed zeros included, come back bit for bit from
+    # coeffs, circle_cos_sin and torus_blocks; only the sin 0 slots, which
+    # multiply zero, are zeroed
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
 
     for a0, cos, sin in [
         (0.1, [0.3, -0.0, -1.5], [-0.2]),
         (-2.0, [], [0.5, -0.25, 0.0]),
-        (0.0, [1.0, -2.0], []),
+        (-0.0, [1.0, -2.0], []),
         (0.3, [0.0], [-0.0, 4.0, -1e-300]),
     ]:
-        got, want = fn(a0, cos, sin).coeffs, padded(a0, cos, sin).coeffs
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (cos, sin)
-
-
-def test_torus_layout_matches_the_double_loop(rng):
-    def looped(a0, cc, cs, sc, ss):
-        d = cc.shape[0] - 1
-        c = np.zeros((2 * d + 1, 2 * d + 1), dtype=complex)
-        c[d, d] = a0 + cc[0, 0]
-        for k1 in range(0, d + 1):
-            for k2 in range(0, d + 1):
-                if k1 == 0 and k2 == 0:
-                    continue
-                if k1 == 0:
-                    val = 0.5 * (cc[0, k2] - 1j * cs[0, k2])
-                    c[d, d + k2] += val
-                    c[d, d - k2] += np.conj(val)
-                elif k2 == 0:
-                    val = 0.5 * (cc[k1, 0] - 1j * sc[k1, 0])
-                    c[d + k1, d] += val
-                    c[d - k1, d] += np.conj(val)
-                else:
-                    p = 0.25 * ((cc[k1, k2] - ss[k1, k2]) - 1j * (cs[k1, k2] + sc[k1, k2]))
-                    q = 0.25 * ((cc[k1, k2] + ss[k1, k2]) + 1j * (cs[k1, k2] - sc[k1, k2]))
-                    c[d + k1, d + k2] += p
-                    c[d - k1, d - k2] += np.conj(p)
-                    c[d + k1, d - k2] += q
-                    c[d - k1, d + k2] += np.conj(q)
-        return FourierFunction(TORUS2, c)
-
-    def looped_blocks(f):
-        d, c = f.degree, f.coeffs
-        cc, cs, sc, ss = np.zeros((4, d + 1, d + 1))
-        for k2 in range(1, d + 1):
-            cc[0, k2], cs[0, k2] = 2.0 * c[d, d + k2].real, -2.0 * c[d, d + k2].imag
-        for k1 in range(1, d + 1):
-            cc[k1, 0], sc[k1, 0] = 2.0 * c[d + k1, d].real, -2.0 * c[d + k1, d].imag
-            for k2 in range(1, d + 1):
-                p, q = c[d + k1, d + k2], c[d + k1, d - k2]
-                cc[k1, k2] = 2.0 * (p.real + q.real)
-                ss[k1, k2] = 2.0 * (q.real - p.real)
-                cs[k1, k2] = 2.0 * (q.imag - p.imag)
-                sc[k1, k2] = -2.0 * (p.imag + q.imag)
-        return f.mean_value, cc, cs, sc, ss
-
-    def bits(a):
-        return np.asarray(a).view(np.uint64)
-
+        f = fn(a0, cos, sin)
+        got_a0, got_cos, got_sin = f.circle_cos_sin()
+        assert f.coeffs.shape == (2, max(len(cos), len(sin)) + 1)
+        assert bits(got_a0) == bits(a0) == bits(f.coeffs[0, 0]) and f.coeffs[1, 0] == 0.0
+        assert np.array_equal(bits(got_cos[: len(cos)]), bits(cos)) and not got_cos[len(cos) :].any()
+        assert np.array_equal(bits(got_sin[: len(sin)]), bits(sin)) and not got_sin[len(sin) :].any()
     for degree in range(7):
         for scale in (1e-8, 1.0, 1e8):
-            # nonzero also where the layout ignores an entry (cs[:, 0],
-            # ss[:, 0], sc[0, :] and ss[0, :]), and a row of signed zeros
             a0 = scale * rng.normal()
             blocks = scale * rng.normal(size=(4, degree + 1, degree + 1))
-            blocks[:, -1] *= -0.0
+            blocks[:, -1] *= -0.0  # a row of signed zeros
+            blocks[0, 0, 0] = 0.0  # the mean is a0 alone
+            t = FourierFunction.from_torus_coeffs(a0, *blocks)
             cc, cs, sc, ss = blocks
-            args = (a0, cc, cs, sc, ss)
-            got, want = FourierFunction.from_torus_coeffs(*args), looped(*args)
-            assert np.array_equal(bits(got.coeffs), bits(want.coeffs)), (degree, scale)
-            for g, w in zip(got.torus_blocks(), looped_blocks(want)):
+            for b in (cs[:, 0], sc[0], ss[0], ss[:, 0]):
+                b[:] = 0.0  # these slots multiply sin 0
+            got = t.torus_blocks()
+            assert bits(got[0]) == bits(a0) == bits(t.coeffs[0, 0, 0, 0]), (degree, scale)
+            for g, w, stored in zip(got[1:], blocks, (t.coeffs[i, :, j] for i in (0, 1) for j in (0, 1))):
                 assert np.array_equal(bits(g), bits(w)), (degree, scale)
+                assert np.array_equal(bits(stored.ravel()[1:]), bits(w.ravel()[1:])), (degree, scale)
+    for bad in (np.zeros((2, 3), dtype=complex), [[1.0, 2.0], [0.0, 1j]]):
+        with pytest.raises(TypeError):
+            FourierFunction(CIRCLE, bad)
+    with pytest.raises(TypeError):
+        fn(0.0, [0.5 + 1j])
 
 
-def test_real_coeffs_sum_to_the_function(rng):
-    # the real layout every kernel reads, summed term by term, gives the
+def test_stored_coeffs_sum_to_the_function(rng):
+    # the stored layout every kernel reads, summed term by term, gives the
     # function its constructor inputs describe; the sin 0 slots hold zeros
     for degree in range(7):
         for scale in (1e-8, 1.0, 1e8):
             a0, cos, sin = scale * rng.normal(), scale * rng.normal(size=degree), scale * rng.normal(size=degree)
-            r = fn(a0, cos, sin).real_coeffs()
+            r = fn(a0, cos, sin).coeffs
             assert r.shape == (2, degree + 1) and r[1, 0] == 0.0
             xs = rng.uniform(0.0, 1.0, 9)
             want = eval_direct(a0, cos, sin, xs)
@@ -594,7 +560,7 @@ def test_real_coeffs_sum_to_the_function(rng):
             for b in (cs[:, 0], sc[0], ss[0], ss[:, 0]):
                 b[:] = 0.0  # these slots multiply sin 0
             t = FourierFunction.from_torus_coeffs(a0, cc, cs, sc, ss)
-            r = t.real_coeffs()
+            r = t.coeffs
             assert r.shape == (2, degree + 1, 2, degree + 1)
             assert not r[:, :, 1, 0].any() and not r[1, 0].any()
             pts = rng.uniform(0.0, 1.0, (9, 2))
@@ -640,3 +606,12 @@ def test_multiply_exactness(rng):
     assert prod.degree == a.degree + b.degree
     for x in rng.uniform(0, 1, 8):
         assert prod(x) == pytest.approx(a(x) * b(x), abs=1e-13)
+
+
+def test_multiply_on_the_torus(rng):
+    a = random_function(rng, TORUS2, 3)
+    b = random_function(rng, TORUS2, 2) + 0.5
+    prod = a.multiply(b)
+    assert prod.degree == a.degree + b.degree
+    pts = rng.uniform(0.0, 1.0, (16, 2))
+    assert prod(pts) == pytest.approx(a(pts) * b(pts), abs=1e-13)

@@ -516,6 +516,22 @@ def test_restarts_do_not_depend_on_how_many_run():
     assert many.restart_lengths[:3] == few.restart_lengths
 
 
+def test_optimizer_keeps_the_earliest_of_tied_candidates(monkeypatch):
+    # restarts that tie the straight path to an ulp must not displace it:
+    # a one-ulp change in a length would otherwise swap the reported path
+    measured = []
+    tied = iter([0.5 + 2.2e-16, 0.5, 0.5 + 1.1e-16])
+
+    def length(path):
+        measured.append(path)
+        return next(tied)
+
+    monkeypatch.setattr(geodesics, "sch_length", length)
+    r = optimize_path(fn(0.0), fn(0.0, [0.5]), knots=4, restarts=2, seed=1)
+    assert len(measured) == 3
+    assert r.path is measured[0] and r.length == 0.5 + 2.2e-16
+
+
 @pytest.mark.parametrize("degree", [2, 3])
 def test_optimize_torus(degree):
     rng = np.random.default_rng(40 + degree)
@@ -529,14 +545,14 @@ def test_optimize_torus(degree):
 
 @pytest.mark.parametrize("domain", [CIRCLE, TORUS2])
 def test_real_vectors_round_trip(domain):
-    # the optimizer's real vectors, their basis rows and, on T2, the value
-    # row of the derivative stack its Newton kernel reads all describe the
-    # function the oracle sums
+    # the optimizer's real vectors (coeffs, flattened), their basis rows
+    # and, on T2, the value row of the derivative stack its Newton kernel
+    # reads all describe the function the oracle sums
     rng = np.random.default_rng(23)
     for degree in (1, 3):
         f = random_function(rng, domain, degree)
-        vec = geodesics.to_real_vector(f)
-        assert geodesics.from_real_vector(domain, vec, degree).coeffs == pytest.approx(f.coeffs, abs=1e-15)
+        vec = f.coeffs.ravel()
+        assert FourierFunction(domain, vec.reshape(f.coeffs.shape)) == f
         pts = rng.uniform(0.0, 1.0, (7, domain.ndim))
         if domain.kind == "T2":
             vals = eval_torus_direct(*f.torus_blocks(), pts)
@@ -562,7 +578,7 @@ def test_segment_sups_reach_the_maximum():
     rng = np.random.default_rng(17)
     # degree 1 in closed form: max |a0 + a cos + b sin| = |a0| + sqrt(a^2 + b^2)
     a0, a, b = rng.uniform(-1.0, 1.0, (3, 40))
-    seg = np.array([geodesics.to_real_vector(fn(*c)) for c in zip(a0, a[:, None], b[:, None])])
+    seg = np.array([fn(*c).coeffs.ravel() for c in zip(a0, a[:, None], b[:, None])])
     sups, rows = geodesics._segment_sups(seg, CIRCLE, 1, geodesics._subgradient_grid(CIRCLE, 1))
     assert sups == pytest.approx(np.abs(a0) + np.hypot(a, b), abs=1e-12)
     assert np.sum(rows * seg, axis=1) == pytest.approx(sups, abs=1e-15)
@@ -573,7 +589,7 @@ def test_segment_sups_reach_the_maximum():
         FourierFunction.from_torus_coeffs(p0, [[0, pc], [pa, 0]], cs=[[0, pd], [0, 0]], sc=[[0, 0], [pb, 0]])
         for p0, pa, pb, pc, pd in zip(a0, a, b, c, d)
     ]
-    seg = np.array([geodesics.to_real_vector(f) for f in tor])
+    seg = np.array([f.coeffs.ravel() for f in tor])
     sups, _ = geodesics._segment_sups(seg, TORUS2, 1, geodesics._subgradient_grid(TORUS2, 1))
     assert sups == pytest.approx(np.abs(a0) + np.hypot(a, b) + np.hypot(c, d), abs=1e-12)
     # degree 8 against the dense oracle, wherever |v|'s top peak leads the
@@ -586,7 +602,7 @@ def test_segment_sups_reach_the_maximum():
         sign, lead, curv = _peak_lead(a0, cos, sin)
         if lead <= 0.5 * curv / 128**2:
             continue
-        (s,), _ = geodesics._segment_sups(geodesics.to_real_vector(f)[None], CIRCLE, 8, grid)
+        (s,), _ = geodesics._segment_sups(f.coeffs.ravel()[None], CIRCLE, 8, grid)
         assert s == pytest.approx(dense_max(sign * a0, sign * cos, sign * sin), abs=1e-12)
         checked += 1
     assert checked >= 10
