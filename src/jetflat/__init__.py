@@ -61,11 +61,9 @@ from .paths import IsotopyPath
 from .selectors import (
     AxiomSuiteReport,
     HamiltonianBounds,
-    MetricLengthReport,
     SelectorReport,
     axiom_suite,
     hamiltonian_bounds_check,
-    metric_length,
     sch_length,
     selectors,
     spectral_distance,
@@ -86,7 +84,6 @@ __all__ = [
     "IntegralCriterionReport",
     "IsotopyPath",
     "JetLegendrian",
-    "MetricLengthReport",
     "OptimizeResult",
     "ProductChartMap",
     "QAWitness",
@@ -107,7 +104,6 @@ __all__ = [
     "grid_quasi_autonomy_witness",
     "integral_criterion",
     "local_quasi_autonomy_check",
-    "metric_length",
     "minimizing_geodesic_check",
     "monotone_check",
     "optimize_path",

@@ -37,7 +37,7 @@ from .geodesics import (
 )
 from .jets import JetLegendrian, chord_spectrum
 from .sampling import random_legendrian
-from .selectors import axiom_suite, metric_length, sch_length, selectors
+from .selectors import axiom_suite, sch_length, selectors
 from .serialization import (
     canonical_json,
     dump_path,
@@ -158,18 +158,7 @@ def _cmd_monotone(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
 
 def _cmd_length(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
     path = parse_path(_load_json(args.path_spec))
-    total = sch_length(path)
-    metric = metric_length(path, tol=cfg.tolerance)
-    report = {
-        "sch_length": total,
-        "metric_length": metric.value,
-        "refinement_depth": metric.depth,
-        "converged": metric.converged,
-    }
-    ok = metric.converged and abs(metric.value - total) <= max(
-        cfg.tolerance, 1e-9 * (1.0 + abs(total))
-    )
-    return report, ok, None
+    return {"sch_length": sch_length(path)}, True, None
 
 
 def _cmd_integral(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
@@ -239,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monotone", parents=[common], help="monotonicity check of a path spec")
     p.add_argument("path_spec")
 
-    p = sub.add_parser("length", parents=[common], help="sup-norm and partition-refinement lengths of a path")
+    p = sub.add_parser("length", parents=[common], help="sup-norm length of a path")
     p.add_argument("path_spec")
 
     p = sub.add_parser("integral-criterion", parents=[common], help="integrated sup-norm equality test for a sampled family")

@@ -7,9 +7,8 @@ the generator difference,
 
 and the induced spectral distance max(ell_plus, -ell_minus) equals the sup
 norm of the difference.  The chart makes these formulas global, so no
-smallness of the generators is enforced here; the sup-norm length of a
-piecewise-linear path and the partition-refinement length of the induced
-metric agree exactly on such paths.
+smallness of the generators is enforced here.  A piecewise-linear path's
+length in that metric is the sum of its segment sup norms.
 """
 
 from __future__ import annotations
@@ -83,53 +82,6 @@ def sch_length(path: IsotopyPath) -> float:
     if not isinstance(path, IsotopyPath):
         raise MalformedPath("sch_length expects an IsotopyPath")
     return float(sum(r.norm for r in attaining_sets(path.segment_deltas())))
-
-
-@dataclass(frozen=True)
-class MetricLengthReport:
-    value: float
-    depth: int
-    refinement_gap: float
-    converged: bool
-
-
-def metric_length(
-    path: IsotopyPath,
-    tol: float = 1e-9,
-    max_depth: int = 12,
-) -> MetricLengthReport:
-    """Length as a supremum of partition sums under dyadic refinement.
-
-    Partitions refine the knot partition (each knot interval is split in
-    halves), so each sub-interval stays inside one linear segment; the
-    partition sums then telescope and the iteration stabilizes immediately.
-    The spectral and the path-infimum metric give the same value here:
-    both evaluate to the sup norm of the coefficient difference in this
-    chart, since the straight segment realizes the sup-norm infimum.
-    """
-
-    def partition_sum(splits: int) -> float:
-        pieces = []
-        for k in range(path.n_segments):
-            a, b = path.knots[k], path.knots[k + 1]
-            prev = a
-            for i in range(1, splits + 1):
-                cur = b if i == splits else a + (i / splits) * (b - a)
-                pieces.append(cur - prev)
-                prev = cur
-        return sum(r.norm for r in attaining_sets(pieces))
-
-    prev_sum = partition_sum(1)
-    depth = 0
-    gap = float("inf")
-    while depth < max_depth:
-        depth += 1
-        cur_sum = partition_sum(2**depth)
-        gap = abs(cur_sum - prev_sum)
-        prev_sum = max(prev_sum, cur_sum)
-        if gap < tol:
-            return MetricLengthReport(prev_sum, depth, gap, True)
-    return MetricLengthReport(prev_sum, depth, gap, False)
 
 
 @dataclass(frozen=True)

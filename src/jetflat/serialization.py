@@ -129,7 +129,6 @@ def parse_contact_path(obj: Any) -> tuple[list[CircleContactomorphism], list[flo
     knots_raw = obj.get("knots")
     _require(isinstance(knots_raw, list) and len(knots_raw) >= 2, "contact path needs >= 2 knots")
     maps = [parse_contactomorphism(k) for k in knots_raw]
-    _require(len(times) == len(maps), "knot count must equal time count")
     return maps, times
 
 

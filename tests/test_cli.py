@@ -285,8 +285,17 @@ def test_cmd_monotone(capsys, specs, tmp_path):
 def test_cmd_length(capsys, specs):
     code, out = run_json(capsys, ["length", specs["reversal"]])
     assert code == 0
-    assert out["sch_length"] == pytest.approx(1.0, abs=1e-9)
-    assert out["metric_length"] == pytest.approx(out["sch_length"], abs=1e-9)
+    assert out == {"sch_length": pytest.approx(1.0, abs=1e-9)}
+
+
+def test_cmd_length_ignores_tol(capsys, specs):
+    # the sup-norm length is a sum of segment sup norms, so no tolerance
+    # below rounding can turn it into a failure
+    path = random_path(np.random.default_rng(3), 6)
+    spec = _write(specs["tmp"], "path6.json", dump_path(path))
+    code, out = run_json(capsys, ["length", spec, "--tol", "1e-17"])
+    assert code == 0
+    assert list(out) == ["sch_length"]
 
 
 def test_cmd_integral_criterion(capsys, specs, tmp_path):
@@ -342,6 +351,20 @@ def test_cmd_contact_qa_follows_tol(capsys, specs):
     assert code == 0 and out["qa_witness"] is None
 
 
+def test_knot_time_count_mismatch_exit_3(capsys, tmp_path):
+    # 3 knots and 2 times are malformed geometry, in a path and in a contact path
+    knots = [fn(0.0), fn(0.0, [], [0.05]), fn(0.0, [], [0.1])]
+    path = _write(tmp_path, "path.json", {"times": [0.0, 1.0], "knots": [dump_function(k) for k in knots]})
+    cpath = _write(
+        tmp_path,
+        "cpath.json",
+        {"times": [0.0, 1.0], "knots": [{"displacement": dump_function(k)} for k in knots]},
+    )
+    assert main(["geodesic", path]) == 3
+    assert main(["contact", "qa", cpath]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     # one scan per function per command: dist and spectrum scan f1 - f0 once
     # and read the selectors from the critical set's extrema record; a
@@ -349,7 +372,7 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     # translated points then scan f once; the integral criterion scans each
     # knot once plus the integral; the geodesic check scans each segment
     # once, for the length, the witness and the segmentation, and the
-    # endpoint difference once.  One Newton run per domain, batch and sign:
+    # endpoint difference once; length scans each segment once.  One Newton run per domain, batch and sign:
     # the 64 knots and the 15 (or 4) segments are one batch each, the
     # integral and the endpoint difference one sup_norm, a batch of one per
     # sign; a torus critical set adds one run for its critical points
@@ -389,6 +412,7 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
         (["integral-criterion", family_spec], 65, 4, 0),
         (["geodesic", path_spec], 16, 4, 0),
         (["geodesic", torus_path_spec], 5, 0, 4),
+        (["length", path_spec], 15, 2, 0),
         (["props", "--count", "8"], 332, None, 0),
         (["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"], 9, None, 0),
     ):

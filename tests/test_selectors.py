@@ -11,7 +11,6 @@ from jetflat.sampling import random_legendrian, random_path
 from jetflat.selectors import (
     axiom_suite,
     hamiltonian_bounds_check,
-    metric_length,
     sch_length,
     selectors,
     spectral_distance,
@@ -107,23 +106,6 @@ def test_malformed_path_domain_mixture():
     torus = FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(MalformedPath):
         IsotopyPath.uniform([t, torus])
-
-
-def test_metric_length_straight_and_constant():
-    f, g = fn(0.0, [0.2]), fn(0.0, [], [0.4])
-    r = metric_length(IsotopyPath.straight(f, g))
-    assert r.converged
-    assert r.value == pytest.approx(sup_norm(g - f), abs=1e-12)
-    c = metric_length(IsotopyPath.uniform([f, f]))
-    assert c.value == 0.0
-
-
-@given(st.integers(0, 2**31 - 1))
-def test_metric_length_matches_sch_on_pl_paths(seed):
-    path = random_path(np.random.default_rng(seed), n_knots=4, degree=4)
-    r = metric_length(path)
-    assert r.converged
-    assert r.value == pytest.approx(sch_length(path), abs=1e-9)
 
 
 # -- Hamiltonian bounds ---------------------------------------------------------
