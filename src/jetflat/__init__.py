@@ -8,7 +8,6 @@ geodesic verification, a variational path optimizer used as an independent
 oracle, and the contact-product chart for circle contactomorphisms.
 """
 
-from .config import RunConfig
 from .contact import (
     CircleContactomorphism,
     ProductChartMap,
@@ -87,7 +86,6 @@ __all__ = [
     "OptimizeResult",
     "ProductChartMap",
     "QAWitness",
-    "RunConfig",
     "SegmentationReport",
     "SelectorReport",
     "SpectralNormResult",

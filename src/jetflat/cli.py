@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import RunConfig
+from .config import EQUALITY_TOL
 from .contact import contact_qa_check, shelukhin_norm_upper, spectral_norm, translated_points
 from .errors import (
     CrossCheckMismatch,
@@ -90,10 +90,10 @@ def _emit(report: dict, fmt: str, csv_rows: list[list] | None = None) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _cmd_dist(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
+def _cmd_dist(args) -> tuple[dict, bool, list[list] | None]:
     f = parse_function(_load_json(args.f_spec))
     g = parse_function(_load_json(args.g_spec))
-    r = selectors(JetLegendrian(f), JetLegendrian(g), membership_tol=cfg.tolerance)
+    r = selectors(JetLegendrian(f), JetLegendrian(g), membership_tol=args.tol)
     report = {
         "ell_plus": r.ell_plus,
         "ell_minus": r.ell_minus,
@@ -101,7 +101,7 @@ def _cmd_dist(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
         "plus_in_spectrum": r.plus_in_spectrum,
         "minus_in_spectrum": r.minus_in_spectrum,
     }
-    ok = r.in_spectrum and r.ell_minus <= r.ell_plus + cfg.tolerance and r.d_spec >= -cfg.tolerance
+    ok = r.in_spectrum and r.ell_minus <= r.ell_plus + args.tol and r.d_spec >= -args.tol
     rows = [
         list(SELECTOR_CSV_COLUMNS),
         ["pair", repr(r.ell_plus), repr(r.ell_minus), repr(r.d_spec), r.in_spectrum],
@@ -109,22 +109,22 @@ def _cmd_dist(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
     return report, ok, rows
 
 
-def _cmd_spectrum(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
+def _cmd_spectrum(args) -> tuple[dict, bool, list[list] | None]:
     f = parse_function(_load_json(args.f_spec))
     g = parse_function(_load_json(args.g_spec))
-    spec = chord_spectrum(JetLegendrian(f), JetLegendrian(g), tol=cfg.tolerance)
-    report = {"lengths": list(spec.lengths), "plateau": spec.plateau, "tolerance": cfg.tolerance}
+    spec = chord_spectrum(JetLegendrian(f), JetLegendrian(g), tol=args.tol)
+    report = {"lengths": list(spec.lengths), "plateau": spec.plateau, "tolerance": args.tol}
     rows = [["index", "length"]] + [[i, repr(v)] for i, v in enumerate(spec.lengths)]
     return report, True, rows
 
 
-def _cmd_geodesic(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
+def _cmd_geodesic(args) -> tuple[dict, bool, list[list] | None]:
     path = parse_path(_load_json(args.path_spec))
     if args.mode == "check":
-        rep = minimizing_geodesic_check(path, tol=cfg.tolerance)
+        rep = minimizing_geodesic_check(path, tol=args.tol)
         return rep.to_json_dict(), not rep.cross_check_mismatch, None
     result = optimize_path(
-        path.knots[0], path.knots[-1], knots=args.knots, restarts=args.restarts, seed=cfg.seed
+        path.knots[0], path.knots[-1], knots=args.knots, restarts=args.restarts, seed=args.seed
     )
     report = {
         "best_length": result.length,
@@ -132,56 +132,56 @@ def _cmd_geodesic(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
         "gap": result.gap,
         "knots": args.knots,
         "restarts": args.restarts,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "path": dump_path(result.path),
     }
     return report, result.gap >= -1e-9, None
 
 
-def _cmd_props(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
+def _cmd_props(args) -> tuple[dict, bool, list[list] | None]:
     if args.count < 2:
         raise SpecParseError("props needs count >= 2")
     if args.degree < 1:
         raise SpecParseError("props needs degree >= 1")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     sample = [random_legendrian(rng, degree=args.degree) for _ in range(args.count)]
-    report = axiom_suite(sample, tol=cfg.tolerance, membership_tol=cfg.tolerance)
+    report = axiom_suite(sample, tol=args.tol, membership_tol=args.tol)
     return report.to_json_dict(), report.all_pass, None
 
 
-def _cmd_monotone(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
+def _cmd_monotone(args) -> tuple[dict, bool, list[list] | None]:
     path = parse_path(_load_json(args.path_spec))
     verdict = monotone_check(path)
     report = {"monotone": verdict, "segments": path.n_segments}
     return report, True, None
 
 
-def _cmd_length(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
+def _cmd_length(args) -> tuple[dict, bool, list[list] | None]:
     path = parse_path(_load_json(args.path_spec))
     return {"sch_length": sch_length(path)}, True, None
 
 
-def _cmd_integral(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
+def _cmd_integral(args) -> tuple[dict, bool, list[list] | None]:
     family = parse_path(_load_json(args.family_spec))
-    rep = integral_criterion(family, tol=cfg.tolerance)
+    rep = integral_criterion(family, tol=args.tol)
     return rep.to_json_dict(), True, None
 
 
-def _cmd_contact(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
+def _cmd_contact(args) -> tuple[dict, bool, list[list] | None]:
     if args.sub == "qa":
         maps, times = parse_contact_path(_load_json(args.spec))
-        witness = contact_qa_check(maps, times, cfg.tolerance)
+        witness = contact_qa_check(maps, times, args.tol)
         return {"qa_witness": None if witness is None else witness.to_json_dict()}, True, None
     if args.sub == "upper":
         phi = parse_contactomorphism(_load_json(args.spec))
-        upper = shelukhin_norm_upper(phi, knots=args.knots, restarts=args.restarts, seed=cfg.seed)
+        upper = shelukhin_norm_upper(phi, knots=args.knots, restarts=args.restarts, seed=args.seed)
         norm = upper.spectral_norm.norm
         gap = upper - norm
         report = {"upper": float(upper), "spectral_norm": norm, "gap": gap}
         return report, gap <= 1e-4, None
     phi = parse_contactomorphism(_load_json(args.spec))
     if args.sub == "norm":
-        r = spectral_norm(phi, tol=cfg.tolerance)
+        r = spectral_norm(phi, tol=args.tol)
         report = {
             "c_plus": r.c_plus,
             "c_minus": r.c_minus,
@@ -189,7 +189,7 @@ def _cmd_contact(args, cfg: RunConfig) -> tuple[dict, bool, list[list] | None]:
             "c1_advisory": r.c1_advisory,
         }
         return report, True, None
-    spec = translated_points(phi, tol=cfg.tolerance)
+    spec = translated_points(phi, tol=args.tol)
     return {"translations": list(spec.lengths), "plateau": spec.plateau}, True, None
 
 
@@ -201,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=CSV_HELP,
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=RunConfig.tolerance, help="equality/membership tolerance")
-    common.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for randomized suites")
-    common.add_argument("--format", choices=("json", "csv"), default=RunConfig.output_format, help="output format")
+    common.add_argument("--tol", type=float, default=EQUALITY_TOL, help="equality/membership tolerance")
+    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -259,13 +259,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = RunConfig(tolerance=args.tol, seed=args.seed, output_format=args.format)
-    except ValueError as exc:
-        log.error("bad configuration: %s", exc)
+    if not 0.0 < args.tol <= 1e-3:
+        log.error("bad configuration: tolerance must lie in (0, 1e-3]")
         return 2
     try:
-        report, ok, rows = _DISPATCH[args.command](args, cfg)
+        report, ok, rows = _DISPATCH[args.command](args)
     except (DimensionMismatch, MalformedPath, NotADiffeomorphism) as exc:
         log.error("geometry error: %s", exc)
         return 3
@@ -275,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EquivalenceViolation, CrossCheckMismatch, ViolationReport) as exc:
         log.error("check failed: %s", exc)
         return 1
-    _emit(report, cfg.output_format, rows if cfg.output_format == "csv" else None)
+    _emit(report, args.format, rows if args.format == "csv" else None)
     if not ok:
         log.error("asserted properties failed in command %r", args.command)
     return 0 if ok else 1

@@ -1,15 +1,13 @@
 """Run-level configuration and numeric defaults.
 
 The module constants are the knobs every numerical routine consumes; the
-RunConfig dataclass is the CLI-facing bundle of the reproducibility-relevant
-ones.  Tolerances form a ladder: Newton refinement residual (1e-12) sits
-three orders below the value-clustering / equality tolerance (1e-9), which
-itself sits well below any quantity of interest.
+command line's --tol defaults to EQUALITY_TOL.  Tolerances form a ladder:
+Newton refinement residual (1e-12) sits three orders below the
+value-clustering / equality tolerance (1e-9), which itself sits well below
+any quantity of interest.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # Scan resolutions.  The truncation degree bounds oscillation, so these
 # cannot skip extremum basins for the degrees used here.
@@ -50,17 +48,3 @@ OPTIMIZER_ITERS = 500
 RESTART_SIGMA = 0.2
 RESTART_STEP0 = 0.1
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility bundle surfaced by the command line."""
-
-    tolerance: float = EQUALITY_TOL
-    seed: int = 0
-    output_format: str = "json"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tolerance <= 1e-3:
-            raise ValueError("tolerance must lie in (0, 1e-3]")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output_format must be 'json' or 'csv'")

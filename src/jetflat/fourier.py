@@ -786,16 +786,18 @@ def critical_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Critical
     include the global extremum values, whose attaining_set record (at the
     default tolerance) rides along as extrema.  A plateau (more than 1% of
     scan points with |grad f| below the point tolerance) sets the plateau
-    flag and contributes its value once.
+    flag and contributes its value once; a constant (a record range of at
+    most 1e-12, the extremum search's rule) reports the record's extrema.
     """
     grids = _scan(f)
     dnorm = np.max(np.abs(grids[1 : 1 + f.domain.ndim]), axis=0)
     plateau = float(np.mean(dnorm < PLATEAU_POINT_TOL)) > PLATEAU_FRACTION
     point_tol = NEWTON_RESIDUAL * max(1.0, float(np.max(dnorm)))
     (ext,) = _records([f], [grids], VALUE_CLUSTER_TOL)
-    if float(np.max(dnorm)) < PLATEAU_POINT_TOL:
-        # constant function: every point is critical, report the value once
-        points, values, plateau = ((0.0,) * f.domain.ndim,), (f.mean_value,), True
+    if ext.vmax - ext.vmin <= 1e-12:
+        # constant by the record's own rule: every point is critical
+        points, plateau = ((0.0,) * f.domain.ndim,), True
+        values = tuple(_cluster_values([ext.vmax, ext.vmin], tol))
     else:
         if f.domain.kind == "S1":
             pts = _critical_points_circle(f, grids, point_tol)

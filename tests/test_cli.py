@@ -156,6 +156,29 @@ def test_cmd_dist_amplitude(capsys, specs):
     assert out["d_spec"] == pytest.approx(np.sqrt(0.1), abs=1e-9)
 
 
+@pytest.mark.parametrize("amp, tol", [(1e-11, 1e-12), (1e-13, 1e-14)])
+def test_cmd_dist_tiny_amplitude_in_spectrum(capsys, specs, tmp_path, amp, tol):
+    # 1e-11 has a range above the constant rule and |f'| below the plateau
+    # tolerance; 1e-13 is constant by the record's rule: either way the
+    # spectrum holds the record's extrema at the command's tolerance
+    f = _write(tmp_path, "tiny.json", {"domain": "S1", "a0": 0, "cos": [amp]})
+    code, out = run_json(capsys, ["dist", f, specs["zero"], "--tol", str(tol)])
+    assert code == 0
+    assert out["plus_in_spectrum"] and out["minus_in_spectrum"]
+    assert (out["ell_plus"], out["ell_minus"]) == pytest.approx((amp, -amp), abs=tol)
+
+
+def test_cmd_dist_coarse_tol_keeps_extrema_in_spectrum(capsys, specs, tmp_path):
+    # about 32 critical values in +-2.2e-3, each under 1e-3 from the next:
+    # clustered at --tol they would merge into one mean near 0
+    cos = [2e-3] + [0.0] * 14 + [2e-4]
+    f = _write(tmp_path, "ripple.json", {"domain": "S1", "a0": 0, "cos": cos})
+    code, out = run_json(capsys, ["dist", f, specs["zero"], "--tol", "1e-3"])
+    assert code == 0
+    assert out["plus_in_spectrum"] and out["minus_in_spectrum"]
+    assert out["ell_plus"] == pytest.approx(2.2e-3, abs=1e-12)
+
+
 def test_cmd_dist_parse_failure_exit_2(capsys, specs, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -413,7 +436,7 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
         (["geodesic", path_spec], 16, 4, 0),
         (["geodesic", torus_path_spec], 5, 0, 4),
         (["length", path_spec], 15, 2, 0),
-        (["props", "--count", "8"], 332, None, 0),
+        (["props", "--count", "8"], 192, None, 0),
         (["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"], 9, None, 0),
     ):
         calls.clear()

@@ -166,3 +166,22 @@ def test_axiom_suite_negative_control(rng):
     report = axiom_suite(sample, membership_tol=1e-20)
     assert not report.by_name("spectrality").passed
     assert not report.all_pass
+
+
+@pytest.mark.parametrize(
+    "scale, message", [(0.81, "not comparable"), (1.21, "above d_spec")]
+)
+def test_axiom_suite_monotonicity_catches_a_broken_squaring_route(monkeypatch, scale, message):
+    # the comparable pairs come from sup|g_i - g_j| by the squaring route; a
+    # product scaled by 0.81 shrinks that bound by 0.9, so the constructed
+    # pairs stop being comparable, and one scaled by 1.21 inflates it by 1.1
+    # past d_spec: either way only monotonicity fails
+    multiply = FourierFunction.multiply
+    monkeypatch.setattr(FourierFunction, "multiply", lambda f, g: scale * multiply(f, g))
+    rng = np.random.default_rng(5)
+    sample = [random_legendrian(rng, degree=8) for _ in range(6)]
+    report = axiom_suite(sample)
+    failed = [r.name for r in report.results if not r.passed]
+    assert failed == ["monotonicity"]
+    failures = report.by_name("monotonicity").failures
+    assert failures and all(message in m for m in failures if not m.startswith("..."))
