@@ -14,6 +14,7 @@ import io
 import json
 import logging
 import sys
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -243,6 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # one parser per process: parsing never changes it
+
+
 _DISPATCH = {
     "dist": _cmd_dist,
     "spectrum": _cmd_spectrum,
@@ -257,8 +261,7 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if not 0.0 < args.tol <= 1e-3:
         log.error("bad configuration: tolerance must lie in (0, 1e-3]")
         return 2

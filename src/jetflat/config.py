@@ -1,10 +1,11 @@
 """Run-level configuration and numeric defaults.
 
 The module constants are the knobs every numerical routine consumes; the
-command line's --tol defaults to EQUALITY_TOL.  Tolerances form a ladder:
-Newton refinement residual (1e-12) sits three orders below the
-value-clustering / equality tolerance (1e-9), which itself sits well below
-any quantity of interest.
+command line's --tol defaults to EQUALITY_TOL.  One scale rule sets every
+threshold of the extremum engine: a value comparison uses the caller's tol
+(EQUALITY_TOL by default) or 16 ulps of the function's own scale, and a
+Newton residual is NEWTON_RESIDUAL times the scan's max|grad f|, so both
+scale with the function and no threshold is absolute.
 """
 
 from __future__ import annotations
@@ -14,31 +15,26 @@ from __future__ import annotations
 DEFAULT_CIRCLE_SCAN = 4096
 DEFAULT_TORUS_SCAN = 256
 
-# Newton refinement on derivatives.
+# Newton refinement on derivatives: the residual relative to max|grad f|.
 NEWTON_RESIDUAL = 1e-12
 NEWTON_MAX_ITER = 50
 
-# Critical-value clustering and point deduplication.  The point radius is
-# wide because Newton stalls anywhere inside the flat basin of a degenerate
-# root; distinct critical points of the degrees used here sit far apart.
-VALUE_CLUSTER_TOL = 1e-9
+# Point deduplication.  The radius is wide because Newton stalls anywhere
+# inside the flat basin of a degenerate root; distinct critical points of
+# the degrees used here sit far apart.
 POINT_CLUSTER_TOL = 1e-6
 
-# Plateau detection: fraction of scan points with |f'| below this.
-PLATEAU_POINT_TOL = 1e-9
+# Plateau detection: fraction of scan points with |grad f| below 1e3 Newton
+# residuals.
 PLATEAU_FRACTION = 0.01
 
-# Equality / axiom-check tolerance and the boundary used by the pointwise
-# partial order.
+# The caller's default tolerance: equality, attainment, clustering of
+# critical values and the axiom checks.
 EQUALITY_TOL = 1e-9
-ORDER_BOUNDARY_TOL = 1e-12
 
 # Translated-point condition on the first knot of a contact quasi-autonomy
 # witness (|f_0'(q0)| at most this).
 WITNESS_DERIV_TOL = 1e-9
-
-# Segments whose sup-norm is below this are treated as zero length.
-ZERO_SEGMENT_TOL = 1e-12
 
 # Path optimizer schedule: iterations (all restarts run them in lockstep,
 # on a subgradient grid sized by the degree), scale of the Gaussian

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import EQUALITY_TOL, VALUE_CLUSTER_TOL, WITNESS_DERIV_TOL
+from .config import EQUALITY_TOL, WITNESS_DERIV_TOL
 from .errors import CrossCheckMismatch, NotADiffeomorphism, ViolationReport
 from .fourier import CIRCLE, Extrema, FourierFunction, attaining_set
 from .geodesics import QAWitness, optimize_path, quasi_autonomy_check
@@ -155,7 +155,7 @@ def graph_of(phi: CircleContactomorphism) -> JetLegendrian:
 
 
 def translated_points(
-    phi: CircleContactomorphism, tol: float = VALUE_CLUSTER_TOL
+    phi: CircleContactomorphism, tol: float = EQUALITY_TOL
 ) -> ChordSpectrum:
     """Translations t with phi(x) = x + t at a point where phi preserves dθ.
 
@@ -173,7 +173,7 @@ class SpectralNormResult(NamedTuple):
     c1_advisory: bool
 
 
-def spectral_norm(phi: CircleContactomorphism, tol: float = VALUE_CLUSTER_TOL) -> SpectralNormResult:
+def spectral_norm(phi: CircleContactomorphism, tol: float = EQUALITY_TOL) -> SpectralNormResult:
     """Chart formula for the selector pair of a contactomorphism.
 
     c_plus = max f, c_minus = min f, norm = max |f|, read from the extrema

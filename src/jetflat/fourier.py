@@ -24,12 +24,11 @@ import numpy as np
 from .config import (
     DEFAULT_CIRCLE_SCAN,
     DEFAULT_TORUS_SCAN,
+    EQUALITY_TOL,
     NEWTON_MAX_ITER,
     NEWTON_RESIDUAL,
     PLATEAU_FRACTION,
-    PLATEAU_POINT_TOL,
     POINT_CLUSTER_TOL,
-    VALUE_CLUSTER_TOL,
 )
 from .errors import DimensionMismatch
 
@@ -412,19 +411,19 @@ class Extrema(NamedTuple):
 class CriticalSet:
     """Refined critical points and clustered critical values.
 
-    points hold coordinates with |grad f| at or below point_tolerance after
-    Newton refinement; values are deduplicated at the clustering tolerance
-    and always contain the global extremum values.  plateau flags a
-    non-isolated critical locus (reported once through its value).  extrema
-    is the attaining_set record of f, read from the same scan.
+    points hold coordinates with |grad f| at or below point_tolerance, the
+    scan's Newton residual; values are deduplicated at the clustering
+    tolerance and always contain the global extremum values.  plateau flags
+    a non-isolated critical locus (reported once through its value).
+    extrema is the attaining_set record of f at tol, from the same scan.
     """
 
     points: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     tolerance: float
+    point_tolerance: float
     extrema: Extrema = field(compare=False, repr=False)
     plateau: bool = False
-    point_tolerance: float = NEWTON_RESIDUAL
 
 
 def _scan(f: FourierFunction) -> np.ndarray:
@@ -447,12 +446,7 @@ def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cumsum(rows[..., 0, :] * np.cos(ang) + rows[..., 1, :] * np.sin(ang), axis=-1)[..., -1]
 
 
-def _newton_circle(
-    stack: np.ndarray,
-    seeds: np.ndarray,
-    halfwidth,
-    residual=NEWTON_RESIDUAL,
-) -> np.ndarray:
+def _newton_circle(stack: np.ndarray, seeds: np.ndarray, halfwidth, residual) -> np.ndarray:
     """Newton for f'(x) = 0 from every seed at once.
 
     stack[i] holds the derivative stack (_derivative_stack) of the function
@@ -556,6 +550,25 @@ def _abs_max(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
+def _rounding(scale):
+    """16 ulps of scale (a float or an array): a difference this small is rounding, not shape.
+
+    With the caller's tol and _residual it is every threshold of the engine,
+    so scaling f and tol by 2^k scales every record by exactly 2^k.
+    """
+    return 16.0 * np.spacing(scale)
+
+
+def _constant(hi: float, lo: float) -> bool:
+    """A range [lo, hi] within rounding of max|f|: f is a constant, attained everywhere."""
+    return hi - lo <= _rounding(max(hi, -lo))
+
+
+def _residual(grids: np.ndarray) -> float:
+    """Newton residual of a stacked scan: NEWTON_RESIDUAL times its max|grad f|."""
+    return NEWTON_RESIDUAL * _abs_max(grids[1 : grids.ndim])
+
+
 def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Peaks]:
     """Per sign, the top of a stacked scan and the seeds within the margin of it.
 
@@ -565,10 +578,10 @@ def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> lis
     ndim = grids.ndim - 1
     n = grids.shape[-1]
     hi, lo = float(grids[0].max()), float(grids[0].min())
-    if hi - lo <= 1e-12:  # constant: attained everywhere
+    if _constant(hi, lo):
         return [_Peaks(n, hi if sign == 1 else -lo, None, 0.0) for sign in signs]
     dq = 1.0 / n
-    residual = NEWTON_RESIDUAL * max(1.0, _abs_max(grids[1 : 1 + ndim]))
+    residual = _residual(grids)
     # margin below which a grid point may still hide the global max: the
     # Taylor bound 0.5 max|f_ij| (ndim dq)^2 over a cell, plus the tolerance
     margin = 10.0 * tol + 0.5 * ndim**2 * _abs_max(grids[1 + ndim :]) * dq * dq
@@ -588,8 +601,8 @@ def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
     seed i belongs to, so one run serves the seeds of many functions; each
     step reads the gradient and Hessian from one pair of axis bases.  Seeds
     converge at max |grad f| <= residual (a scalar or one value per seed);
-    seeds that meet a singular Hessian, step further than 0.1 (the basin
-    guard) or do not converge come back as NaN.
+    seeds that meet a Hessian singular to rounding, step further than 0.1
+    (the basin guard) or do not converge come back as NaN.
     """
     x = np.array(seeds, dtype=float)
     tol = np.zeros(len(x)) + residual
@@ -602,7 +615,7 @@ def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
         if done.all() or it == NEWTON_MAX_ITER:
             break
         det = m11 * m22 - m12 * m12
-        bad = np.abs(det) < 1e-30
+        bad = np.abs(det) <= _rounding(np.abs(m11 * m22) + m12 * m12)
         det[bad] = 1.0
         step = np.stack([(m22 * a - m12 * b) / det, (m11 * b - m12 * a) / det], axis=1)
         ok = ~(done | bad) & (np.max(np.abs(step), axis=1) <= 0.1)
@@ -666,7 +679,7 @@ def _records(fs: Sequence[FourierFunction], scans: Iterable[np.ndarray], tol: fl
     return [Extrema(f, vmax, vmin, pmax, pmin) for f, (vmax, pmax), (vmin, pmin) in zip(fs, highs, lows)]
 
 
-def attaining_sets(fs: Iterable[FourierFunction], tol: float = VALUE_CLUSTER_TOL) -> list[Extrema]:
+def attaining_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> list[Extrema]:
     """The attaining_set record of every function, in one batch per domain.
 
     Each function is scanned on its own and reduced to its seeds at once;
@@ -679,7 +692,7 @@ def attaining_sets(fs: Iterable[FourierFunction], tol: float = VALUE_CLUSTER_TOL
     return _records(fs, (_scan(f) for f in fs), tol)
 
 
-def attaining_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> Extrema:
+def attaining_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> Extrema:
     """Max and min of f with all points attaining each within tol, from one scan."""
     return attaining_sets([f], tol)[0]
 
@@ -697,8 +710,8 @@ def extremum(
     scan of f from values_on_grid, is read instead of scanning again.
     """
     sign = -1 if mode == "min" else 1
-    peaks = _peaks(_scan(f) if grids is None else grids, VALUE_CLUSTER_TOL, (sign,))
-    ((value, pts),) = _refine([f], peaks, sign, VALUE_CLUSTER_TOL)
+    peaks = _peaks(_scan(f) if grids is None else grids, EQUALITY_TOL, (sign,))
+    ((value, pts),) = _refine([f], peaks, sign, EQUALITY_TOL)
     return Extremum(value, tuple(float(x) for x in pts[0]))
 
 
@@ -738,24 +751,24 @@ def _critical_points_circle(f: FourierFunction, grids: np.ndarray, residual: flo
     exact = dvals[change] == 0.0
     bracketed[exact] = lo[exact]
     for i in np.flatnonzero(np.isnan(bracketed)):
-        bracketed[i] = _bisect_root(f.derivative(), lo[i], lo[i] + dq)
+        bracketed[i] = _bisect_root(f.derivative(), lo[i], lo[i] + dq, residual)
     return _dedupe_points(_canonical_mod1(roots[~np.isnan(roots), None]))
 
 
-def _bisect_root(fp: FourierFunction, lo: float, hi: float) -> float:
+def _bisect_root(fp: FourierFunction, lo: float, hi: float, residual: float) -> float:
+    """A root of fp in the sign-change bracket [lo, hi], to |fp| <= residual or to adjacent floats."""
     flo = fp(lo)
     if flo == 0.0:
         return lo
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         fm = fp(mid)
-        if abs(fm) <= NEWTON_RESIDUAL or hi - lo < 1e-16:
+        if abs(fm) <= residual or mid in (lo, hi):
             return mid
         if np.sign(fm) == np.sign(flo):
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _critical_points_torus(f: FourierFunction, dnorm: np.ndarray, residual: float) -> np.ndarray:
@@ -778,23 +791,23 @@ def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
     return [float(np.mean(c)) for c in clusters]
 
 
-def critical_set(f: FourierFunction, tol: float = VALUE_CLUSTER_TOL) -> CriticalSet:
+def critical_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> CriticalSet:
     """All critical points found at scan resolution, Newton refined.
 
     Sign-change roots of f' (circle) or simultaneous zeros of the gradient
     (torus) plus tangential zeros; values are clustered at tol and always
-    include the global extremum values, whose attaining_set record (at the
-    default tolerance) rides along as extrema.  A plateau (more than 1% of
-    scan points with |grad f| below the point tolerance) sets the plateau
-    flag and contributes its value once; a constant (a record range of at
-    most 1e-12, the extremum search's rule) reports the record's extrema.
+    include the global extremum values, whose attaining_set record (at tol)
+    rides along as extrema.  A plateau (more than 1% of scan points with
+    |grad f| below 1e3 Newton residuals) sets the plateau flag and
+    contributes its value once; a constant (a record range within rounding,
+    the extremum search's rule) reports the record's extrema.
     """
     grids = _scan(f)
     dnorm = np.max(np.abs(grids[1 : 1 + f.domain.ndim]), axis=0)
-    plateau = float(np.mean(dnorm < PLATEAU_POINT_TOL)) > PLATEAU_FRACTION
-    point_tol = NEWTON_RESIDUAL * max(1.0, float(np.max(dnorm)))
-    (ext,) = _records([f], [grids], VALUE_CLUSTER_TOL)
-    if ext.vmax - ext.vmin <= 1e-12:
+    point_tol = _residual(grids)
+    plateau = float(np.mean(dnorm < 1e3 * point_tol)) > PLATEAU_FRACTION
+    (ext,) = _records([f], [grids], tol)
+    if _constant(ext.vmax, ext.vmin):
         # constant by the record's own rule: every point is critical
         points, plateau = ((0.0,) * f.domain.ndim,), True
         values = tuple(_cluster_values([ext.vmax, ext.vmin], tol))

@@ -24,14 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import (
-    EQUALITY_TOL,
-    OPTIMIZER_ITERS,
-    ORDER_BOUNDARY_TOL,
-    RESTART_SIGMA,
-    RESTART_STEP0,
-    ZERO_SEGMENT_TOL,
-)
+from .config import EQUALITY_TOL, OPTIMIZER_ITERS, RESTART_SIGMA, RESTART_STEP0
 from .errors import EquivalenceViolation, MalformedPath, ViolationReport
 from .fourier import (
     TWO_PI,
@@ -43,6 +36,7 @@ from .fourier import (
     _grid_basis,
     _newton_circle,
     _newton_torus,
+    _rounding,
     _series_at,
     _torus_at,
     attaining_sets,
@@ -90,29 +84,24 @@ def common_attaining_point(records: Sequence[Extrema], tol: float = EQUALITY_TOL
 
     records are the attaining_set records of the functions h_k, taken at
     tol; the search evaluates h_k at candidate points only and never scans.
-    Near-zero functions are skipped; near-constant ones constrain only the
-    sign.  Candidates are the attaining points of the first non-constant
-    function for the sign tried, filtered through the attainment condition
-    of all others; that set is complete because a witness must attain every
-    sup norm.  Residuals are in the original order.
+    A record whose extremum of the sign tried misses its sup norm by more
+    than tol rules the sign out; one whose other extremum meets the same
+    test (a near-constant or near-zero h_k) passes at every point and so
+    constrains none.  Candidates are the attaining points of the first
+    constraining record, filtered through the attainment test of all
+    others; that set is complete because a witness must attain every sup
+    norm.  Without a constraining record the origin witnesses.  Residuals
+    are in the original order.
     """
     domain = records[0].f.domain
-    active = [r for r in records if r.norm > ZERO_SEGMENT_TOL]
-
-    def witness(eps: int, pt: tuple[float, ...]) -> QAWitness:
-        q = np.array(pt)
-        res = tuple(0.0 if r.norm <= ZERO_SEGMENT_TOL else eps * _eval_at(r.f, q) - r.norm for r in records)
-        return QAWitness(eps, tuple(float(x) for x in pt), res)
-
-    if not active:
-        return witness(1, _origin(domain))
     for eps in (1, -1):
         candidates: np.ndarray | None = None
-        for r in active:
-            if (r.vmax if eps == 1 else -r.vmin) < r.norm - tol:
+        for r in records:
+            top, bottom = (r.vmax, r.vmin) if eps == 1 else (-r.vmin, -r.vmax)
+            if top < r.norm - tol:
                 break  # this sign never attains the sup norm on this segment
-            if r.vmax - r.vmin <= 1e-12:
-                continue  # constant: no point constraint
+            if bottom >= r.norm - tol:
+                continue  # every point attains it: no point constraint
             if candidates is None:
                 candidates = r.max_points if eps == 1 else r.min_points
             else:
@@ -120,8 +109,10 @@ def common_attaining_point(records: Sequence[Extrema], tol: float = EQUALITY_TOL
             if len(candidates) == 0:
                 break
         else:
-            # no candidates means only constants: any base point witnesses this sign
-            return witness(eps, _origin(domain) if candidates is None else min(tuple(p) for p in candidates))
+            pt = _origin(domain) if candidates is None else min(tuple(p) for p in candidates)
+            q = np.array(pt)
+            res = tuple(eps * _eval_at(r.f, q) - r.norm for r in records)
+            return QAWitness(eps, tuple(float(x) for x in pt), res)
     return None
 
 
@@ -307,18 +298,18 @@ def minimizing_geodesic_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> G
     )
 
 
-def monotone_check(path: IsotopyPath, boundary: float = ORDER_BOUNDARY_TOL) -> bool:
+def monotone_check(path: IsotopyPath) -> bool:
     """Non-negative generating Hamiltonian == monotone for the pointwise order.
 
     Both formulations are evaluated and must agree exactly; they reduce to
-    the same extremum up to an exact sign flip, so a disagreement raises
+    the same extremum up to an exact sign flip, each taken up to rounding
+    of the segment's coefficient sum, so a disagreement raises
     EquivalenceViolation.
     """
     deltas = path.segment_deltas()
-    by_hamiltonian = all(extremum(d, "min").value >= -boundary for d in deltas)
+    by_hamiltonian = all(extremum(d, "min").value >= -_rounding(abs(d.coeffs).sum()) for d in deltas)
     by_order = all(
-        pointwise_leq(JetLegendrian(a), JetLegendrian(b), boundary)
-        for a, b in zip(path.knots[:-1], path.knots[1:])
+        pointwise_leq(JetLegendrian(a), JetLegendrian(b)) for a, b in zip(path.knots[:-1], path.knots[1:])
     )
     if by_hamiltonian != by_order:
         raise EquivalenceViolation(

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ORDER_BOUNDARY_TOL, VALUE_CLUSTER_TOL
+from .config import EQUALITY_TOL
 from .errors import DimensionMismatch
-from .fourier import CriticalSet, DomainDescriptor, FourierFunction, critical_set, extremum
+from .fourier import CriticalSet, DomainDescriptor, FourierFunction, _rounding, critical_set, extremum
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def reeb_translate(legendrian: JetLegendrian, t: float) -> JetLegendrian:
 
 
 def chord_spectrum(
-    l1: JetLegendrian, l0: JetLegendrian, tol: float = VALUE_CLUSTER_TOL
+    l1: JetLegendrian, l0: JetLegendrian, tol: float = EQUALITY_TOL
 ) -> ChordSpectrum:
     """Reeb-chord lengths from l0 to l1: critical values of f1 - f0."""
     if l1.domain != l0.domain:
@@ -76,14 +76,14 @@ def chord_spectrum(
     return ChordSpectrum(lengths=tuple(sorted(cs.values)), source=cs)
 
 
-def pointwise_leq(
-    l1: JetLegendrian, l0: JetLegendrian, boundary: float = ORDER_BOUNDARY_TOL
-) -> bool:
+def pointwise_leq(l1: JetLegendrian, l0: JetLegendrian) -> bool:
     """Chart realization of the partial order: true iff f1 <= f0 everywhere.
 
     For jet graphs the global order relation is exactly the pointwise order
-    of the generators, so the comparison reduces to one extremum.
+    of the generators, so the comparison reduces to one extremum, taken as
+    non-positive up to rounding of the difference's coefficient sum.
     """
     if l1.domain != l0.domain:
         raise DimensionMismatch("order comparison of Legendrians over different bases")
-    return extremum(l1.generator - l0.generator, "max").value <= boundary
+    d = l1.generator - l0.generator
+    return extremum(d, "max").value <= _rounding(abs(d.coeffs).sum())

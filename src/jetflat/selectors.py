@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import EQUALITY_TOL, VALUE_CLUSTER_TOL
+from .config import EQUALITY_TOL
 from .errors import DimensionMismatch, MalformedPath, ViolationReport
-from .fourier import FourierFunction, attaining_set, attaining_sets, sup_norm_by_squaring
+from .fourier import _rounding, attaining_set, attaining_sets, sup_norm_by_squaring
 from .jets import ChordSpectrum, JetLegendrian, chord_spectrum, reeb_translate
 from .paths import IsotopyPath
 
@@ -44,7 +44,7 @@ class SelectorReport:
 def selectors(
     l1: JetLegendrian,
     l0: JetLegendrian,
-    membership_tol: float = VALUE_CLUSTER_TOL,
+    membership_tol: float = EQUALITY_TOL,
 ) -> SelectorReport:
     """Spectral selectors of an ordered pair of jet graphs.
 
@@ -55,7 +55,7 @@ def selectors(
     membership_tol when that is finer than the default clustering, never
     coarser: a coarse cluster's mean could drift from the extrema it holds.
     """
-    spec = chord_spectrum(l1, l0, tol=min(membership_tol, VALUE_CLUSTER_TOL))
+    spec = chord_spectrum(l1, l0, tol=min(membership_tol, EQUALITY_TOL))
     ext = spec.source.extrema
     return SelectorReport(
         ell_plus=ext.vmax,
@@ -177,15 +177,10 @@ class AxiomSuiteReport:
         }
 
 
-def _coeff_gap(f: FourierFunction, g: FourierFunction) -> float:
-    d = max(f.degree, g.degree)
-    return float(np.max(np.abs(f.pad_to_degree(d).coeffs - g.pad_to_degree(d).coeffs)))
-
-
 def axiom_suite(
     sample: Sequence[JetLegendrian],
     tol: float = EQUALITY_TOL,
-    membership_tol: float = VALUE_CLUSTER_TOL,
+    membership_tol: float = EQUALITY_TOL,
 ) -> AxiomSuiteReport:
     """Check the selector axioms over all pairs and triples of the sample.
 
@@ -267,12 +262,13 @@ def axiom_suite(
         for j in range(n):
             d = max(lp[i, j], -lm[i, j])
             if d <= tol:
-                gap = _coeff_gap(gens[i], gens[j])
+                coef = np.abs((gens[i] - gens[j]).coeffs)
                 # each cos/sin coefficient is at most 2 sup|f| per axis, so
-                # sup|f| <= tol bounds the real coefficients by 2^ndim tol
+                # sup|f| <= tol bounds the real coefficients by 2^ndim tol,
+                # up to the rounding of d_spec
                 non_degeneracy.record(
-                    gap <= 2.0 ** gens[i].domain.ndim * tol + 1e-12,
-                    f"d_spec({i},{j}) = {d:.3e} but coefficient gap {gap:.3e}",
+                    coef.max() <= 2.0 ** gens[i].domain.ndim * tol + _rounding(coef.sum()),
+                    f"d_spec({i},{j}) = {d:.3e} but coefficient gap {coef.max():.3e}",
                 )
             else:
                 non_degeneracy.record(True, "")

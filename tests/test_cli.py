@@ -158,9 +158,10 @@ def test_cmd_dist_amplitude(capsys, specs):
 
 @pytest.mark.parametrize("amp, tol", [(1e-11, 1e-12), (1e-13, 1e-14)])
 def test_cmd_dist_tiny_amplitude_in_spectrum(capsys, specs, tmp_path, amp, tol):
-    # 1e-11 has a range above the constant rule and |f'| below the plateau
-    # tolerance; 1e-13 is constant by the record's rule: either way the
-    # spectrum holds the record's extrema at the command's tolerance
+    # max|f'| is far below 1 at both amplitudes, and neither is a constant
+    # (the range is far above rounding of max|f|): the Newton residual and
+    # the plateau threshold scale with max|f'|, so the spectrum holds the
+    # root-found extrema at the command's tolerance
     f = _write(tmp_path, "tiny.json", {"domain": "S1", "a0": 0, "cos": [amp]})
     code, out = run_json(capsys, ["dist", f, specs["zero"], "--tol", str(tol)])
     assert code == 0

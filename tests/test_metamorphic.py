@@ -1,0 +1,177 @@
+"""Metamorphic relations: exact symmetries checked without a second implementation.
+
+The chart quantities are homogeneous: scaling a function, or every knot of a
+path, by 2^k and the tolerance by 2^k scales every extrema record, critical
+set and path verdict by exactly 2^k (a power of two commutes with rounding),
+as long as every threshold of the engine is the caller's tol or a multiple
+of the function's own scale.  Negation swaps the signed extrema bit for bit,
+and the Reeb shift f -> f + c moves every value by c up to a few ulps.
+Reference: T. Y. Chen et al., "Metamorphic testing: a review of challenges
+and opportunities", ACM Computing Surveys 51(1), 2018.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from jetflat.fourier import CIRCLE, TORUS2, attaining_sets, critical_set, sup_norm
+from jetflat.geodesics import minimizing_geodesic_check, monotone_check
+from jetflat.paths import IsotopyPath
+from jetflat.sampling import random_function, random_path, random_quasi_autonomous_path
+
+TOL = 1e-9
+DOMAINS = {"S1": CIRCLE, "T2": TORUS2}
+EXPONENTS = (-40, -30, -20, -10, 10, 20, 30, 40)
+
+
+@lru_cache(maxsize=None)
+def _functions(kind: str) -> tuple:
+    """Degrees 1-8 (S1) or 1-4 (T2), amplitudes 1e-4..1, decays 0..2: C1-small ones included."""
+    rng = np.random.default_rng(11)
+    count, top = (40, 8) if kind == "S1" else (12, 4)
+    return tuple(
+        random_function(
+            rng,
+            DOMAINS[kind],
+            int(rng.integers(1, top + 1)),
+            amplitude=float(10.0 ** rng.uniform(-4.0, 0.0)),
+            decay=float(rng.uniform(0.0, 2.0)),
+        )
+        for _ in range(count)
+    )
+
+
+def _qa_path(rng, domain, perturbation: float) -> IsotopyPath:
+    """Knots stepping along one function h (quasi-autonomous), each step perturbed."""
+    h = random_function(rng, domain, 3)
+    knots = [random_function(rng, domain, 3)]
+    for lam in rng.uniform(0.2, 1.5, 4):
+        knots.append(knots[-1] + float(lam) * h + perturbation * random_function(rng, domain, 3))
+    return IsotopyPath.uniform(knots)
+
+
+@lru_cache(maxsize=None)
+def _paths(kind: str) -> tuple:
+    """Random, quasi-autonomous and near-quasi-autonomous paths (gaps near tol)."""
+    rng = np.random.default_rng(404)
+    domain = DOMAINS[kind]
+    paths = []
+    for i in range(12 if kind == "S1" else 6):
+        if i % 3 == 0:
+            paths.append(random_path(rng, 5, domain, 6 if kind == "S1" else 3))
+        elif kind == "S1":
+            paths.append(random_quasi_autonomous_path(rng, 5, 6, perturbation=1e-9 * (i % 3 - 1)))
+        else:
+            paths.append(_qa_path(rng, domain, 1e-9 * (i % 3 - 1)))
+    return tuple(paths)
+
+
+@lru_cache(maxsize=None)
+def _monotone_paths(kind: str) -> tuple:
+    """Each step a zero-mean bump lifted by its sup norm plus a draw from [-0.05, 0.1]."""
+    rng = np.random.default_rng(7)
+    domain = DOMAINS[kind]
+    paths = []
+    for _ in range(10 if kind == "S1" else 6):
+        knots = [random_function(rng, domain, 3)]
+        for _ in range(3):
+            bump = random_function(rng, domain, 3, amplitude=0.2, zero_mean=True)
+            knots.append(knots[-1] + bump + (sup_norm(bump) + float(rng.uniform(-0.05, 0.1))))
+        paths.append(IsotopyPath.uniform(knots))
+    return tuple(paths)
+
+
+def _scaled(path: IsotopyPath, s: float) -> IsotopyPath:
+    return IsotopyPath(knots=tuple(s * f for f in path.knots), times=path.times)
+
+
+def _assert_record_scaled(r, base, s):
+    assert (r.vmax, r.vmin) == (s * base.vmax, s * base.vmin)
+    np.testing.assert_array_equal(r.max_points, base.max_points)
+    np.testing.assert_array_equal(r.min_points, base.min_points)
+
+
+# -- scaling f -> 2^k f with tol -> 2^k tol: bit-exact ------------------------
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_scaling_attaining_sets(kind, k):
+    s = 2.0**k
+    fs = _functions(kind)
+    for r, base in zip(attaining_sets([s * f for f in fs], s * TOL), attaining_sets(fs, TOL)):
+        _assert_record_scaled(r, base, s)
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_scaling_critical_set(kind, k):
+    s = 2.0**k
+    for f in _functions(kind):
+        cs, base = critical_set(s * f, s * TOL), critical_set(f, TOL)
+        assert cs.points == base.points
+        assert cs.values == tuple(s * v for v in base.values)
+        assert cs.plateau == base.plateau
+        assert cs.point_tolerance == s * base.point_tolerance
+        _assert_record_scaled(cs.extrema, base.extrema, s)
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_scaling_minimizing_geodesic_check(kind, k):
+    s = 2.0**k
+    verdicts = set()
+    for path in _paths(kind):
+        rep, base = minimizing_geodesic_check(_scaled(path, s), s * TOL), minimizing_geodesic_check(path, TOL)
+        assert (rep.length, rep.endpoint_distance, rep.gap) == (s * base.length, s * base.endpoint_distance, s * base.gap)
+        assert (rep.minimizing, rep.cross_check_mismatch) == (base.minimizing, base.cross_check_mismatch)
+        assert (rep.witness is None) == (base.witness is None)
+        if base.witness is not None:
+            assert (rep.witness.epsilon, rep.witness.base_point) == (base.witness.epsilon, base.witness.base_point)
+            assert rep.witness.per_knot_residuals == tuple(s * x for x in base.witness.per_knot_residuals)
+        assert rep.segmentation == base.segmentation
+        verdicts.add(base.minimizing)
+    assert verdicts == {True, False}  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_scaling_monotone_check(kind, k):
+    s = 2.0**k
+    verdicts = [monotone_check(path) for path in _monotone_paths(kind)]
+    assert set(verdicts) == {True, False}  # both verdicts are exercised
+    assert [monotone_check(_scaled(path, s)) for path in _monotone_paths(kind)] == verdicts
+
+
+# -- negation f -> -f: bit-exact ----------------------------------------------
+
+
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_negation(kind):
+    fs = _functions(kind)
+    for r, base in zip(attaining_sets([-f for f in fs]), attaining_sets(fs)):
+        assert (r.vmax, r.vmin) == (-base.vmin, -base.vmax)
+        np.testing.assert_array_equal(r.max_points, base.min_points)
+        np.testing.assert_array_equal(r.min_points, base.max_points)
+    for f in fs:
+        cs, base = critical_set(-f), critical_set(f)
+        assert (cs.points, cs.plateau) == (base.points, base.plateau)
+        assert cs.values == tuple(-v for v in reversed(base.values))
+
+
+# -- Reeb shift f -> f + c: a few ulps ----------------------------------------
+
+
+@pytest.mark.parametrize("c", (0.37, -1.5, 3.0))
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_reeb_shift(kind, c):
+    fs = _functions(kind)
+    for f, r, base in zip(fs, attaining_sets([f + c for f in fs]), attaining_sets(fs)):
+        ulps = 16.0 * np.spacing(np.abs(f.coeffs).sum() + abs(c))
+        assert abs(r.vmax - (base.vmax + c)) <= ulps and abs(r.vmin - (base.vmin + c)) <= ulps
+        np.testing.assert_allclose(r.max_points, base.max_points, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(r.min_points, base.min_points, rtol=0.0, atol=1e-12)
+        cs, cbase = critical_set(f + c), critical_set(f)
+        assert (cs.points, cs.plateau) == (cbase.points, cbase.plateau)
+        np.testing.assert_allclose(cs.values, np.array(cbase.values) + c, rtol=0.0, atol=ulps)
