@@ -34,6 +34,10 @@ from .errors import DimensionMismatch
 
 TWO_PI = 2.0 * np.pi
 
+# OpenBLAS runs a product of fewer than 2 * 2^18 multiply-adds on the calling
+# thread, whatever the core count: the most a scan gives one BLAS call.
+BLAS_CALL = 1 << 18
+
 
 @dataclass(frozen=True)
 class DomainDescriptor:
@@ -269,14 +273,30 @@ class FourierFunction:
         f, f', f'' on S1, shape (3, n); f, f_1, f_2, f_11, f_12, f_22 on T2,
         shape (6, n, n).  Each grid is one coefficient array of the real
         derivative stack against one cached basis table B: B v on S1 and
-        B V B^T on T2.
+        B V B^T on T2, each product one stacked matmul over blocks of at
+        most BLAS_CALL multiply-adds (_block), so it stays on this thread.
         """
         b = _grid_basis(n, self.degree)
+        k = b.shape[1]
         stack = _derivative_stack(self.coeffs[None])[0]
-        if self.domain.kind == "S1":
-            return stack.reshape(3, -1) @ b.T
-        # B V for all six V, then one (6n, 2(D+1)) @ B^T product: half the time of six
-        return ((b @ stack.reshape(6, b.shape[1], -1)).reshape(-1, b.shape[1]) @ b.T).reshape(6, n, n)
+        if self.domain.kind == "S1":  # column blocks of B^T
+            c = _block(n, 3 * k)
+            out = np.empty((3, n))
+            np.matmul(stack.reshape(3, k), b.reshape(-1, c, k).swapaxes(1, 2), out=out.reshape(3, -1, c).swapaxes(0, 1))
+            return out
+        # B V for all six V in row blocks of B, then row blocks of the (6n, 2(D+1)) B V times B^T
+        r = _block(n, k * k)
+        bv = np.empty((6, n, k))
+        np.matmul(b.reshape(-1, 1, r, k), stack.reshape(6, k, k), out=bv.reshape(6, -1, r, k).swapaxes(0, 1))
+        return np.matmul(bv.reshape(-1, _block(6 * n, k * n), k), b.T).reshape(6, n, n)
+
+
+def _block(size: int, per_item: int) -> int:
+    """The largest power of two dividing size with block * per_item <= BLAS_CALL, or 1."""
+    block = size & -size
+    while block > 1 and block * per_item > BLAS_CALL:
+        block //= 2
+    return block
 
 
 def _basis(degree: int, x: np.ndarray) -> np.ndarray:
@@ -598,8 +618,9 @@ def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
     """Newton for grad f = 0 from every seed at once.
 
     stack[i] holds the derivative stack (_derivative_stack) of the function
-    seed i belongs to, so one run serves the seeds of many functions; each
-    step reads the gradient and Hessian from one pair of axis bases.  Seeds
+    seed i belongs to, so one run serves the seeds of many functions, or
+    one stack (6, 2, K, 2, K) serves them all; each step reads the gradient
+    and Hessian from one pair of axis bases.  Seeds
     converge at max |grad f| <= residual (a scalar or one value per seed);
     seeds that meet a Hessian singular to rounding, step further than 0.1
     (the basin guard) or do not converge come back as NaN.
@@ -609,7 +630,7 @@ def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
     roots = np.full(x.shape, np.nan)
     live = np.arange(len(x))
     for it in range(NEWTON_MAX_ITER + 1):
-        a, b, m11, m12, m22 = _torus_at(stack[live, 1:], x[live]).T
+        a, b, m11, m12, m22 = _torus_at(stack[1:] if stack.ndim == 5 else stack[live, 1:], x[live]).T
         done = np.maximum(np.abs(a), np.abs(b)) <= tol[live]
         roots[live[done]] = x[live[done]]
         if done.all() or it == NEWTON_MAX_ITER:
@@ -774,7 +795,7 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float, residual: float) -> 
 def _critical_points_torus(f: FourierFunction, dnorm: np.ndarray, residual: float) -> np.ndarray:
     """Newton roots of grad f from the scan's local minima of dnorm = max(|f_1|, |f_2|)."""
     seeds = np.argwhere(_local_max_mask(-dnorm)) / dnorm.shape[-1]
-    roots = _newton_torus(_stacks([f])[np.zeros(len(seeds), dtype=int)], seeds, residual)
+    roots = _newton_torus(_stacks([f])[0], seeds, residual)
     return _dedupe_points(_canonical_mod1(roots[~np.isnan(roots[:, 0])]))
 
 

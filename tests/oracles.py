@@ -121,3 +121,25 @@ def torus_partials_direct(a0, cc, cs, sc, ss, pts):
                     a = block[k1][k2]
                     out = out + a * np.array([u * v, du * v, u * dv, -w1 * w1 * u * v, du * dv, -w2 * w2 * u * v])
     return out
+
+
+def scan_one_shot(coeffs, n):
+    """The scan grids of a function with coeffs (2, K) or (2, K, 2, K), each stage one product.
+
+    The real derivative stack and the basis table B at i/n are written out
+    here; S1 is then S B^T for the (3, 2K) stack S, and T2 is (B V) B^T for
+    the six (2K, 2K) matrices V, with B V as one (6n, 2K) array.  This is
+    the scan without blocks, for the blocked one to be compared against.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    k = c.shape[1]
+    w = 2.0 * np.pi * np.arange(k)
+    ang = (np.arange(n) / n)[:, None] * w
+    b = np.stack([np.cos(ang), np.sin(ang)], axis=1).reshape(n, 2 * k)
+    if c.ndim == 2:
+        s = np.stack([c, [c[1] * w, c[0] * -w], c * -(w * w)])
+        return s.reshape(3, 2 * k) @ b.T
+    turn = np.array([w, -w])
+    d1 = c[::-1] * turn[:, :, None, None]
+    s = np.stack([c, d1, c[..., ::-1, :] * turn, c * -(w * w)[:, None, None], d1[..., ::-1, :] * turn, c * -(w * w)])
+    return ((b @ s.reshape(6, 2 * k, 2 * k)).reshape(-1, 2 * k) @ b.T).reshape(6, n, n)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +30,7 @@ from oracles import (
     eval_direct,
     eval_torus_direct,
     partials_direct,
+    scan_one_shot,
     torus_partials_direct,
 )
 
@@ -320,6 +325,81 @@ def test_scan_stack_matches_separate_grids():
     pts = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
     want = torus_partials_direct(*t.torus_blocks(), pts)
     np.testing.assert_allclose(t.values_on_grid(16).reshape(6, -1), want, atol=1e-11)
+
+
+# -- scan products in blocks under the BLAS threading threshold ---------------
+
+# S1 degrees 0-64 at max(4096, 8D) points, T2 degrees 0-32 at 256 per axis
+SCAN_CASES = [(CIRCLE, d, max(4096, 8 * d)) for d in range(65)] + [(TORUS2, d, 256) for d in range(33)]
+
+
+def test_block_is_the_largest_power_of_two_under_the_call_size():
+    for size in (3, 256, 1536, 4096, 8 * 520):
+        for per_item in (1, 3 * 130, 130 * 130, 130 * 256, 1 << 18):
+            block = fourier._block(size, per_item)
+            assert block & (block - 1) == 0 and size % block == 0
+            assert block * per_item <= fourier.BLAS_CALL or block == 1
+            assert size % (2 * block) or 2 * block * per_item > fourier.BLAS_CALL
+
+
+def test_scan_products_stay_under_the_call_size(monkeypatch):
+    # every product of a scan is one stacked np.matmul; each of its BLAS calls
+    # (one per block) multiplies an (m, k) block by a (k, p) one
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(17)
+    for domain, d, n in SCAN_CASES:
+        calls.clear()
+        random_function(rng, domain, d).values_on_grid(n)
+        assert len(calls) == (1 if domain.kind == "S1" else 2), (domain.kind, d)
+        for a, b in calls:
+            assert a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (domain.kind, d, a, b)
+
+
+def test_blocked_scan_is_the_one_shot_product():
+    # bit for bit, except where OpenBLAS picks another kernel for the small
+    # calls than for the one-shot call: the T2 product B V from degree 32 on
+    # (2-3 ulps of each grid's max here)
+    rng = np.random.default_rng(18)
+    for domain, d, n in SCAN_CASES:
+        f = random_function(rng, domain, d, decay=float(rng.uniform(0.0, 2.0)))
+        got, want = f.values_on_grid(n), scan_one_shot(f.coeffs, n)
+        if domain.kind == "S1" or d < 32:
+            assert np.array_equal(got, want), (domain.kind, d)
+        else:
+            scale = np.abs(want).reshape(6, -1).max(axis=1)[:, None, None]
+            assert np.all(np.abs(got - want) <= 16 * np.spacing(scale)), (domain.kind, d)
+
+
+def test_scans_stay_on_the_calling_thread():
+    # a fresh interpreter, so that no BLAS thread woken by an earlier test
+    # spins through the reading; a second busy thread reads near 2
+    code = """if True:
+        import time
+        import numpy as np
+        from jetflat.fourier import CIRCLE, TORUS2
+        from jetflat.sampling import random_function
+        rng = np.random.default_rng(1)
+        scans = [(random_function(rng, TORUS2, d), 256) for d in (4, 8, 16)]
+        scans.append((random_function(rng, CIRCLE, 32), 4096))
+        for f, n in scans:
+            f.values_on_grid(n)
+        cpu, wall = time.process_time(), time.perf_counter()
+        while time.perf_counter() - wall < 0.2:
+            for f, n in scans:
+                f.values_on_grid(n)
+        print((time.process_time() - cpu) / (time.perf_counter() - wall))
+    """
+    src = os.path.dirname(os.path.dirname(fourier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert float(out.stdout) <= 1.25
 
 
 def test_fallbacks_when_torus_newton_fails(monkeypatch, rng):

@@ -5,7 +5,11 @@ path, by 2^k and the tolerance by 2^k scales every extrema record, critical
 set and path verdict by exactly 2^k (a power of two commutes with rounding),
 as long as every threshold of the engine is the caller's tol or a multiple
 of the function's own scale.  Negation swaps the signed extrema bit for bit,
-and the Reeb shift f -> f + c moves every value by c up to a few ulps.
+and the Reeb shift f -> f + c moves every value by c up to a few ulps.  The
+symmetries of the base move the points with the map and keep the values up
+to a few ulps: swapping the torus axes (which transposes every scan product)
+and rotating the circle by a multiple of 1/64 (which maps the scan grid onto
+itself).  Reversing a path keeps its length and its verdict.
 Reference: T. Y. Chen et al., "Metamorphic testing: a review of challenges
 and opportunities", ACM Computing Surveys 51(1), 2018.
 """
@@ -15,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from jetflat.fourier import CIRCLE, TORUS2, attaining_sets, critical_set, sup_norm
+from jetflat.fourier import CIRCLE, TORUS2, FourierFunction, attaining_sets, critical_set, sup_norm
 from jetflat.geodesics import minimizing_geodesic_check, monotone_check
 from jetflat.paths import IsotopyPath
 from jetflat.sampling import random_function, random_path, random_quasi_autonomous_path
@@ -175,3 +179,53 @@ def test_reeb_shift(kind, c):
         cs, cbase = critical_set(f + c), critical_set(f)
         assert (cs.points, cs.plateau) == (cbase.points, cbase.plateau)
         np.testing.assert_allclose(cs.values, np.array(cbase.values) + c, rtol=0.0, atol=ulps)
+
+
+# -- symmetries of the base: points move with the map, values a few ulps ------
+
+
+def _assert_moved(r, base, move, ulps):
+    assert abs(r.vmax - base.vmax) <= ulps and abs(r.vmin - base.vmin) <= ulps
+    for got, want in ((r.max_points, base.max_points), (r.min_points, base.min_points)):
+        want = move(want)
+        want = want[np.lexsort(want.T[::-1])]  # the records list points in lexicographic order
+        gap = np.abs(got - want)
+        assert got.shape == want.shape and np.all(np.minimum(gap, 1.0 - gap) <= 1e-12)
+
+
+def test_torus_axis_swap():
+    fs = _functions("T2")
+    swapped = [FourierFunction(TORUS2, f.coeffs.transpose(2, 3, 0, 1)) for f in fs]
+    for f, r, base in zip(fs, attaining_sets(swapped), attaining_sets(fs)):
+        _assert_moved(r, base, lambda p: p[:, ::-1], 16.0 * np.spacing(np.abs(f.coeffs).sum()))
+
+
+@pytest.mark.parametrize("j", (1, 13, 32, 63))
+def test_circle_dyadic_rotation(j):
+    # g(q) = f(q + j/64): the pair (a, b) of frequency k turns by 2 pi k j/64
+    fs = _functions("S1")
+    rotated = []
+    for f in fs:
+        a, b = f.coeffs
+        turn = 2.0 * np.pi * np.arange(len(a)) * (j / 64)
+        c, s = np.cos(turn), np.sin(turn)
+        rotated.append(FourierFunction(CIRCLE, [a * c + b * s, b * c - a * s]))
+    for f, r, base in zip(fs, attaining_sets(rotated), attaining_sets(fs)):
+        _assert_moved(r, base, lambda p: np.mod(p - j / 64, 1.0), 16.0 * np.spacing(np.abs(f.coeffs).sum()))
+
+
+# -- path reversal: same length, same verdict ---------------------------------
+
+
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_path_reversal(kind):
+    for path in _paths(kind):
+        k = path.n_segments
+        back = IsotopyPath(knots=path.knots[::-1], times=tuple(1.0 - t for t in path.times[::-1]))
+        rep, base = minimizing_geodesic_check(back), minimizing_geodesic_check(path)
+        # the same segment norms, summed in the other order
+        assert abs(rep.length - base.length) <= 16.0 * np.spacing(base.length)
+        assert rep.endpoint_distance == base.endpoint_distance
+        assert (rep.minimizing, rep.witness is None) == (base.minimizing, base.witness is None)
+        mirrored = sorted((k - j, k - i) for i, j in base.segmentation.windows)
+        assert sorted(rep.segmentation.windows) == mirrored
