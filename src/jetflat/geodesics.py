@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,12 +71,33 @@ class QAWitness:
         }
 
 
-def _origin(domain: DomainDescriptor) -> tuple[float, ...]:
-    return (0.0,) * domain.ndim
-
-
 def _eval_at(f: FourierFunction, pt: np.ndarray) -> float:
     return float(f(pt if f.domain.ndim > 1 else float(pt[0])))
+
+
+def _survivors(records: Sequence[Extrema], eps: int, tol: float) -> Iterator[np.ndarray | None]:
+    """Witness candidates of sign eps after each record, while the sign survives.
+
+    A record whose extremum of sign eps misses its sup norm by more than tol
+    rules the sign out, and one whose other extremum passes too (a
+    near-constant or near-zero h_k) constrains no point.  Candidates, None
+    until a record constrains, are the attaining points of the first
+    constraining record filtered by each later one; the number of states
+    yielded is the length of the sign's passing prefix.
+    """
+    candidates: np.ndarray | None = None
+    for r in records:
+        top, bottom = (r.vmax, r.vmin) if eps == 1 else (-r.vmin, -r.vmax)
+        if top < r.norm - tol:
+            return  # this sign never attains the sup norm on this segment
+        if bottom < r.norm - tol:
+            if candidates is None:
+                candidates = r.max_points if eps == 1 else r.min_points
+            else:
+                candidates = candidates[[eps * _eval_at(r.f, p) >= r.norm - tol for p in candidates]]
+            if len(candidates) == 0:
+                return
+        yield candidates
 
 
 def common_attaining_point(records: Sequence[Extrema], tol: float = EQUALITY_TOL) -> QAWitness | None:
@@ -84,40 +105,20 @@ def common_attaining_point(records: Sequence[Extrema], tol: float = EQUALITY_TOL
 
     records are the attaining_set records of the functions h_k, taken at
     tol; the search evaluates h_k at candidate points only and never scans.
-    A record whose extremum of the sign tried misses its sup norm by more
-    than tol rules the sign out; one whose other extremum meets the same
-    test (a near-constant or near-zero h_k) passes at every point and so
-    constrains none.  Candidates are the attaining points of the first
-    constraining record, filtered through the attainment test of all
-    others; that set is complete because a witness must attain every sup
-    norm.  Without a constraining record the origin witnesses.  Residuals
-    are in the original order.
+    Each sign's candidates are those left after every record (_survivors),
+    complete because a witness must attain every sup norm; without a
+    constraining record the origin witnesses.  Residuals are in the
+    original order.
     """
-    domain = records[0].f.domain
     for eps in (1, -1):
-        candidates: np.ndarray | None = None
-        for r in records:
-            top, bottom = (r.vmax, r.vmin) if eps == 1 else (-r.vmin, -r.vmax)
-            if top < r.norm - tol:
-                break  # this sign never attains the sup norm on this segment
-            if bottom >= r.norm - tol:
-                continue  # every point attains it: no point constraint
-            if candidates is None:
-                candidates = r.max_points if eps == 1 else r.min_points
-            else:
-                candidates = candidates[[eps * _eval_at(r.f, p) >= r.norm - tol for p in candidates]]
-            if len(candidates) == 0:
-                break
-        else:
-            pt = _origin(domain) if candidates is None else min(tuple(p) for p in candidates)
+        states = list(_survivors(records, eps, tol))
+        if len(states) == len(records):
+            candidates = states[-1]
+            pt = (0.0,) * records[0].f.domain.ndim if candidates is None else min(tuple(p) for p in candidates)
             q = np.array(pt)
             res = tuple(eps * _eval_at(r.f, q) - r.norm for r in records)
             return QAWitness(eps, tuple(float(x) for x in pt), res)
     return None
-
-
-def _records(path: IsotopyPath, tol: float) -> list[Extrema]:
-    return attaining_sets(path.segment_deltas(), tol)
 
 
 def quasi_autonomy_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> QAWitness | None:
@@ -128,7 +129,7 @@ def quasi_autonomy_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> QAWitn
     attained maximum is interior, so the slope of the lifted point never
     moves and it stays on one Reeb orbit.
     """
-    return common_attaining_point(_records(path, tol), tol)
+    return common_attaining_point(attaining_sets(path.segment_deltas(), tol), tol)
 
 
 @dataclass(frozen=True)
@@ -155,33 +156,30 @@ def local_quasi_autonomy_check(path: IsotopyPath) -> SegmentationReport:
     """Maximal knot-index windows on which the witness search succeeds.
 
     Every segment difference is scanned once, into one extrema record, and
-    each window's search reads the records of its segments.  The search
-    draws its candidates from the first non-constant segment of a window,
-    so extending a window to the right only adds filters: from each start
-    the passing windows are exactly those up to one end e(i), and a
-    two-pointer sweep finds all maximal windows.
+    each window's search reads the records of its segments.  Extending a
+    window to the right only adds filters to the search, so the windows
+    from a start i that pass are exactly those up to one end e(i): the
+    longer passing prefix of the two signs, found by one search of the
+    records from i on.
     """
-    return _segmentation(_records(path, EQUALITY_TOL), EQUALITY_TOL)
+    return _segmentation(attaining_sets(path.segment_deltas(), EQUALITY_TOL), EQUALITY_TOL)
 
 
 def _segmentation(records: Sequence[Extrema], tol: float) -> SegmentationReport:
     """Maximal windows of consecutive segments whose records share a witness."""
     k = len(records)
-
-    def window_ok(i: int, j: int) -> bool:
-        return common_attaining_point(records[i : j + 1], tol) is not None
-
     # a window from i is maximal exactly when e(i) passes every earlier end,
-    # so j carries over from the previous start and only windows beyond it
-    # are searched.  Dropping segments on the left changes the candidates,
-    # so shrinking is hereditary only up to the tolerances; the sweep never
-    # relies on it, since the windows it skips lie inside a stored one.
+    # so a start is searched only while an end beyond the last one is left.
+    # Dropping segments on the left changes the candidates, so shrinking is
+    # hereditary only up to the tolerances; the sweep never relies on it,
+    # since the windows it skips lie inside a stored one.
     windows: list[tuple[int, int]] = []
     j = 0
     for i in range(k):
         j = max(j, i)
-        while j + 1 < k and window_ok(i, j + 1):
-            j += 1
+        if j + 1 < k:
+            passed = max(sum(1 for _ in _survivors(records[i:], eps, tol)) for eps in (1, -1))
+            j = max(j, i + passed - 1)
         win = (i, j + 1)  # knot indices i .. j+1 = segments i .. j
         if not windows or win[1] > windows[-1][1]:
             windows.append(win)
@@ -227,12 +225,12 @@ def integral_criterion(
     w[-1] = 0.5 * (times[-1] - times[-2])
     if len(funcs) > 2:
         w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    records = attaining_sets(funcs, tol)
-    lhs = float(sum(wi * r.norm for wi, r in zip(w, records)))
     integral = funcs[0] * float(w[0])
     for wi, g in zip(w[1:], funcs[1:]):
         integral = integral + g * float(wi)
-    rhs = sup_norm(integral)
+    *records, total = attaining_sets([*funcs, integral], tol)
+    lhs = float(sum(wi * r.norm for wi, r in zip(w, records)))
+    rhs = total.norm
     gap = lhs - rhs
     holds = gap <= tol
     found = common_attaining_point(records, tol)
@@ -274,13 +272,13 @@ def minimizing_geodesic_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> G
     so the window gaps are superadditive: g(i', j') >= g(i', i) + g(i, j) +
     g(j, j') >= g(i, j) for i' <= i < j <= j'.  The whole path's gap is thus
     the largest, and it alone decides.  The verdict is cross-checked against
-    the witness search, which reads the same segment records as the length
-    and the segmentation; a disagreement is reported (discretization too
-    coarse), not raised.
+    the witness search, which reads the same segment records (one batch with
+    the endpoint difference) as the length and the segmentation; a
+    disagreement is reported (discretization too coarse), not raised.
     """
-    records = _records(path, tol)
+    *records, ends = attaining_sets([*path.segment_deltas(), path.knots[-1] - path.knots[0]], tol)
     length = float(sum(r.norm for r in records))
-    dist = sup_norm(path.knots[-1] - path.knots[0])
+    dist = ends.norm
     gap = length - dist
     witness = common_attaining_point(records, tol)
     minimizing = gap <= tol
@@ -461,6 +459,8 @@ def optimize_path(
     """
     if knots < 2:
         raise MalformedPath("optimize_path needs at least two knots")
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
     if f0.domain != f1.domain:
         raise MalformedPath("endpoint domains disagree")
     domain = f0.domain

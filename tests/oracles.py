@@ -42,19 +42,24 @@ def _parabolic_peak(vm, v0, vp):
     return v0 + (vp - vm) ** 2 / (8.0 * denom)
 
 
+def _grid_peak(vals):
+    """max of a periodic grid plus 3-point parabolic refinement."""
+    i = int(np.argmax(vals))
+    return _parabolic_peak(vals[i - 1], vals[i], vals[(i + 1) % len(vals)])
+
+
 def dense_max(a0, cos_coeffs, sin_coeffs, n=1 << 20):
     """max f via a dense grid plus 3-point parabolic refinement."""
-    xs = np.arange(n) / n
-    vals = eval_direct(a0, cos_coeffs, sin_coeffs, xs)
-    i = int(np.argmax(vals))
-    return _parabolic_peak(vals[i - 1], vals[i], vals[(i + 1) % n])
+    return _grid_peak(eval_direct(a0, cos_coeffs, sin_coeffs, np.arange(n) / n))
 
 
 def dense_sup_norm(a0, cos_coeffs, sin_coeffs, n=1 << 20):
-    """max |f| refined on each signed side separately."""
-    hi = dense_max(a0, cos_coeffs, sin_coeffs, n)
-    lo = dense_max(-a0, [-c for c in cos_coeffs], [-s for s in sin_coeffs], n)
-    return max(hi, lo)
+    """max |f| refined on each signed side separately, from one grid.
+
+    Negating each term negates the sum exactly, so -vals is the grid of -f.
+    """
+    vals = eval_direct(a0, cos_coeffs, sin_coeffs, np.arange(n) / n)
+    return max(_grid_peak(vals), _grid_peak(-vals))
 
 
 def grid_path_gap(knot_values):

@@ -389,6 +389,20 @@ def test_knot_time_count_mismatch_exit_3(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic", "reversal", "--mode", "optimize", "--restarts", "-3"],
+        ["contact", "upper", "phi", "--restarts", "-2"],
+    ],
+    ids=["geodesic", "contact-upper"],
+)
+def test_negative_restarts_exit_2(capsys, specs, argv):
+    argv = [specs.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     # one scan per function per command: dist and spectrum scan f1 - f0 once
     # and read the selectors from the critical set's extrema record; a
@@ -396,10 +410,12 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     # translated points then scan f once; the integral criterion scans each
     # knot once plus the integral; the geodesic check scans each segment
     # once, for the length, the witness and the segmentation, and the
-    # endpoint difference once; length scans each segment once.  One Newton run per domain, batch and sign:
-    # the 64 knots and the 15 (or 4) segments are one batch each, the
-    # integral and the endpoint difference one sup_norm, a batch of one per
-    # sign; a torus critical set adds one run for its critical points
+    # endpoint difference once; length scans each segment once; props scans
+    # the 36 pairs i <= j once, for their chord spectra and ell_pm, the 28
+    # pairs i > j, the 64 Reeb-shifted pairs and the 28 squares.  One Newton
+    # run per domain, batch and sign: the 64 knots with their integral and
+    # the 15 (or 4) segments with their endpoint difference are one batch
+    # each; a torus critical set adds one run for its critical points
     tzero = _write(specs["tmp"], "tzero.json", {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0]]}})
     h = random_function(rng, degree=5, amplitude=0.4)
     ts = np.linspace(0.0, 1.0, 64)
@@ -433,11 +449,11 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
         (["spectrum", specs["amp"], specs["zero"]], 1, None, 0),
         (["contact", "norm", specs["phi"]], 2, None, 0),
         (["contact", "translated", specs["phi"]], 2, None, 0),
-        (["integral-criterion", family_spec], 65, 4, 0),
-        (["geodesic", path_spec], 16, 4, 0),
-        (["geodesic", torus_path_spec], 5, 0, 4),
+        (["integral-criterion", family_spec], 65, 2, 0),
+        (["geodesic", path_spec], 16, 2, 0),
+        (["geodesic", torus_path_spec], 5, 0, 2),
         (["length", path_spec], 15, 2, 0),
-        (["props", "--count", "8"], 192, None, 0),
+        (["props", "--count", "8"], 156, None, 0),
         (["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"], 9, None, 0),
     ):
         calls.clear()

@@ -147,6 +147,19 @@ def _maximal_windows(path):
     )
 
 
+def _counted_evaluations(monkeypatch) -> list:
+    """A list that grows by one at each FourierFunction point evaluation."""
+    calls = []
+    evaluate = FourierFunction.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierFunction, "__call__", counted)
+    return calls
+
+
 def test_local_windows_match_brute_force_on_two_blocks(monkeypatch):
     # two quasi-autonomous blocks joined at knot 4: the first block's steps
     # attain their sup norm at q = 0, the second block's at q = 1/4
@@ -160,20 +173,17 @@ def test_local_windows_match_brute_force_on_two_blocks(monkeypatch):
     maximal = _maximal_windows(path)
     assert maximal == ((0, 4), (4, 8))
 
-    calls = []
-    search = geodesics.common_attaining_point
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(geodesics, "common_attaining_point", counted)
+    calls = _counted_evaluations(monkeypatch)
     seg = local_quasi_autonomy_check(path)
     assert seg.windows == maximal
     assert seg.multi_segment_windows == maximal
     assert covered_segments(seg) == set(range(k))
-    # two-pointer sweep: every search either extends a window or closes one
-    assert len(calls) <= 2 * k - 1
+    # one search per start while an end beyond the last is left: every step's
+    # max and min both reach its sup norm, so each sign keeps one candidate
+    # and tests it once against each later record up to the first that
+    # fails, segment 4 from starts 0-3 (4, 3, 2, 1 tests) and the path's
+    # end from start 4 (3 tests); starts 5-7 cannot pass knot 8
+    assert len(calls) == 2 * (4 + 3 + 2 + 1 + 3)
 
 
 def _blocks_path(rng, near_tie):
@@ -243,6 +253,38 @@ def test_witness_search_reads_records_without_scanning(monkeypatch, rng, domain)
     found = geodesics.common_attaining_point(records)
     assert isinstance(found, geodesics.QAWitness)
     assert calls == []
+
+
+@pytest.mark.parametrize("n_knots", [16, 64])
+def test_quasi_autonomous_check_evaluations_are_linear(monkeypatch, n_knots):
+    # k segments: the witness search tests its one candidate against the k - 1
+    # later records, its residuals evaluate all k, and the segmentation's
+    # search from knot 0 passes the k - 1 later records and ends the sweep
+    path = random_quasi_autonomous_path(np.random.default_rng(1), n_knots)
+    k = path.n_segments
+    calls = _counted_evaluations(monkeypatch)
+    rep = minimizing_geodesic_check(path)
+    assert rep.minimizing and rep.segmentation.windows == ((0, k),)
+    assert len(calls) == (k - 1) + k + (k - 1)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("domain", [CIRCLE, TORUS2], ids=["S1", "T2"])
+def test_batched_endpoint_norms_equal_sup_norm(rng, domain, tol):
+    # the integral and the endpoint difference ride in their command's batch;
+    # a record's extrema depend neither on its batch nor on tol
+    degree = 5 if domain is CIRCLE else 2
+    for _ in range(3):
+        path = random_path(rng, 5, domain, degree)
+        rep = minimizing_geodesic_check(path, tol=tol)
+        assert rep.endpoint_distance == sup_norm(path.knots[-1] - path.knots[0])
+        # the trapezoid weights of five uniform knots are dyadic, so this is
+        # the integral the criterion forms, bit for bit
+        fam = IsotopyPath.uniform(path.knots)
+        integral = fam.knots[0] * 0.125
+        for wi, g in zip((0.25, 0.25, 0.25, 0.125), fam.knots[1:]):
+            integral = integral + g * wi
+        assert integral_criterion(fam, tol=tol).rhs == sup_norm(integral)
 
 
 # -- integral criterion --------------------------------------------------------

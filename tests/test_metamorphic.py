@@ -9,7 +9,8 @@ and the Reeb shift f -> f + c moves every value by c up to a few ulps.  The
 symmetries of the base move the points with the map and keep the values up
 to a few ulps: swapping the torus axes (which transposes every scan product)
 and rotating the circle by a multiple of 1/64 (which maps the scan grid onto
-itself).  Reversing a path keeps its length and its verdict.
+itself).  Reversing a path keeps its length and its verdict, and adding one
+function to every knot keeps everything up to the rounding of the steps.
 Reference: T. Y. Chen et al., "Metamorphic testing: a review of challenges
 and opportunities", ACM Computing Surveys 51(1), 2018.
 """
@@ -229,3 +230,22 @@ def test_path_reversal(kind):
         assert (rep.minimizing, rep.witness is None) == (base.minimizing, base.witness is None)
         mirrored = sorted((k - j, k - i) for i, j in base.segmentation.windows)
         assert sorted(rep.segmentation.windows) == mirrored
+
+
+# -- adding one function to every knot: the same steps, to rounding -----------
+
+
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_common_knot_shift(kind):
+    rng = np.random.default_rng(23)
+    for path in _paths(kind):
+        g = random_function(rng, DOMAINS[kind], 4)
+        moved = IsotopyPath(knots=tuple(f + g for f in path.knots), times=path.times)
+        rep, base = minimizing_geodesic_check(moved), minimizing_geodesic_check(path)
+        # each step and the endpoint difference are recomputed from the moved
+        # knots, so each coefficient is off by rounding at the knots' scale
+        ulps = 16.0 * np.spacing(max(np.abs(f.coeffs).sum() for f in moved.knots))
+        assert abs(rep.length - base.length) <= ulps
+        assert abs(rep.gap - base.gap) <= ulps
+        assert (rep.minimizing, rep.witness is None) == (base.minimizing, base.witness is None)
+        assert rep.segmentation == base.segmentation
