@@ -29,6 +29,7 @@ from .fourier import (
     attaining_set,
     attaining_sets,
     critical_set,
+    critical_sets,
     extremum,
     sup_norm,
     sup_norm_by_squaring,
@@ -95,6 +96,7 @@ __all__ = [
     "chord_spectrum",
     "contact_qa_check",
     "critical_set",
+    "critical_sets",
     "extremum",
     "graph_of",
     "grid_flatness_gap",

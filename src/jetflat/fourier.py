@@ -14,6 +14,7 @@ immutable after construction and every operation here is a pure function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,6 +38,9 @@ TWO_PI = 2.0 * np.pi
 # OpenBLAS runs a product of fewer than 2 * 2^18 multiply-adds on the calling
 # thread, whatever the core count: the most a scan gives one BLAS call.
 BLAS_CALL = 1 << 18
+# Circle functions of one degree are scanned this many to a product, and each
+# such stack is reduced before the next is scanned (0.8 MB at 4096 points).
+CIRCLE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -270,25 +274,38 @@ class FourierFunction:
     def values_on_grid(self, n: int) -> np.ndarray:
         """Value, gradient and Hessian grids at the uniform grid (i/n), stacked on a new leading axis.
 
-        f, f', f'' on S1, shape (3, n); f, f_1, f_2, f_11, f_12, f_22 on T2,
-        shape (6, n, n).  Each grid is one coefficient array of the real
+        f, f', f'' on S1, shape (3, n): the stacked circle scan of f alone
+        (_circle_scans).  f, f_1, f_2, f_11, f_12, f_22 on T2, shape
+        (6, n, n).  Each grid is one coefficient array of the real
         derivative stack against one cached basis table B: B v on S1 and
         B V B^T on T2, each product one stacked matmul over blocks of at
         most BLAS_CALL multiply-adds (_block), so it stays on this thread.
         """
+        stack = _derivative_stack(self.coeffs[None])
+        if self.domain.kind == "S1":
+            return _circle_scans(stack, n)[0]
         b = _grid_basis(n, self.degree)
         k = b.shape[1]
-        stack = _derivative_stack(self.coeffs[None])[0]
-        if self.domain.kind == "S1":  # column blocks of B^T
-            c = _block(n, 3 * k)
-            out = np.empty((3, n))
-            np.matmul(stack.reshape(3, k), b.reshape(-1, c, k).swapaxes(1, 2), out=out.reshape(3, -1, c).swapaxes(0, 1))
-            return out
+        stack = stack[0]
         # B V for all six V in row blocks of B, then row blocks of the (6n, 2(D+1)) B V times B^T
         r = _block(n, k * k)
         bv = np.empty((6, n, k))
         np.matmul(b.reshape(-1, 1, r, k), stack.reshape(6, k, k), out=bv.reshape(6, -1, r, k).swapaxes(0, 1))
         return np.matmul(bv.reshape(-1, _block(6 * n, k * n), k), b.T).reshape(6, n, n)
+
+
+def _circle_scans(stack: np.ndarray, n: int) -> np.ndarray:
+    """f, f', f'' at the grid i/n of every circle function of a derivative stack (m, 3, 2, D+1), shape (m, 3, n).
+
+    One (3m, 2(D+1)) @ (2(D+1), n) product against the cached basis table,
+    in column blocks of B^T of at most BLAS_CALL multiply-adds (_block).
+    """
+    b = _grid_basis(n, stack.shape[-1] - 1)
+    rows, k = 3 * len(stack), b.shape[1]
+    c = _block(n, rows * k)
+    out = np.empty((len(stack), 3, n))
+    np.matmul(stack.reshape(rows, k), b.reshape(-1, c, k).swapaxes(1, 2), out=out.reshape(rows, -1, c).swapaxes(0, 1))
+    return out
 
 
 def _block(size: int, per_item: int) -> int:
@@ -365,17 +382,25 @@ def _derivative_stack(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacks(fs: Sequence[FourierFunction]) -> np.ndarray:
-    """Derivative stacks of functions of one domain, zero-padded to their top degree D.
+def _padded(fs: Sequence[FourierFunction]) -> np.ndarray:
+    """The coeffs arrays of functions of one domain, zero-padded to their top degree D and stacked.
 
-    Shape (m, 3, 2, D+1) on S1 and (m, 6, 2, D+1, 2, D+1) on T2.
+    Shape (m, 2, D+1) on S1 and (m, 2, D+1, 2, D+1) on T2.
     """
     ndim = fs[0].domain.ndim
     d = max(f.degree for f in fs)
     r = np.zeros((len(fs),) + (2, d + 1) * ndim)
     for row, f in zip(r, fs):
         row[(slice(None), slice(f.degree + 1)) * ndim] = f.coeffs
-    return _derivative_stack(r)
+    return r
+
+
+def _stacks(fs: Sequence[FourierFunction]) -> np.ndarray:
+    """Derivative stacks of functions of one domain, zero-padded to their top degree D.
+
+    Shape (m, 3, 2, D+1) on S1 and (m, 6, 2, D+1, 2, D+1) on T2.
+    """
+    return _derivative_stack(_padded(fs))
 
 
 def _torus_at(stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -446,11 +471,18 @@ class CriticalSet:
     plateau: bool = False
 
 
-def _scan(f: FourierFunction) -> np.ndarray:
-    """The stacked value, gradient and Hessian grids of f."""
-    # never undersample relative to the degree
-    n = max(DEFAULT_CIRCLE_SCAN, 8 * f.degree) if f.domain.kind == "S1" else DEFAULT_TORUS_SCAN
-    return f.values_on_grid(n)
+def _scan(fs: Sequence[FourierFunction]) -> np.ndarray:
+    """The value, gradient and Hessian grids of functions of one domain and degree, stacked per function.
+
+    Shape (m, 3, n) on S1, from one product (_circle_scans), and (1, 6, n, n)
+    for the one torus function a T2 scan takes.
+    """
+    f = fs[0]
+    if f.domain.kind == "T2":
+        (f,) = fs
+        return f.values_on_grid(DEFAULT_TORUS_SCAN)[None]
+    n = max(DEFAULT_CIRCLE_SCAN, 8 * f.degree)  # never undersample relative to the degree
+    return _circle_scans(_derivative_stack(np.array([f.coeffs for f in fs])), n)
 
 
 def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -549,13 +581,6 @@ def _local_max_mask(a: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _local_maxima(a: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Indices (k, ndim) of the points of mask near where a is at least its neighbours; only those are tested."""
-    idx = np.array(np.nonzero(near))
-    nb = (idx[:, None] + _NEIGHBOURHOOD[a.ndim]) % a.shape[0]
-    return idx.T[a[tuple(idx)] >= a[tuple(nb)].max(axis=0)]
-
-
 class _Peaks(NamedTuple):
     """One scan reduced for one sign: all that the refinement reads."""
 
@@ -565,16 +590,29 @@ class _Peaks(NamedTuple):
     residual: float  # Newton residual, scaled by max|grad f|
 
 
-def _abs_max(a: np.ndarray) -> float:
-    """max |a| without an |a| temporary the size of a scan."""
-    return max(float(a.max()), -float(a.min()))
+class _Critical(NamedTuple):
+    """One scan reduced for its critical points: the Newton seeds of grad f = 0 and the plateau flag."""
+
+    plateau: bool
+    points: np.ndarray  # (k, ndim) scan points: see _critical
+    bracket: np.ndarray  # S1: the points x that bracket a sign change of f' on [x, x + 1/n]
+    exact: np.ndarray  # S1: the brackets with f'(x) = 0 on the scan
+
+
+class _Scan(NamedTuple):
+    """One function's scan reduced to what its record and its critical set read."""
+
+    high: _Peaks
+    low: _Peaks
+    critical: _Critical | None
 
 
 def _rounding(scale):
     """16 ulps of scale (a float or an array): a difference this small is rounding, not shape.
 
-    With the caller's tol and _residual it is every threshold of the engine,
-    so scaling f and tol by 2^k scales every record by exactly 2^k.
+    With the caller's tol and the Newton residual (_peaks) it is every
+    threshold of the engine, so scaling f and tol by 2^k scales every record
+    by exactly 2^k.
     """
     return 16.0 * np.spacing(scale)
 
@@ -584,34 +622,94 @@ def _constant(hi: float, lo: float) -> bool:
     return hi - lo <= _rounding(max(hi, -lo))
 
 
-def _residual(grids: np.ndarray) -> float:
-    """Newton residual of a stacked scan: NEWTON_RESIDUAL times its max|grad f|."""
-    return NEWTON_RESIDUAL * _abs_max(grids[1 : grids.ndim])
+def _split(rows: np.ndarray, a: np.ndarray, m: int) -> list[np.ndarray]:
+    """a cut into m consecutive pieces, piece i holding the entries whose (sorted) rows is i."""
+    cuts = np.searchsorted(rows, np.arange(1, m)).tolist()
+    return [a[i:j] for i, j in zip([0] + cuts, cuts + [len(a)])]
 
 
-def _peaks(grids: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Peaks]:
-    """Per sign, the top of a stacked scan and the seeds within the margin of it.
+def _peaks(g: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[list[_Peaks]]:
+    """Per sign, the _Peaks of every scan of a stack: its top and the seeds within the margin of it.
 
-    Seeds are the scan's local maxima within the margin, so maxima whose dip
-    lies inside the margin each get one; the top itself is always one.
+    g holds m scans, (m, 3, n) on S1 or (m, 6, n, n) on T2, reduced at once:
+    one max and one min over all grids, and one nonzero and one gather of
+    neighbours for the candidates of all signs.  Seeds are the scan's local
+    maxima within the margin, so maxima whose dip lies inside the margin
+    each get one; the top itself is always one.  The residual is
+    NEWTON_RESIDUAL times the scan's max|grad f|.
     """
-    ndim = grids.ndim - 1
-    n = grids.shape[-1]
-    hi, lo = float(grids[0].max()), float(grids[0].min())
-    if _constant(hi, lo):
-        return [_Peaks(n, hi if sign == 1 else -lo, None, 0.0) for sign in signs]
+    m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
+    grids = g.reshape(m, g.shape[1], -1)
     dq = 1.0 / n
-    residual = _residual(grids)
-    # margin below which a grid point may still hide the global max: the
-    # Taylor bound 0.5 max|f_ij| (ndim dq)^2 over a cell, plus the tolerance
-    margin = 10.0 * tol + 0.5 * ndim**2 * _abs_max(grids[1 + ndim :]) * dq * dq
-    peaks = []
-    for sign in signs:
-        vals = sign * grids[0]
-        top = hi if sign == 1 else -lo
-        seeds = _local_maxima(vals, vals >= top - margin)
-        peaks.append(_Peaks(n, top, seeds / n, residual))
-    return peaks
+    scans = []  # (hi, lo, constant, residual, margin) per scan, in Python floats
+    for top, bottom in zip(grids.max(axis=2).tolist(), grids.min(axis=2).tolist()):
+        hi, lo = top[0], bottom[0]
+        residual = NEWTON_RESIDUAL * max(max(top[1 : 1 + ndim]), -min(bottom[1 : 1 + ndim]))
+        # margin below which a grid point may still hide the global max: the
+        # Taylor bound 0.5 max|f_ij| (ndim dq)^2 over a cell, plus the tolerance
+        margin = 10.0 * tol + 0.5 * ndim**2 * max(max(top[1 + ndim :]), -min(bottom[1 + ndim :])) * dq * dq
+        scans.append((hi, lo, _constant(hi, lo), residual, margin))
+    vals = grids[:, 0]
+    # no seeds for a constant; for the minimum, g <= lo + margin is exactly -g >= -lo - margin
+    nears = [
+        vals >= np.array([np.inf if c else hi - e for hi, _, c, _, e in scans])[:, None]
+        if sign == 1
+        else vals <= np.array([-np.inf if c else lo + e for _, lo, c, _, e in scans])[:, None]
+        for sign in signs
+    ]
+    rows, cells = np.divmod(np.flatnonzero(functools.reduce(np.logical_or, nears)), vals.shape[1])
+    at = np.array(np.unravel_index(cells, g.shape[2:]))
+    around = vals[rows, np.ravel_multi_index(tuple(at[:, None] + _NEIGHBOURHOOD[ndim]), g.shape[2:], mode="wrap")]
+    here, pts = vals[rows, cells], at.T / n
+    out = []
+    for sign, near in zip(signs, nears):
+        keep = near[rows, cells] & (here >= around.max(axis=0) if sign == 1 else here <= around.min(axis=0))
+        seeds = _split(rows[keep], pts[keep], m)
+        out.append(
+            [
+                _Peaks(n, hi if sign == 1 else -lo, None if c else s, r)
+                for (hi, lo, c, r, _), s in zip(scans, seeds)
+            ]
+        )
+    return out
+
+
+def _shift(a: np.ndarray, k: int) -> np.ndarray:
+    """a[:, (i + k) mod n] at i: the scan's next (k = 1) or previous (k = -1) point, periodically."""
+    return np.concatenate((a[:, k:], a[:, :k]), axis=1)
+
+
+def _critical(g: np.ndarray, peaks: Sequence[_Peaks]) -> list[_Critical]:
+    """The _Critical of every scan of a stack g (_peaks), peaks[i] holding its residual.
+
+    S1 points are the sign changes of f' (brackets, bisected if Newton
+    fails), then its tangential zeros, strict local minima of |f'| away
+    from any bracket; T2 points are the local minima of max(|f_1|, |f_2|).
+    A plateau is more than PLATEAU_FRACTION of the scan with |grad f| below
+    1e3 residuals.
+    """
+    m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
+    residual = np.array([p.residual for p in peaks]).reshape((m,) + (1,) * ndim)
+    dnorm = np.abs(g[:, 1]) if ndim == 1 else np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
+    plateau = np.count_nonzero(dnorm < 1e3 * residual, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
+    if ndim == 2:
+        none = np.zeros(0, dtype=bool)
+        return [
+            _Critical(p, np.argwhere(_local_max_mask(-d)) / n, none, none) for p, d in zip(plateau.tolist(), dnorm)
+        ]
+    d = g[:, 1]
+    # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one strict sign
+    pos, neg = d > 0.0, d < 0.0
+    change = ~((pos & _shift(pos, 1)) | (neg & _shift(neg, 1)))
+    local_min = (dnorm < _shift(dnorm, -1)) & (dnorm <= _shift(dnorm, 1))
+    brackets = np.flatnonzero(change)
+    flat = np.concatenate([brackets, np.flatnonzero(local_min & ~change & ~_shift(change, -1))])
+    order = np.argsort(flat // n, kind="stable")  # per scan, its brackets first
+    rows, cells = np.divmod(flat[order], n)
+    bracket = order < len(brackets)
+    exact = bracket & (d[rows, cells] == 0.0)
+    pieces = (_split(rows, a, m) for a in (cells[:, None] / n, bracket, exact))
+    return [_Critical(p, *piece) for p, piece in zip(plateau.tolist(), zip(*pieces))]
 
 
 def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
@@ -688,29 +786,47 @@ def _refine(
     return out
 
 
-def _records(fs: Sequence[FourierFunction], scans: Iterable[np.ndarray], tol: float) -> list[Extrema]:
-    """The attaining_set record of each f from its stacked scan.
+def _reduce(fs: Sequence[FourierFunction], tol: float, critical: bool = False) -> list[_Scan]:
+    """Every function's scan reduced to its peaks (and with critical, its _Critical).
 
-    Each scan is reduced to its peaks as it comes, so none needs to outlive
-    the next one.
+    Circle functions of one degree are scanned CIRCLE_CHUNK at a time, each
+    chunk in one product, and a torus function on its own; each stack is
+    reduced before the next is scanned, so no more than one is alive.
     """
-    peaks = [_peaks(grids, tol) for grids in scans]
-    highs = _refine(fs, [p[0] for p in peaks], 1, tol)
-    lows = _refine(fs, [p[1] for p in peaks], -1, tol)
+    out: list[_Scan] = [None] * len(fs)
+    groups: dict[tuple[str, int], list[int]] = {}
+    for j, f in enumerate(fs):
+        groups.setdefault((f.domain.kind, f.degree), []).append(j)
+    for (kind, _), js in groups.items():
+        size = CIRCLE_CHUNK if kind == "S1" else 1
+        for start in range(0, len(js), size):
+            chunk = js[start : start + size]
+            g = _scan([fs[j] for j in chunk])
+            highs, lows = _peaks(g, tol)
+            crits = _critical(g, highs) if critical else [None] * len(chunk)
+            for j, scan in zip(chunk, zip(highs, lows, crits)):
+                out[j] = _Scan(*scan)
+    return out
+
+
+def _records(fs: Sequence[FourierFunction], scans: Sequence[_Scan], tol: float) -> list[Extrema]:
+    """The attaining_set record of each f from its reduced scan."""
+    highs = _refine(fs, [s.high for s in scans], 1, tol)
+    lows = _refine(fs, [s.low for s in scans], -1, tol)
     return [Extrema(f, vmax, vmin, pmax, pmin) for f, (vmax, pmax), (vmin, pmin) in zip(fs, highs, lows)]
 
 
 def attaining_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> list[Extrema]:
     """The attaining_set record of every function, in one batch per domain.
 
-    Each function is scanned on its own and reduced to its seeds at once;
-    one Newton run per domain and sign then refines the seeds of all of them.
-    A record does not depend on the batch it came in.  tol must be positive.
+    The scans are stacked and reduced chunk by chunk (_reduce); one Newton
+    run per domain and sign then refines the seeds of all of them.  A record
+    does not depend on the batch it came in.  tol must be positive.
     """
     if not tol > 0.0:
         raise ValueError(f"attaining tolerance must be positive, got {tol}")
     fs = list(fs)
-    return _records(fs, (_scan(f) for f in fs), tol)
+    return _records(fs, _reduce(fs, tol), tol)
 
 
 def attaining_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> Extrema:
@@ -727,53 +843,34 @@ def extremum(
     """Global max or min with an attaining point.
 
     Uniform scan plus Newton refinement on the derivative; ties are broken
-    toward the lexicographically smallest coordinates.  grids, a stacked
-    scan of f from values_on_grid, is read instead of scanning again.
+    toward the lexicographically smallest coordinates.  grids, the scan of f
+    from _scan([f]), is read instead of scanning again.
     """
     sign = -1 if mode == "min" else 1
-    peaks = _peaks(_scan(f) if grids is None else grids, EQUALITY_TOL, (sign,))
+    (peaks,) = _peaks(_scan([f]) if grids is None else grids, EQUALITY_TOL, (sign,))
     ((value, pts),) = _refine([f], peaks, sign, EQUALITY_TOL)
     return Extremum(value, tuple(float(x) for x in pts[0]))
 
 
 def sup_norm(f: FourierFunction) -> float:
     """max |f|: both signed extrema, read from one scan."""
-    grids = _scan(f)
+    grids = _scan([f])
     return max(extremum(f, "max", grids=grids).value, -extremum(f, "min", grids=grids).value)
 
 
-def sup_norm_by_squaring(f: FourierFunction) -> float:
-    """max |f| as sqrt(max f^2), using the exact series product.
+def sup_norms_by_squaring(fs: Iterable[FourierFunction]) -> list[float]:
+    """max |f| as sqrt(max f^2) for every f, using the exact series product.
 
     Independent formula route: the extremum engine runs on the squared
-    series (double the degree) instead of on f itself.
+    series (double the degree) instead of on f itself, all squares in one
+    batch.
     """
-    sq = f.multiply(f)
-    m = extremum(sq, "max").value
-    return float(np.sqrt(max(m, 0.0)))
+    return [float(np.sqrt(max(r.vmax, 0.0))) for r in attaining_sets(f.multiply(f) for f in fs)]
 
 
-def _critical_points_circle(f: FourierFunction, grids: np.ndarray, residual: float) -> np.ndarray:
-    n = grids.shape[-1]
-    dvals = grids[1]
-    dq = 1.0 / n
-    xs = grid_points(n)
-    # sign-change brackets, including the wrap-around interval
-    change = (dvals == 0.0) | (np.sign(dvals) != np.sign(np.roll(dvals, -1)))
-    # tangential zeros: strict local minima of |f'| away from any bracket
-    absd = np.abs(dvals)
-    local_min = (absd < np.roll(absd, 1)) & (absd <= np.roll(absd, -1))
-    lo = xs[change]
-    tangential = xs[local_min & ~change & ~np.roll(change, 1)]
-    seeds = np.concatenate([0.5 * (lo + (lo + dq)), tangential])
-    widths = np.concatenate([np.full(len(lo), dq), np.full(len(tangential), 2.0 * dq)])
-    roots = _newton_circle(_stacks([f])[np.zeros(len(seeds), dtype=int)], seeds, widths, residual)
-    bracketed = roots[: len(lo)]
-    exact = dvals[change] == 0.0
-    bracketed[exact] = lo[exact]
-    for i in np.flatnonzero(np.isnan(bracketed)):
-        bracketed[i] = _bisect_root(f.derivative(), lo[i], lo[i] + dq, residual)
-    return _dedupe_points(_canonical_mod1(roots[~np.isnan(roots), None]))
+def sup_norm_by_squaring(f: FourierFunction) -> float:
+    """max |f| as sqrt(max f^2) (sup_norms_by_squaring)."""
+    return sup_norms_by_squaring([f])[0]
 
 
 def _bisect_root(fp: FourierFunction, lo: float, hi: float, residual: float) -> float:
@@ -792,11 +889,37 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float, residual: float) -> 
             hi = mid
 
 
-def _critical_points_torus(f: FourierFunction, dnorm: np.ndarray, residual: float) -> np.ndarray:
-    """Newton roots of grad f from the scan's local minima of dnorm = max(|f_1|, |f_2|)."""
-    seeds = np.argwhere(_local_max_mask(-dnorm)) / dnorm.shape[-1]
-    roots = _newton_torus(_stacks([f])[0], seeds, residual)
-    return _dedupe_points(_canonical_mod1(roots[~np.isnan(roots[:, 0])]))
+def _critical_points(fs: Sequence[FourierFunction], scans: Sequence[_Scan]) -> list[np.ndarray]:
+    """Newton roots of grad f from the critical seeds of each scan.
+
+    One Newton run refines the seeds of all circle functions: bracket
+    midpoints within their cell, tangential seeds within two.  A bracket
+    whose f' is zero on the scan is its own root, and one whose Newton run
+    fails is bisected.  A torus function gets a run of its own.
+    """
+    out = [None] * len(fs)
+    circle = [j for j, f in enumerate(fs) if f.domain.kind == "S1"]
+    if circle:
+        crits = [scans[j].critical for j in circle]
+        counts = [len(c.points) for c in crits]
+        owner = np.repeat(np.arange(len(circle)), counts)
+        x, bracket, exact = (np.concatenate(a) for a in zip(*((c.points[:, 0], c.bracket, c.exact) for c in crits)))
+        dq = np.repeat([1.0 / scans[j].high.n for j in circle], counts)
+        residual = np.repeat([scans[j].high.residual for j in circle], counts)
+        seeds, widths = np.where(bracket, 0.5 * (x + (x + dq)), x), np.where(bracket, dq, 2.0 * dq)
+        roots = _newton_circle(_stacks([fs[j] for j in circle])[owner], seeds, widths, residual)
+        roots[exact] = x[exact]
+        for i in np.flatnonzero(bracket & np.isnan(roots)):
+            roots[i] = _bisect_root(fs[circle[owner[i]]].derivative(), x[i], x[i] + dq[i], residual[i])
+        bounds = np.cumsum([0] + counts).tolist()
+        for j, lo, hi in zip(circle, bounds, bounds[1:]):
+            r = roots[lo:hi]
+            out[j] = _dedupe_points(_canonical_mod1(r[~np.isnan(r), None]))
+    for j, f in enumerate(fs):
+        if f.domain.kind == "T2":
+            roots = _newton_torus(_stacks([f])[0], scans[j].critical.points, scans[j].high.residual)
+            out[j] = _dedupe_points(_canonical_mod1(roots[~np.isnan(roots[:, 0])]))
+    return out
 
 
 def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
@@ -812,40 +935,39 @@ def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
     return [float(np.mean(c)) for c in clusters]
 
 
-def critical_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> CriticalSet:
-    """All critical points found at scan resolution, Newton refined.
+def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> list[CriticalSet]:
+    """The critical set of every function, from its one scan, in one batch per domain.
 
     Sign-change roots of f' (circle) or simultaneous zeros of the gradient
-    (torus) plus tangential zeros; values are clustered at tol and always
-    include the global extremum values, whose attaining_set record (at tol)
-    rides along as extrema.  A plateau (more than 1% of scan points with
-    |grad f| below 1e3 Newton residuals) sets the plateau flag and
-    contributes its value once; a constant (a record range within rounding,
-    the extremum search's rule) reports the record's extrema.
+    (torus) plus tangential zeros, Newton refined (_critical_points); values
+    are clustered at tol and always include the global extremum values,
+    whose attaining_set record (at tol) rides along as extrema.  A plateau
+    (more than 1% of scan points with |grad f| below 1e3 Newton residuals)
+    sets the plateau flag and contributes its value once; a constant (a
+    record range within rounding, the extremum search's rule) reports the
+    record's extrema.  A critical set does not depend on the batch it came in.
     """
-    grids = _scan(f)
-    dnorm = np.max(np.abs(grids[1 : 1 + f.domain.ndim]), axis=0)
-    point_tol = _residual(grids)
-    plateau = float(np.mean(dnorm < 1e3 * point_tol)) > PLATEAU_FRACTION
-    (ext,) = _records([f], [grids], tol)
-    if _constant(ext.vmax, ext.vmin):
-        # constant by the record's own rule: every point is critical
-        points, plateau = ((0.0,) * f.domain.ndim,), True
-        values = tuple(_cluster_values([ext.vmax, ext.vmin], tol))
-    else:
-        if f.domain.kind == "S1":
-            pts = _critical_points_circle(f, grids, point_tol)
+    fs = list(fs)
+    scans = _reduce(fs, tol, critical=True)
+    records = _records(fs, scans, tol)
+    live = [j for j, ext in enumerate(records) if not _constant(ext.vmax, ext.vmin)]
+    found = dict(zip(live, _critical_points([fs[j] for j in live], [scans[j] for j in live])))
+    out = []
+    for j, (f, scan, ext) in enumerate(zip(fs, scans, records)):
+        if j not in found:
+            # constant by the record's own rule: every point is critical
+            points, plateau = ((0.0,) * f.domain.ndim,), True
+            values = tuple(_cluster_values([ext.vmax, ext.vmin], tol))
         else:
-            pts = _critical_points_torus(f, dnorm, point_tol)
-        values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
-        pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
-        points = tuple(tuple(float(x) for x in p) for p in pts)
-        values = tuple(_cluster_values(values, tol))
-    return CriticalSet(
-        points=points,
-        values=values,
-        tolerance=tol,
-        extrema=ext,
-        plateau=plateau,
-        point_tolerance=point_tol,
-    )
+            pts = found[j]
+            values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
+            pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
+            points, plateau = tuple(tuple(float(x) for x in p) for p in pts), scan.critical.plateau
+            values = tuple(_cluster_values(values, tol))
+        out.append(CriticalSet(points, values, tol, scan.high.residual, ext, plateau))
+    return out
+
+
+def critical_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> CriticalSet:
+    """All critical points found at scan resolution, Newton refined (critical_sets)."""
+    return critical_sets([f], tol)[0]

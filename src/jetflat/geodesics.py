@@ -36,17 +36,16 @@ from .fourier import (
     _grid_basis,
     _newton_circle,
     _newton_torus,
+    _padded,
     _rounding,
     _series_at,
     _torus_at,
     attaining_sets,
-    extremum,
     grid_points,
     sup_norm,
 )
 from .jets import JetLegendrian, pointwise_leq
 from .paths import IsotopyPath
-from .selectors import sch_length
 
 log = logging.getLogger(__name__)
 
@@ -225,9 +224,9 @@ def integral_criterion(
     w[-1] = 0.5 * (times[-1] - times[-2])
     if len(funcs) > 2:
         w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    integral = funcs[0] * float(w[0])
-    for wi, g in zip(w[1:], funcs[1:]):
-        integral = integral + g * float(wi)
+    # one ordered sum over the zero-padded knots, term by term as g_0 w_0 + g_1 w_1 + ...
+    c = _padded(funcs)
+    integral = FourierFunction(family.domain, np.add.reduce(c * w.reshape((-1,) + (1,) * (c.ndim - 1)), axis=0))
     *records, total = attaining_sets([*funcs, integral], tol)
     lhs = float(sum(wi * r.norm for wi, r in zip(w, records)))
     rhs = total.norm
@@ -305,7 +304,7 @@ def monotone_check(path: IsotopyPath) -> bool:
     EquivalenceViolation.
     """
     deltas = path.segment_deltas()
-    by_hamiltonian = all(extremum(d, "min").value >= -_rounding(abs(d.coeffs).sum()) for d in deltas)
+    by_hamiltonian = all(r.vmin >= -_rounding(abs(d.coeffs).sum()) for d, r in zip(deltas, attaining_sets(deltas)))
     by_order = all(
         pointwise_leq(JetLegendrian(a), JetLegendrian(b)) for a, b in zip(path.knots[:-1], path.knots[1:])
     )
@@ -478,7 +477,9 @@ def optimize_path(
 
     shape = (2, degree + 1) * domain.ndim
     paths = [IsotopyPath.uniform([FourierFunction(domain, row.reshape(shape)) for row in c]) for c in candidates]
-    lengths = [sch_length(p) for p in paths]  # every candidate re-measured exactly
+    # every candidate re-measured exactly, in one batch: its sch_length
+    norms = [r.norm for r in attaining_sets(d for p in paths for d in p.segment_deltas())]
+    lengths = [float(sum(norms[i : i + knots - 1])) for i in range(0, len(norms), knots - 1)]
     # the earliest candidate within 1e-12 of the shortest: candidates that tie
     # to rounding must not swap places on a one-ulp change
     best = next(i for i, v in enumerate(lengths) if v <= min(lengths) + 1e-12)

@@ -11,10 +11,11 @@ the critical values of the generator difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .config import EQUALITY_TOL
 from .errors import DimensionMismatch
-from .fourier import CriticalSet, DomainDescriptor, FourierFunction, _rounding, critical_set, extremum
+from .fourier import CriticalSet, DomainDescriptor, FourierFunction, _rounding, critical_sets, extremum
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,23 @@ def reeb_translate(legendrian: JetLegendrian, t: float) -> JetLegendrian:
     return JetLegendrian(legendrian.generator + float(t))
 
 
+def chord_spectra(
+    pairs: Iterable[tuple[JetLegendrian, JetLegendrian]], tol: float = EQUALITY_TOL
+) -> list[ChordSpectrum]:
+    """Reeb-chord lengths from l0 to l1 for every pair (l1, l0): critical values of f1 - f0, in one batch."""
+    diffs = []
+    for l1, l0 in pairs:
+        if l1.domain != l0.domain:
+            raise DimensionMismatch("chord spectrum of Legendrians over different bases")
+        diffs.append(l1.generator - l0.generator)
+    return [ChordSpectrum(lengths=tuple(sorted(cs.values)), source=cs) for cs in critical_sets(diffs, tol)]
+
+
 def chord_spectrum(
     l1: JetLegendrian, l0: JetLegendrian, tol: float = EQUALITY_TOL
 ) -> ChordSpectrum:
     """Reeb-chord lengths from l0 to l1: critical values of f1 - f0."""
-    if l1.domain != l0.domain:
-        raise DimensionMismatch("chord spectrum of Legendrians over different bases")
-    cs = critical_set(l1.generator - l0.generator, tol=tol)
-    return ChordSpectrum(lengths=tuple(sorted(cs.values)), source=cs)
+    return chord_spectra([(l1, l0)], tol)[0]
 
 
 def pointwise_leq(l1: JetLegendrian, l0: JetLegendrian) -> bool:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import EQUALITY_TOL
 from .errors import DimensionMismatch, MalformedPath, ViolationReport
-from .fourier import _rounding, attaining_set, attaining_sets, sup_norm_by_squaring
-from .jets import ChordSpectrum, JetLegendrian, chord_spectrum, reeb_translate
+from .fourier import _rounding, attaining_set, attaining_sets, sup_norms_by_squaring
+from .jets import ChordSpectrum, JetLegendrian, chord_spectra, chord_spectrum, reeb_translate
 from .paths import IsotopyPath
 
 
@@ -197,7 +197,8 @@ def axiom_suite(
 
     # ell_pm(i, j) from the records of the chord spectra for i <= j and of one
     # batch for i > j: each pair scanned once, duality comparing the routes
-    spectra = {(i, j): chord_spectrum(sample[i], sample[j]) for i in range(n) for j in range(i, n)}
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    spectra = dict(zip(upper, chord_spectra((sample[i], sample[j]) for i, j in upper)))
     lower = iter(attaining_sets(gens[i] - gens[j] for i in range(n) for j in range(i)))
     pairs = [spectra[i, j].source.extrema if i <= j else next(lower) for i in range(n) for j in range(n)]
     lp = np.array([r.vmax for r in pairs]).reshape(n, n)
@@ -230,9 +231,9 @@ def axiom_suite(
     # the raised g_j are its ell_pm shifted by c_ij (the Reeb shift identity);
     # c_ij must also equal d_spec(i, j), else the two routes disagree
     c = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            c[i, j] = c[j, i] = sup_norm_by_squaring(gens[i] - gens[j])
+    apart = [(i, j) for i, j in upper if i < j]
+    for (i, j), cij in zip(apart, sup_norms_by_squaring(gens[i] - gens[j] for i, j in apart)):
+        c[i, j] = c[j, i] = cij
     for i in range(n):
         for j in range(n):
             if i == j:

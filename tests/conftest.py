@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from jetflat import fourier
 from jetflat.fourier import FourierFunction
 
 settings.register_profile("numeric", deadline=None, max_examples=40, derandomize=True)
@@ -16,3 +17,27 @@ def fn(a0=0.0, cos=(), sin=()):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240315)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The functions scanned so far, one entry (the scan size) each.
+
+    Circle scans are counted in the stacked product every one of them goes
+    through, torus scans in values_on_grid.
+    """
+    counts = []
+    circle_scans, values_on_grid = fourier._circle_scans, FourierFunction.values_on_grid
+
+    def counted_circle_scans(stack, n):
+        counts.extend([n] * len(stack))
+        return circle_scans(stack, n)
+
+    def counted_values_on_grid(self, n):
+        if self.domain.kind == "T2":
+            counts.append(n)
+        return values_on_grid(self, n)
+
+    monkeypatch.setattr(fourier, "_circle_scans", counted_circle_scans)
+    monkeypatch.setattr(FourierFunction, "values_on_grid", counted_values_on_grid)
+    return counts

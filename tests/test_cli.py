@@ -403,7 +403,7 @@ def test_negative_restarts_exit_2(capsys, specs, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
+def test_grid_evaluations_per_command(monkeypatch, capsys, scanned, specs, rng):
     # one scan per function per command: dist and spectrum scan f1 - f0 once
     # and read the selectors from the critical set's extrema record; a
     # contact map scans f' once when it is built, and the norm and the
@@ -423,13 +423,7 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
     family_spec = _write(specs["tmp"], "family.json", dump_path(family))
     path_spec = _write(specs["tmp"], "path.json", dump_path(random_quasi_autonomous_path(rng, 16)))
     torus_path_spec = _write(specs["tmp"], "tpath.json", dump_path(random_path(rng, 5, TORUS2, degree=3)))
-    calls = []
     runs = {"_newton_circle": [], "_newton_torus": []}
-    scan = FourierFunction.values_on_grid
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return scan(self, *args, **kwargs)
 
     def counted_runs(name):
         newton = getattr(fourier, name)
@@ -440,7 +434,6 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
 
         return wrapper
 
-    monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
     for name in runs:
         monkeypatch.setattr(fourier, name, counted_runs(name))
     for argv, scans, circle_runs, torus_runs in (
@@ -456,11 +449,11 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, specs, rng):
         (["props", "--count", "8"], 156, None, 0),
         (["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"], 9, None, 0),
     ):
-        calls.clear()
+        scanned.clear()
         for r in runs.values():
             r.clear()
         assert main(argv) == 0
-        assert len(calls) == scans, argv[:2]
+        assert len(scanned) == scans, argv[:2]
         assert circle_runs is None or len(runs["_newton_circle"]) == circle_runs, argv[:2]
         assert len(runs["_newton_torus"]) == torus_runs, argv[:2]
     capsys.readouterr()

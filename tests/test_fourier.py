@@ -280,19 +280,11 @@ def test_critical_set_torus_separable():
     ],
     ids=["S1", "T2"],
 )
-def test_one_grid_evaluation_per_query(monkeypatch, f):
-    calls = []
-    scan = FourierFunction.values_on_grid
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return scan(self, *args, **kwargs)
-
-    monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
+def test_one_grid_evaluation_per_query(scanned, f):
     for query in (attaining_set, extremum, sup_norm, critical_set):
-        calls.clear()
+        scanned.clear()
         query(f)
-        assert len(calls) == 1, query.__name__
+        assert len(scanned) == 1, query.__name__
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -561,17 +563,20 @@ def test_restarts_do_not_depend_on_how_many_run():
 def test_optimizer_keeps_the_earliest_of_tied_candidates(monkeypatch):
     # restarts that tie the straight path to an ulp must not displace it:
     # a one-ulp change in a length would otherwise swap the reported path
+    # (the candidates are re-measured in one batch of their 3 segments each,
+    # and each candidate's length is put on its first segment here)
     measured = []
-    tied = iter([0.5 + 2.2e-16, 0.5, 0.5 + 1.1e-16])
+    tied = [0.5 + 2.2e-16, 0.5, 0.5 + 1.1e-16]
 
-    def length(path):
-        measured.append(path)
-        return next(tied)
+    def records(deltas):
+        measured.extend(deltas)
+        return [SimpleNamespace(norm=tied[i // 3] if i % 3 == 0 else 0.0) for i in range(len(measured))]
 
-    monkeypatch.setattr(geodesics, "sch_length", length)
+    monkeypatch.setattr(geodesics, "attaining_sets", records)
     r = optimize_path(fn(0.0), fn(0.0, [0.5]), knots=4, restarts=2, seed=1)
-    assert len(measured) == 3
-    assert r.path is measured[0] and r.length == 0.5 + 2.2e-16
+    assert len(measured) == 9
+    assert r.path.segment_deltas() == measured[:3] and r.length == 0.5 + 2.2e-16
+    assert r.restart_lengths == tuple(tied[1:])
 
 
 @pytest.mark.parametrize("degree", [2, 3])
