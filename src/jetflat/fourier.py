@@ -600,10 +600,9 @@ class _Critical(NamedTuple):
 
 
 class _Scan(NamedTuple):
-    """One function's scan reduced to what its record and its critical set read."""
+    """One function's scan reduced to what its records and its critical set read."""
 
-    high: _Peaks
-    low: _Peaks
+    peaks: tuple[_Peaks, ...]  # one per sign asked for
     critical: _Critical | None
 
 
@@ -786,11 +785,13 @@ def _refine(
     return out
 
 
-def _reduce(fs: Sequence[FourierFunction], tol: float, critical: bool = False) -> list[_Scan]:
-    """Every function's scan reduced to its peaks (and with critical, its _Critical).
+def _reduce(
+    fs: Sequence[FourierFunction], tol: float, signs: Sequence[int] = (1, -1), critical: bool = False
+) -> list[_Scan]:
+    """Every function's scan reduced to its peaks per sign (and with critical, its _Critical).
 
     Circle functions of one degree are scanned CIRCLE_CHUNK at a time, each
-    chunk in one product, and a torus function on its own; each stack is
+    stack in one product, and a torus function on its own; each stack is
     reduced before the next is scanned, so no more than one is alive.
     """
     out: list[_Scan] = [None] * len(fs)
@@ -802,17 +803,17 @@ def _reduce(fs: Sequence[FourierFunction], tol: float, critical: bool = False) -
         for start in range(0, len(js), size):
             chunk = js[start : start + size]
             g = _scan([fs[j] for j in chunk])
-            highs, lows = _peaks(g, tol)
-            crits = _critical(g, highs) if critical else [None] * len(chunk)
-            for j, scan in zip(chunk, zip(highs, lows, crits)):
-                out[j] = _Scan(*scan)
+            peaks = _peaks(g, tol, signs)
+            crits = _critical(g, peaks[0]) if critical else [None] * len(chunk)
+            for j, *per_sign, crit in zip(chunk, *peaks, crits):
+                out[j] = _Scan(tuple(per_sign), crit)
     return out
 
 
 def _records(fs: Sequence[FourierFunction], scans: Sequence[_Scan], tol: float) -> list[Extrema]:
     """The attaining_set record of each f from its reduced scan."""
-    highs = _refine(fs, [s.high for s in scans], 1, tol)
-    lows = _refine(fs, [s.low for s in scans], -1, tol)
+    highs = _refine(fs, [s.peaks[0] for s in scans], 1, tol)
+    lows = _refine(fs, [s.peaks[1] for s in scans], -1, tol)
     return [Extrema(f, vmax, vmin, pmax, pmin) for f, (vmax, pmax), (vmin, pmin) in zip(fs, highs, lows)]
 
 
@@ -863,9 +864,11 @@ def sup_norms_by_squaring(fs: Iterable[FourierFunction]) -> list[float]:
 
     Independent formula route: the extremum engine runs on the squared
     series (double the degree) instead of on f itself, all squares in one
-    batch.
+    batch and for the maximum only; each value is extremum(f * f, "max").
     """
-    return [float(np.sqrt(max(r.vmax, 0.0))) for r in attaining_sets(f.multiply(f) for f in fs)]
+    squares = [f.multiply(f) for f in fs]
+    tops = _refine(squares, [s.peaks[0] for s in _reduce(squares, EQUALITY_TOL, (1,))], 1, EQUALITY_TOL)
+    return [float(np.sqrt(max(top, 0.0))) for top, _ in tops]
 
 
 def sup_norm_by_squaring(f: FourierFunction) -> float:
@@ -904,8 +907,8 @@ def _critical_points(fs: Sequence[FourierFunction], scans: Sequence[_Scan]) -> l
         counts = [len(c.points) for c in crits]
         owner = np.repeat(np.arange(len(circle)), counts)
         x, bracket, exact = (np.concatenate(a) for a in zip(*((c.points[:, 0], c.bracket, c.exact) for c in crits)))
-        dq = np.repeat([1.0 / scans[j].high.n for j in circle], counts)
-        residual = np.repeat([scans[j].high.residual for j in circle], counts)
+        dq = np.repeat([1.0 / scans[j].peaks[0].n for j in circle], counts)
+        residual = np.repeat([scans[j].peaks[0].residual for j in circle], counts)
         seeds, widths = np.where(bracket, 0.5 * (x + (x + dq)), x), np.where(bracket, dq, 2.0 * dq)
         roots = _newton_circle(_stacks([fs[j] for j in circle])[owner], seeds, widths, residual)
         roots[exact] = x[exact]
@@ -917,7 +920,7 @@ def _critical_points(fs: Sequence[FourierFunction], scans: Sequence[_Scan]) -> l
             out[j] = _dedupe_points(_canonical_mod1(r[~np.isnan(r), None]))
     for j, f in enumerate(fs):
         if f.domain.kind == "T2":
-            roots = _newton_torus(_stacks([f])[0], scans[j].critical.points, scans[j].high.residual)
+            roots = _newton_torus(_stacks([f])[0], scans[j].critical.points, scans[j].peaks[0].residual)
             out[j] = _dedupe_points(_canonical_mod1(roots[~np.isnan(roots[:, 0])]))
     return out
 
@@ -964,7 +967,7 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
             pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
             points, plateau = tuple(tuple(float(x) for x in p) for p in pts), scan.critical.plateau
             values = tuple(_cluster_values(values, tol))
-        out.append(CriticalSet(points, values, tol, scan.high.residual, ext, plateau))
+        out.append(CriticalSet(points, values, tol, scan.peaks[0].residual, ext, plateau))
     return out
 
 

@@ -16,6 +16,7 @@ from jetflat.fourier import (
     attaining_set,
     attaining_sets,
     critical_set,
+    critical_sets,
     extremum,
     sup_norm,
     sup_norm_by_squaring,
@@ -323,6 +324,8 @@ def test_scan_stack_matches_separate_grids():
 
 # S1 degrees 0-64 at max(4096, 8D) points, T2 degrees 0-32 at 256 per axis
 SCAN_CASES = [(CIRCLE, d, max(4096, 8 * d)) for d in range(65)] + [(TORUS2, d, 256) for d in range(33)]
+# circle stacks of one degree: every size from 2 to a full chunk, in turn by degree
+STACK_CASES = [(d, n, 2 + d % (fourier.CIRCLE_CHUNK - 1)) for domain, d, n in SCAN_CASES if domain.kind == "S1"]
 
 
 def test_block_is_the_largest_power_of_two_under_the_call_size():
@@ -352,6 +355,13 @@ def test_scan_products_stay_under_the_call_size(monkeypatch):
         assert len(calls) == (1 if domain.kind == "S1" else 2), (domain.kind, d)
         for a, b in calls:
             assert a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (domain.kind, d, a, b)
+    # a stack of circle functions of one degree is one product as well
+    for d, n, m in STACK_CASES:
+        calls.clear()
+        assert fourier._scan([random_function(rng, CIRCLE, d) for _ in range(m)]).shape == (m, 3, n)
+        assert len(calls) == 1, (d, m)
+        for a, b in calls:
+            assert a[-2] == 3 * m and a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (d, m, a, b)
 
 
 def test_blocked_scan_is_the_one_shot_product():
@@ -367,6 +377,19 @@ def test_blocked_scan_is_the_one_shot_product():
         else:
             scale = np.abs(want).reshape(6, -1).max(axis=1)[:, None, None]
             assert np.all(np.abs(got - want) <= 16 * np.spacing(scale)), (domain.kind, d)
+    # each scan of a circle stack is the one-shot product of its function:
+    # bit for bit up to degree 32; above, blocks of 9 and 18 rows (3 and 6
+    # functions) take another OpenBLAS kernel from degree 56 on (up to 13
+    # ulps of each grid's max here)
+    for d, n, m in STACK_CASES:
+        fs = [random_function(rng, CIRCLE, d, decay=float(rng.uniform(0.0, 2.0))) for _ in range(m)]
+        for got, f in zip(fourier._scan(fs), fs):
+            want = scan_one_shot(f.coeffs, n)
+            if d <= 32:
+                assert np.array_equal(got, want), (d, m)
+            else:
+                scale = np.abs(want).max(axis=1)[:, None]
+                assert np.all(np.abs(got - want) <= 16 * np.spacing(scale)), (d, m)
 
 
 def test_scans_stay_on_the_calling_thread():
@@ -501,6 +524,38 @@ def test_attaining_sets_do_not_depend_on_the_batch():
     assert len(straddle) == 1 and straddle[0] == pytest.approx(1.0 - 1e-5, abs=1e-12)
     twins = circle_records[5].max_points[:, 0]
     assert twins == pytest.approx([0.0, 0.5], abs=1e-9)
+
+
+def _critical_bits(cs):
+    """Every number of a critical set and of its record, as exact hex strings."""
+    ext = cs.extrema
+    floats = (*np.ravel(cs.points), *cs.values, cs.tolerance, cs.point_tolerance, ext.vmax, ext.vmin)
+    points = (*ext.max_points.ravel(), *ext.min_points.ravel())
+    return tuple(float(x).hex() for x in floats + points), len(cs.points), ext.max_points.shape, cs.plateau
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_critical_sets_do_not_depend_on_the_batch(tol):
+    # 200 functions: circle degrees 0-32, four of each and twenty of degrees
+    # 5 and 8 (so that stacks fill and split), the batch cases (constants,
+    # tied maxima) and torus functions, shuffled; every batch of them, cut
+    # anywhere, gives each function the critical set and the record it gets
+    # alone, bit for bit
+    rng = np.random.default_rng(19)
+    degrees = [*range(33)] * 4 + [5] * 20 + [8] * 20 + [*rng.integers(0, 33, 17)]
+    fs = [random_function(rng, CIRCLE, int(d), decay=float(rng.uniform(0.0, 2.0))) for d in degrees]
+    fs += [fn(a0, cos, sin) for _, a0, cos, sin in _batch_cases()]
+    fs += [random_function(rng, TORUS2, d) for d in (1, 2)] + [FourierFunction.constant(0.3, TORUS2)]
+    fs = [fs[i] for i in rng.permutation(len(fs))]
+    alone = [_critical_bits(critical_set(f, tol)) for f in fs]
+    records = attaining_sets(fs, tol)
+    _assert_same_records(records, [attaining_set(f, tol) for f in fs])
+    for cut in (9, 200):
+        for start in range(0, len(fs), cut):
+            batch = critical_sets(fs[start : start + cut], tol)
+            assert [_critical_bits(cs) for cs in batch] == alone[start : start + cut], (cut, start)
+            _assert_same_records([cs.extrema for cs in batch], records[start : start + cut])
+    assert critical_sets([]) == []
 
 
 def test_tied_circle_maxima_each_get_a_point():

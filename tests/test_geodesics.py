@@ -292,6 +292,38 @@ def test_batched_endpoint_norms_equal_sup_norm(rng, domain, tol):
 # -- integral criterion --------------------------------------------------------
 
 
+@pytest.mark.parametrize("domain", [CIRCLE, TORUS2], ids=["S1", "T2"])
+def test_integral_is_the_ordered_sum_of_the_knots(monkeypatch, domain):
+    # the criterion sums the zero-padded knot coefficients in one ordered
+    # reduction; it must give the bits of the loop g_0 w_0 + g_1 w_1 + ...
+    # over the knots themselves, for mixed degrees and uneven times
+    rng = np.random.default_rng(61)
+    batches = []
+    batch = geodesics.attaining_sets
+
+    def spy(fs, tol):
+        batches.append(list(fs))
+        return batch(batches[-1], tol)
+
+    monkeypatch.setattr(geodesics, "attaining_sets", spy)
+    for k in (2, 3, 9, 64):
+        degrees = rng.integers(0, 6 if domain is CIRCLE else 3, k)
+        knots = [random_function(rng, domain, int(d)) for d in degrees]
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, k - 2)), [1.0]])
+        fam = IsotopyPath(knots=tuple(knots), times=tuple(times))
+        w = np.empty(k)
+        w[0], w[-1] = 0.5 * (times[1] - times[0]), 0.5 * (times[-1] - times[-2])
+        w[1:-1] = 0.5 * (times[2:] - times[:-2])
+        want = knots[0] * float(w[0])
+        for wi, g in zip(w[1:], knots[1:]):
+            want = want + g * float(wi)
+        batches.clear()
+        rep = integral_criterion(fam)
+        got = batches[-1][-1]
+        assert got.degree == want.degree and np.array_equal(got.coeffs, want.coeffs)
+        assert rep.rhs == attaining_set(want).norm
+
+
 def test_integral_criterion_time_independent():
     g = fn(0.0, [0.4], [0.1])
     fam = IsotopyPath.uniform([g, g, g])
