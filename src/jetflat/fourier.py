@@ -678,6 +678,14 @@ def _shift(a: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((a[:, k:], a[:, :k]), axis=1)
 
 
+def _from_previous(op, a: np.ndarray) -> np.ndarray:
+    """op(a[:, i], a[:, i - 1]) at every i, periodically, without a shifted copy of a."""
+    out = np.empty(a.shape, dtype=bool)
+    op(a[:, 1:], a[:, :-1], out=out[:, 1:])
+    op(a[:, :1], a[:, -1:], out=out[:, :1])
+    return out
+
+
 def _critical(g: np.ndarray, peaks: Sequence[_Peaks]) -> list[_Critical]:
     """The _Critical of every scan of a stack g (_peaks), peaks[i] holding its residual.
 
@@ -685,24 +693,33 @@ def _critical(g: np.ndarray, peaks: Sequence[_Peaks]) -> list[_Critical]:
     fails), then its tangential zeros, strict local minima of |f'| away
     from any bracket; T2 points are the local minima of max(|f_1|, |f_2|).
     A plateau is more than PLATEAU_FRACTION of the scan with |grad f| below
-    1e3 residuals.
+    1e3 residuals.  On S1 every mask is read from f' by comparisons, so the
+    reduction makes no float array the size of the stack.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
-    residual = np.array([p.residual for p in peaks]).reshape((m,) + (1,) * ndim)
-    dnorm = np.abs(g[:, 1]) if ndim == 1 else np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
-    plateau = np.count_nonzero(dnorm < 1e3 * residual, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
+    bound = 1e3 * np.array([p.residual for p in peaks]).reshape((m, 1) + (1,) * ndim)
+    grad = g[:, 1 : 1 + ndim]
+    level = ((grad < bound) & (grad > -bound)).all(axis=1).reshape(m, -1)
+    plateau = np.count_nonzero(level, axis=1) / n**ndim > PLATEAU_FRACTION
     if ndim == 2:
         none = np.zeros(0, dtype=bool)
+        dnorm = np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
         return [
             _Critical(p, np.argwhere(_local_max_mask(-d)) / n, none, none) for p, d in zip(plateau.tolist(), dnorm)
         ]
     d = g[:, 1]
-    # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one strict sign
+    # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one
+    # strict sign; a constant is critical everywhere and needs no seeds
+    live = np.array([p.seeds is not None for p in peaks])[:, None]
     pos, neg = d > 0.0, d < 0.0
-    change = ~((pos & _shift(pos, 1)) | (neg & _shift(neg, 1)))
-    local_min = (dnorm < _shift(dnorm, -1)) & (dnorm <= _shift(dnorm, 1))
+    change = ~((pos & _shift(pos, 1)) | (neg & _shift(neg, 1))) & live
+    # where f' keeps one strict sign from x - dq to x + dq, |f'| at x is below
+    # its value at x - dq and not above its value at x + dq
+    down, up = _from_previous(np.less, d), _from_previous(np.greater, d)
+    steady = ~change & ~_shift(change, -1)
+    tangential = steady & live & ((pos & down & ~_shift(down, 1)) | (neg & up & ~_shift(up, 1)))
     brackets = np.flatnonzero(change)
-    flat = np.concatenate([brackets, np.flatnonzero(local_min & ~change & ~_shift(change, -1))])
+    flat = np.concatenate([brackets, np.flatnonzero(tangential)])
     order = np.argsort(flat // n, kind="stable")  # per scan, its brackets first
     rows, cells = np.divmod(flat[order], n)
     bracket = order < len(brackets)
@@ -805,6 +822,7 @@ def _reduce(
             g = _scan([fs[j] for j in chunk])
             peaks = _peaks(g, tol, signs)
             crits = _critical(g, peaks[0]) if critical else [None] * len(chunk)
+            del g  # before the next stack is scanned
             for j, *per_sign, crit in zip(chunk, *peaks, crits):
                 out[j] = _Scan(tuple(per_sign), crit)
     return out
