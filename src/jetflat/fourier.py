@@ -14,10 +14,9 @@ immutable after construction and every operation here is a pure function.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -656,7 +655,7 @@ def _peaks(g: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[li
         else vals <= np.array([-np.inf if c else lo + e for _, lo, c, _, e in scans])[:, None]
         for sign in signs
     ]
-    rows, cells = np.divmod(np.flatnonzero(functools.reduce(np.logical_or, nears)), vals.shape[1])
+    rows, cells = np.divmod(np.flatnonzero(reduce(np.logical_or, nears)), vals.shape[1])
     at = np.array(np.unravel_index(cells, g.shape[2:]))
     around = vals[rows, np.ravel_multi_index(tuple(at[:, None] + _NEIGHBOURHOOD[ndim]), g.shape[2:], mode="wrap")]
     here, pts = vals[rows, cells], at.T / n
