@@ -622,6 +622,8 @@ def _constant(hi: float, lo: float) -> bool:
 
 def _split(rows: np.ndarray, a: np.ndarray, m: int) -> list[np.ndarray]:
     """a cut into m consecutive pieces, piece i holding the entries whose (sorted) rows is i."""
+    if m == 1:
+        return [a]
     cuts = np.searchsorted(rows, np.arange(1, m)).tolist()
     return [a[i:j] for i, j in zip([0] + cuts, cuts + [len(a)])]
 
@@ -657,7 +659,7 @@ def _peaks(g: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[li
     ]
     rows, cells = np.divmod(np.flatnonzero(reduce(np.logical_or, nears)), vals.shape[1])
     at = np.array(np.unravel_index(cells, g.shape[2:]))
-    around = vals[rows, np.ravel_multi_index(tuple(at[:, None] + _NEIGHBOURHOOD[ndim]), g.shape[2:], mode="wrap")]
+    around = g[:, 0][(rows,) + tuple((at[:, None] + _NEIGHBOURHOOD[ndim]) % n)]
     here, pts = vals[rows, cells], at.T / n
     out = []
     for sign, near in zip(signs, nears):
@@ -692,17 +694,14 @@ def _critical(g: np.ndarray, peaks: Sequence[_Peaks]) -> list[_Critical]:
     fails), then its tangential zeros, strict local minima of |f'| away
     from any bracket; T2 points are the local minima of max(|f_1|, |f_2|).
     A plateau is more than PLATEAU_FRACTION of the scan with |grad f| below
-    1e3 residuals.  On S1 every mask is read from f' by comparisons, so the
-    reduction makes no float array the size of the stack.
+    1e3 residuals.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
-    bound = 1e3 * np.array([p.residual for p in peaks]).reshape((m, 1) + (1,) * ndim)
-    grad = g[:, 1 : 1 + ndim]
-    level = ((grad < bound) & (grad > -bound)).all(axis=1).reshape(m, -1)
-    plateau = np.count_nonzero(level, axis=1) / n**ndim > PLATEAU_FRACTION
+    bound = 1e3 * np.array([p.residual for p in peaks]).reshape((m,) + (1,) * ndim)
+    dnorm = np.abs(g[:, 1]) if ndim == 1 else np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
+    plateau = np.count_nonzero(dnorm < bound, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
     if ndim == 2:
         none = np.zeros(0, dtype=bool)
-        dnorm = np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
         return [
             _Critical(p, np.argwhere(_local_max_mask(-d)) / n, none, none) for p, d in zip(plateau.tolist(), dnorm)
         ]
@@ -712,11 +711,9 @@ def _critical(g: np.ndarray, peaks: Sequence[_Peaks]) -> list[_Critical]:
     live = np.array([p.seeds is not None for p in peaks])[:, None]
     pos, neg = d > 0.0, d < 0.0
     change = ~((pos & _shift(pos, 1)) | (neg & _shift(neg, 1))) & live
-    # where f' keeps one strict sign from x - dq to x + dq, |f'| at x is below
-    # its value at x - dq and not above its value at x + dq
-    down, up = _from_previous(np.less, d), _from_previous(np.greater, d)
-    steady = ~change & ~_shift(change, -1)
-    tangential = steady & live & ((pos & down & ~_shift(down, 1)) | (neg & up & ~_shift(up, 1)))
+    # |f'| below its previous point and not above its next one, away from any bracket
+    drop = _from_previous(np.less, dnorm)
+    tangential = drop & ~_shift(drop, 1) & ~change & ~_shift(change, -1) & live
     brackets = np.flatnonzero(change)
     flat = np.concatenate([brackets, np.flatnonzero(tangential)])
     order = np.argsort(flat // n, kind="stable")  # per scan, its brackets first
