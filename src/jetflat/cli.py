@@ -203,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=EQUALITY_TOL, help="equality/membership tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    seeded = argparse.ArgumentParser(add_help=False)  # for the commands that draw random numbers
+    seeded.add_argument("--seed", type=int, default=0, help="seed of the random Legendrians or restarts")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -216,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("f_spec")
     p.add_argument("g_spec")
 
-    p = sub.add_parser("geodesic", parents=[common], help="geodesic check or path optimization")
+    p = sub.add_parser("geodesic", parents=[common, seeded], help="geodesic check or path optimization")
     p.add_argument("path_spec")
     p.add_argument("--mode", choices=("check", "optimize"), default="check")
     p.add_argument("--knots", type=int, default=6)
     p.add_argument("--restarts", type=int, default=16)
 
-    p = sub.add_parser("props", parents=[common], help="selector axiom suite on random Legendrians")
+    p = sub.add_parser("props", parents=[common, seeded], help="selector axiom suite on random Legendrians")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--degree", type=int, default=8, help="truncation degree of the random Legendrians")
 
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integral-criterion", parents=[common], help="integrated sup-norm equality test for a sampled family")
     p.add_argument("family_spec")
 
-    p = sub.add_parser("contact", parents=[common], help="circle contactomorphism computations")
+    p = sub.add_parser("contact", parents=[common, seeded], help="circle contactomorphism computations")
     p.add_argument("sub", choices=("norm", "translated", "qa", "upper"))
     p.add_argument("spec")
     p.add_argument("--knots", type=int, default=6)

@@ -501,10 +501,12 @@ def _newton_circle(stack: np.ndarray, seeds: np.ndarray, halfwidth, residual) ->
     """Newton for f'(x) = 0 from every seed at once.
 
     stack[i] holds the derivative stack (_derivative_stack) of the function
-    seed i belongs to, so one run serves the seeds of many functions.  Each
-    seed stays confined to |x - seed| <= halfwidth and converges at |f'| <=
-    residual (scalars or one value per seed); seeds that leave their
-    window, meet f'' = 0 or do not converge come back as NaN.
+    seed i belongs to, so one run serves the max, min and critical seeds of
+    many functions (_refine).  Each seed stays confined to |x - seed| <=
+    halfwidth and converges at |f'| <= residual (scalars or one value per
+    seed); seeds that leave their window, meet f'' = 0 or do not converge
+    come back as NaN.  Every seed is worked on its own, so its root does not
+    depend on the other seeds.
     """
     d12 = stack[:, 1:]
     x0 = np.asarray(seeds, dtype=float)
@@ -581,12 +583,11 @@ def _local_max_mask(a: np.ndarray) -> np.ndarray:
 
 
 class _Peaks(NamedTuple):
-    """One scan reduced for one sign: all that the refinement reads."""
+    """One scan reduced for one sign: all that the refinement of that extremum reads."""
 
-    n: int  # scan size per axis
+    sign: int  # 1 for the max, -1 for the min
     top: float  # largest scanned value of sign * f
     seeds: np.ndarray | None  # points that may neighbour the top; None for a constant
-    residual: float  # Newton residual, scaled by max|grad f|
 
 
 class _Critical(NamedTuple):
@@ -594,13 +595,15 @@ class _Critical(NamedTuple):
 
     plateau: bool
     points: np.ndarray  # (k, ndim) scan points: see _critical
-    bracket: np.ndarray  # S1: the points x that bracket a sign change of f' on [x, x + 1/n]
-    exact: np.ndarray  # S1: the brackets with f'(x) = 0 on the scan
+    bracket: np.ndarray  # per point x: does f' change sign on [x, x + 1/n]? (never on T2)
+    exact: np.ndarray  # per point: a bracket with f'(x) = 0 on the scan
 
 
 class _Scan(NamedTuple):
     """One function's scan reduced to what its records and its critical set read."""
 
+    n: int  # scan size per axis
+    residual: float  # Newton residual, scaled by max|grad f|
     peaks: tuple[_Peaks, ...]  # one per sign asked for
     critical: _Critical | None
 
@@ -628,15 +631,16 @@ def _split(rows: np.ndarray, a: np.ndarray, m: int) -> list[np.ndarray]:
     return [a[i:j] for i, j in zip([0] + cuts, cuts + [len(a)])]
 
 
-def _peaks(g: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[list[_Peaks]]:
-    """Per sign, the _Peaks of every scan of a stack: its top and the seeds within the margin of it.
+def _peaks(g: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Scan]:
+    """Every scan of a stack reduced to its _Scan: per sign, its top and the seeds within the margin of it.
 
     g holds m scans, (m, 3, n) on S1 or (m, 6, n, n) on T2, reduced at once:
     one max and one min over all grids, and one nonzero and one gather of
     neighbours for the candidates of all signs.  Seeds are the scan's local
     maxima within the margin, so maxima whose dip lies inside the margin
     each get one; the top itself is always one.  The residual is
-    NEWTON_RESIDUAL times the scan's max|grad f|.
+    NEWTON_RESIDUAL times the scan's max|grad f|.  The critical seeds are
+    left to _critical.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
     grids = g.reshape(m, g.shape[1], -1)
@@ -661,17 +665,14 @@ def _peaks(g: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[li
     at = np.array(np.unravel_index(cells, g.shape[2:]))
     around = g[:, 0][(rows,) + tuple((at[:, None] + _NEIGHBOURHOOD[ndim]) % n)]
     here, pts = vals[rows, cells], at.T / n
-    out = []
+    per_sign = []
     for sign, near in zip(signs, nears):
         keep = near[rows, cells] & (here >= around.max(axis=0) if sign == 1 else here <= around.min(axis=0))
         seeds = _split(rows[keep], pts[keep], m)
-        out.append(
-            [
-                _Peaks(n, hi if sign == 1 else -lo, None if c else s, r)
-                for (hi, lo, c, r, _), s in zip(scans, seeds)
-            ]
+        per_sign.append(
+            [_Peaks(sign, hi if sign == 1 else -lo, None if c else s) for (hi, lo, c, _, _), s in zip(scans, seeds)]
         )
-    return out
+    return [_Scan(n, r, peaks, None) for (_, _, _, r, _), peaks in zip(scans, zip(*per_sign))]
 
 
 def _shift(a: np.ndarray, k: int) -> np.ndarray:
@@ -687,28 +688,26 @@ def _from_previous(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _critical(g: np.ndarray, peaks: Sequence[_Peaks]) -> list[_Critical]:
-    """The _Critical of every scan of a stack g (_peaks), peaks[i] holding its residual.
+def _critical(g: np.ndarray, scans: Sequence[_Scan]) -> list[_Critical]:
+    """The _Critical of every scan of a stack g, scans[i] its _peaks reduction.
 
     S1 points are the sign changes of f' (brackets, bisected if Newton
     fails), then its tangential zeros, strict local minima of |f'| away
     from any bracket; T2 points are the local minima of max(|f_1|, |f_2|).
-    A plateau is more than PLATEAU_FRACTION of the scan with |grad f| below
-    1e3 residuals.
+    A constant is critical everywhere and gets no seeds.  A plateau is more
+    than PLATEAU_FRACTION of the scan with |grad f| below 1e3 residuals.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
-    bound = 1e3 * np.array([p.residual for p in peaks]).reshape((m,) + (1,) * ndim)
+    bound = 1e3 * np.array([s.residual for s in scans]).reshape((m,) + (1,) * ndim)
     dnorm = np.abs(g[:, 1]) if ndim == 1 else np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
     plateau = np.count_nonzero(dnorm < bound, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
+    live = [s.peaks[0].seeds is not None for s in scans]
     if ndim == 2:
-        none = np.zeros(0, dtype=bool)
-        return [
-            _Critical(p, np.argwhere(_local_max_mask(-d)) / n, none, none) for p, d in zip(plateau.tolist(), dnorm)
-        ]
+        pts = [np.argwhere(_local_max_mask(-d)) / n if c else np.zeros((0, 2)) for d, c in zip(dnorm, live)]
+        return [_Critical(p, x, *[np.zeros(len(x), dtype=bool)] * 2) for p, x in zip(plateau.tolist(), pts)]
     d = g[:, 1]
-    # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one
-    # strict sign; a constant is critical everywhere and needs no seeds
-    live = np.array([p.seeds is not None for p in peaks])[:, None]
+    # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one strict sign
+    live = np.array(live)[:, None]
     pos, neg = d > 0.0, d < 0.0
     change = ~((pos & _shift(pos, 1)) | (neg & _shift(neg, 1))) & live
     # |f'| below its previous point and not above its next one, away from any bracket
@@ -728,19 +727,20 @@ def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
     """Newton for grad f = 0 from every seed at once.
 
     stack[i] holds the derivative stack (_derivative_stack) of the function
-    seed i belongs to, so one run serves the seeds of many functions, or
-    one stack (6, 2, K, 2, K) serves them all; each step reads the gradient
-    and Hessian from one pair of axis bases.  Seeds
-    converge at max |grad f| <= residual (a scalar or one value per seed);
-    seeds that meet a Hessian singular to rounding, step further than 0.1
-    (the basin guard) or do not converge come back as NaN.
+    seed i belongs to, so one run serves the max, min and critical seeds of
+    many functions (_refine); each step reads the gradient and Hessian from
+    one pair of axis bases.  Seeds converge at max |grad f| <= residual (a
+    scalar or one value per seed); seeds that meet a Hessian singular to
+    rounding, step further than 0.1 (the basin guard) or do not converge
+    come back as NaN.  Every seed is worked on its own, so its root does not
+    depend on the other seeds.
     """
     x = np.array(seeds, dtype=float)
     tol = np.zeros(len(x)) + residual
     roots = np.full(x.shape, np.nan)
     live = np.arange(len(x))
     for it in range(NEWTON_MAX_ITER + 1):
-        a, b, m11, m12, m22 = _torus_at(stack[1:] if stack.ndim == 5 else stack[live, 1:], x[live]).T
+        a, b, m11, m12, m22 = _torus_at(stack[live, 1:], x[live]).T
         done = np.maximum(np.abs(a), np.abs(b)) <= tol[live]
         roots[live[done]] = x[live[done]]
         if done.all() or it == NEWTON_MAX_ITER:
@@ -756,46 +756,71 @@ def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
 
 
 def _refine(
-    fs: Sequence[FourierFunction], peaks: Sequence[_Peaks], sign: int, tol: float
-) -> list[tuple[float, np.ndarray]]:
-    """Max (sign 1) or min (sign -1) of every f and its attaining points.
+    fs: Sequence[FourierFunction], scans: Sequence[_Scan], tol: float
+) -> tuple[list[list[tuple[float, np.ndarray]]], list[np.ndarray | None]]:
+    """Each f's extremum and attaining points per sign of its scan, and its critical points.
 
-    peaks[j] is the scan of fs[j] reduced for this sign.  A constant is
-    attained everywhere and reported at the origin.  One Newton run per
-    domain refines the seeds of all other functions; a seed that fails falls
-    back to golden-section search on its two grid cells (S1) or to itself
-    (T2), and each function keeps its refined seeds within tol of its best
-    value.
+    One Newton run per domain refines a table of the seeds of all
+    non-constant functions, row by row with the window, residual and
+    fallback of its kind:
+    - max and min seeds keep within 2/n and fall back to golden-section
+      search on their two grid cells (S1) or to themselves (T2); each
+      function keeps those within tol of its best value per sign;
+    - S1 bracket midpoints keep within 1/n, a bracket whose f' is zero on
+      the scan is its own root and one that fails is bisected;
+    - tangential (S1) and torus critical seeds keep within 2/n (S1) and
+      are dropped if they fail.
+    A constant is attained everywhere and reported at the origin.  Critical
+    points come back for the non-constant scans that carry critical seeds
+    (None for the others), deduplicated but without the record's points.
     """
-    out = [(sign * p.top, np.zeros((1, f.domain.ndim))) for f, p in zip(fs, peaks)]
+    found = [[(p.sign * p.top, np.zeros((1, f.domain.ndim))) for p in s.peaks] for f, s in zip(fs, scans)]
+    crit = [None] * len(fs)
     for kind in ("S1", "T2"):
-        js = [j for j, p in enumerate(peaks) if p.seeds is not None and fs[j].domain.kind == kind]
+        js = [j for j, s in enumerate(scans) if s.peaks[0].seeds is not None and fs[j].domain.kind == kind]
         if not js:
             continue
-        counts = [len(peaks[j].seeds) for j in js]
-        owner = np.repeat(np.arange(len(js)), counts)
-        seeds = np.concatenate([peaks[j].seeds for j in js])
-        residual = np.repeat([peaks[j].residual for j in js], counts)
+        # the seed table: every max and min block, then every critical block
+        peaks = [(i, k, p) for i, j in enumerate(js) for k, p in enumerate(scans[j].peaks)]
+        crits = [(i, scans[j].critical) for i, j in enumerate(js) if scans[j].critical is not None]
+        counts, sizes = [len(p.seeds) for _, _, p in peaks], [len(c.points) for _, c in crits]
+        owner = np.repeat([i for i, _, _ in peaks] + [i for i, _ in crits], counts + sizes)
+        x = np.concatenate([p.seeds for _, _, p in peaks] + [c.points for _, c in crits])
+        e = sum(counts)  # the extremum rows come first
+        sign = np.repeat([p.sign for _, _, p in peaks], counts)
+        none = [np.zeros(e, dtype=bool)]
+        bracket = np.concatenate(none + [c.bracket for _, c in crits])
+        exact = np.concatenate(none + [c.exact for _, c in crits])
+        residual = np.array([scans[j].residual for j in js])[owner]
         stack = _stacks([fs[j] for j in js])[owner]
         if kind == "S1":
-            dq = np.repeat([1.0 / peaks[j].n for j in js], counts)
-            roots = _newton_circle(stack, seeds[:, 0], 2.0 * dq, residual)
-            for i in np.flatnonzero(np.isnan(roots)):
-                roots[i] = _ternary_max_circle(sign * fs[js[owner[i]]], seeds[i, 0] - dq[i], seeds[i, 0] + dq[i])
-            vals = sign * _series_at(stack[:, 0], roots)
+            dq = np.array([1.0 / scans[j].n for j in js])[owner]
+            x = x[:, 0]
+            seeds, widths = np.where(bracket, 0.5 * (x + (x + dq)), x), np.where(bracket, dq, 2.0 * dq)
+            roots = _newton_circle(stack, seeds, widths, residual)
+            roots[exact] = x[exact]
+            for i in np.flatnonzero(np.isnan(roots[:e])):
+                roots[i] = _ternary_max_circle(sign[i] * fs[js[owner[i]]], x[i] - dq[i], x[i] + dq[i])
+            for i in np.flatnonzero(bracket & np.isnan(roots)):
+                roots[i] = _bisect_root(fs[js[owner[i]]].derivative(), x[i], x[i] + dq[i], residual[i])
+            vals = sign * _series_at(stack[:e, 0], roots[:e])
             roots = roots[:, None]
         else:
-            roots = _newton_torus(stack, seeds, residual)
-            failed = np.isnan(roots[:, 0])
-            roots[failed] = seeds[failed]
-            vals = sign * _torus_at(stack[:, :1], roots)[:, 0]
+            roots = _newton_torus(stack, x, residual)
+            failed = np.isnan(roots[:e, 0])
+            roots[:e][failed] = x[:e][failed]
+            vals = sign * _torus_at(stack[:e, :1], roots[:e])[:, 0]
         starts = np.cumsum([0] + counts[:-1])
-        best = np.maximum(np.maximum.reduceat(vals, starts), [peaks[j].top for j in js])
-        keep = vals >= best[owner] - tol
+        best = np.maximum(np.maximum.reduceat(vals, starts), [p.top for _, _, p in peaks])
+        keep = vals >= np.repeat(best, counts) - tol
         points = _canonical_mod1(roots)
-        for j, top, lo, m in zip(js, best.tolist(), starts.tolist(), counts):
-            out[j] = (sign * top, _dedupe_points(points[lo : lo + m][keep[lo : lo + m]]))
-    return out
+        for (i, k, p), top, lo, m in zip(peaks, best.tolist(), starts.tolist(), counts):
+            found[js[i]][k] = (p.sign * top, _dedupe_points(points[lo : lo + m][keep[lo : lo + m]]))
+        bounds = np.cumsum([e] + sizes).tolist()
+        for (i, _), lo, hi in zip(crits, bounds, bounds[1:]):
+            r = points[lo:hi]
+            crit[js[i]] = _dedupe_points(r[~np.isnan(r[:, 0])])
+    return found, crit
 
 
 def _reduce(
@@ -816,32 +841,34 @@ def _reduce(
         for start in range(0, len(js), size):
             chunk = js[start : start + size]
             g = _scan([fs[j] for j in chunk])
-            peaks = _peaks(g, tol, signs)
-            crits = _critical(g, peaks[0]) if critical else [None] * len(chunk)
+            scans = _peaks(g, tol, signs)
+            if critical:
+                scans = [s._replace(critical=c) for s, c in zip(scans, _critical(g, scans))]
             del g  # before the next stack is scanned
-            for j, *per_sign, crit in zip(chunk, *peaks, crits):
-                out[j] = _Scan(tuple(per_sign), crit)
+            for j, s in zip(chunk, scans):
+                out[j] = s
     return out
 
 
-def _records(fs: Sequence[FourierFunction], scans: Sequence[_Scan], tol: float) -> list[Extrema]:
-    """The attaining_set record of each f from its reduced scan."""
-    highs = _refine(fs, [s.peaks[0] for s in scans], 1, tol)
-    lows = _refine(fs, [s.peaks[1] for s in scans], -1, tol)
-    return [Extrema(f, vmax, vmin, pmax, pmin) for f, (vmax, pmax), (vmin, pmin) in zip(fs, highs, lows)]
+def _records(
+    fs: Sequence[FourierFunction], scans: Sequence[_Scan], tol: float
+) -> tuple[list[Extrema], list[np.ndarray | None]]:
+    """The attaining_set record of each f from its reduced scan, and its critical points (_refine)."""
+    found, crit = _refine(fs, scans, tol)
+    return [Extrema(f, vmax, vmin, pmax, pmin) for f, ((vmax, pmax), (vmin, pmin)) in zip(fs, found)], crit
 
 
 def attaining_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> list[Extrema]:
     """The attaining_set record of every function, in one batch per domain.
 
     The scans are stacked and reduced chunk by chunk (_reduce); one Newton
-    run per domain and sign then refines the seeds of all of them.  A record
+    run per domain then refines the max and min seeds of all of them.  A record
     does not depend on the batch it came in.  tol must be positive.
     """
     if not tol > 0.0:
         raise ValueError(f"attaining tolerance must be positive, got {tol}")
     fs = list(fs)
-    return _records(fs, _reduce(fs, tol), tol)
+    return _records(fs, _reduce(fs, tol), tol)[0]
 
 
 def attaining_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> Extrema:
@@ -862,8 +889,8 @@ def extremum(
     from _scan([f]), is read instead of scanning again.
     """
     sign = -1 if mode == "min" else 1
-    (peaks,) = _peaks(_scan([f]) if grids is None else grids, EQUALITY_TOL, (sign,))
-    ((value, pts),) = _refine([f], peaks, sign, EQUALITY_TOL)
+    found, _ = _refine([f], _peaks(_scan([f]) if grids is None else grids, EQUALITY_TOL, (sign,)), EQUALITY_TOL)
+    value, pts = found[0][0]
     return Extremum(value, tuple(float(x) for x in pts[0]))
 
 
@@ -881,8 +908,8 @@ def sup_norms_by_squaring(fs: Iterable[FourierFunction]) -> list[float]:
     batch and for the maximum only; each value is extremum(f * f, "max").
     """
     squares = [f.multiply(f) for f in fs]
-    tops = _refine(squares, [s.peaks[0] for s in _reduce(squares, EQUALITY_TOL, (1,))], 1, EQUALITY_TOL)
-    return [float(np.sqrt(max(top, 0.0))) for top, _ in tops]
+    tops, _ = _refine(squares, _reduce(squares, EQUALITY_TOL, (1,)), EQUALITY_TOL)
+    return [float(np.sqrt(max(top, 0.0))) for ((top, _),) in tops]
 
 
 def sup_norm_by_squaring(f: FourierFunction) -> float:
@@ -906,39 +933,6 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float, residual: float) -> 
             hi = mid
 
 
-def _critical_points(fs: Sequence[FourierFunction], scans: Sequence[_Scan]) -> list[np.ndarray]:
-    """Newton roots of grad f from the critical seeds of each scan.
-
-    One Newton run refines the seeds of all circle functions: bracket
-    midpoints within their cell, tangential seeds within two.  A bracket
-    whose f' is zero on the scan is its own root, and one whose Newton run
-    fails is bisected.  A torus function gets a run of its own.
-    """
-    out = [None] * len(fs)
-    circle = [j for j, f in enumerate(fs) if f.domain.kind == "S1"]
-    if circle:
-        crits = [scans[j].critical for j in circle]
-        counts = [len(c.points) for c in crits]
-        owner = np.repeat(np.arange(len(circle)), counts)
-        x, bracket, exact = (np.concatenate(a) for a in zip(*((c.points[:, 0], c.bracket, c.exact) for c in crits)))
-        dq = np.repeat([1.0 / scans[j].peaks[0].n for j in circle], counts)
-        residual = np.repeat([scans[j].peaks[0].residual for j in circle], counts)
-        seeds, widths = np.where(bracket, 0.5 * (x + (x + dq)), x), np.where(bracket, dq, 2.0 * dq)
-        roots = _newton_circle(_stacks([fs[j] for j in circle])[owner], seeds, widths, residual)
-        roots[exact] = x[exact]
-        for i in np.flatnonzero(bracket & np.isnan(roots)):
-            roots[i] = _bisect_root(fs[circle[owner[i]]].derivative(), x[i], x[i] + dq[i], residual[i])
-        bounds = np.cumsum([0] + counts).tolist()
-        for j, lo, hi in zip(circle, bounds, bounds[1:]):
-            r = roots[lo:hi]
-            out[j] = _dedupe_points(_canonical_mod1(r[~np.isnan(r), None]))
-    for j, f in enumerate(fs):
-        if f.domain.kind == "T2":
-            roots = _newton_torus(_stacks([f])[0], scans[j].critical.points, scans[j].peaks[0].residual)
-            out[j] = _dedupe_points(_canonical_mod1(roots[~np.isnan(roots[:, 0])]))
-    return out
-
-
 def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
     vs = sorted(values)
     if not vs:
@@ -956,32 +950,29 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
     """The critical set of every function, from its one scan, in one batch per domain.
 
     Sign-change roots of f' (circle) or simultaneous zeros of the gradient
-    (torus) plus tangential zeros, Newton refined (_critical_points); values
-    are clustered at tol and always include the global extremum values,
-    whose attaining_set record (at tol) rides along as extrema.  A plateau
-    (more than 1% of scan points with |grad f| below 1e3 Newton residuals)
-    sets the plateau flag and contributes its value once; a constant (a
-    record range within rounding, the extremum search's rule) reports the
-    record's extrema.  A critical set does not depend on the batch it came in.
+    (torus) plus tangential zeros, refined in the Newton run of the records
+    (_refine); values are clustered at tol and always include the global
+    extremum values, whose attaining_set record (at tol) rides along as
+    extrema.  A plateau (more than 1% of scan points with |grad f| below 1e3
+    Newton residuals) sets the plateau flag and contributes its value once;
+    a constant (a record range within rounding, the extremum search's rule)
+    reports the record's extrema.  A critical set does not depend on the
+    batch it came in.
     """
     fs = list(fs)
     scans = _reduce(fs, tol, critical=True)
-    records = _records(fs, scans, tol)
-    live = [j for j, ext in enumerate(records) if not _constant(ext.vmax, ext.vmin)]
-    found = dict(zip(live, _critical_points([fs[j] for j in live], [scans[j] for j in live])))
     out = []
-    for j, (f, scan, ext) in enumerate(zip(fs, scans, records)):
-        if j not in found:
+    for f, scan, ext, pts in zip(fs, scans, *_records(fs, scans, tol)):
+        if _constant(ext.vmax, ext.vmin):
             # constant by the record's own rule: every point is critical
             points, plateau = ((0.0,) * f.domain.ndim,), True
             values = tuple(_cluster_values([ext.vmax, ext.vmin], tol))
         else:
-            pts = found[j]
             values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
             pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
             points, plateau = tuple(tuple(float(x) for x in p) for p in pts), scan.critical.plateau
             values = tuple(_cluster_values(values, tol))
-        out.append(CriticalSet(points, values, tol, scan.peaks[0].residual, ext, plateau))
+        out.append(CriticalSet(points, values, tol, scan.residual, ext, plateau))
     return out
 
 

@@ -288,6 +288,16 @@ def test_degree_is_a_props_flag(monkeypatch, capsys, specs):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["dist", "spectrum", "monotone", "length", "integral-criterion"])
+def test_seed_belongs_to_the_commands_that_read_it(capsys, specs, command):
+    # only props, geodesic and contact draw random numbers; elsewhere --seed is rejected
+    operands = [specs["zero"]] * (2 if command in ("dist", "spectrum") else 1)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *operands, "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_cmd_props_negative_control(capsys):
     code, out = run_json(capsys, ["props", "--count", "3", "--seed", "42", "--tol", "1e-20"])
     assert code == 1
@@ -413,9 +423,10 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, scanned, specs, rng):
     # endpoint difference once; length scans each segment once; props scans
     # the 36 pairs i <= j once, for their chord spectra and ell_pm, the 28
     # pairs i > j, the 64 Reeb-shifted pairs and the 28 squares.  One Newton
-    # run per domain, batch and sign: the 64 knots with their integral and
-    # the 15 (or 4) segments with their endpoint difference are one batch
-    # each; a torus critical set adds one run for its critical points
+    # run per domain and batch refines the max, min and critical seeds of
+    # all its functions: the 64 knots with their integral and the 15 (or 4)
+    # segments with their endpoint difference are one batch each, and props
+    # makes four batches (chord spectra, ell_pm, shifted pairs, squares)
     tzero = _write(specs["tmp"], "tzero.json", {"domain": "T2", "coeffs": {"a0": 0.0, "cc": [[0.0]]}})
     h = random_function(rng, degree=5, amplitude=0.4)
     ts = np.linspace(0.0, 1.0, 64)
@@ -437,16 +448,16 @@ def test_grid_evaluations_per_command(monkeypatch, capsys, scanned, specs, rng):
     for name in runs:
         monkeypatch.setattr(fourier, name, counted_runs(name))
     for argv, scans, circle_runs, torus_runs in (
-        (["dist", specs["amp"], specs["zero"]], 1, None, 0),
-        (["dist", specs["torus"], tzero], 1, 0, 3),
-        (["spectrum", specs["amp"], specs["zero"]], 1, None, 0),
-        (["contact", "norm", specs["phi"]], 2, None, 0),
-        (["contact", "translated", specs["phi"]], 2, None, 0),
-        (["integral-criterion", family_spec], 65, 2, 0),
-        (["geodesic", path_spec], 16, 2, 0),
-        (["geodesic", torus_path_spec], 5, 0, 2),
-        (["length", path_spec], 15, 2, 0),
-        (["props", "--count", "8"], 156, None, 0),
+        (["dist", specs["amp"], specs["zero"]], 1, 1, 0),
+        (["dist", specs["torus"], tzero], 1, 0, 1),
+        (["spectrum", specs["amp"], specs["zero"]], 1, 1, 0),
+        (["contact", "norm", specs["phi"]], 2, 2, 0),
+        (["contact", "translated", specs["phi"]], 2, 2, 0),
+        (["integral-criterion", family_spec], 65, 1, 0),
+        (["geodesic", path_spec], 16, 1, 0),
+        (["geodesic", torus_path_spec], 5, 0, 1),
+        (["length", path_spec], 15, 1, 0),
+        (["props", "--count", "8"], 156, 4, 0),
         (["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"], 9, None, 0),
     ):
         scanned.clear()

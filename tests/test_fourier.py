@@ -536,16 +536,19 @@ def _critical_bits(cs):
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 def test_critical_sets_do_not_depend_on_the_batch(tol):
-    # 200 functions: circle degrees 0-32, four of each and twenty of degrees
+    # 203 functions: circle degrees 0-32, four of each and twenty of degrees
     # 5 and 8 (so that stacks fill and split), the batch cases (constants,
-    # tied maxima) and torus functions, shuffled; every batch of them, cut
+    # tied maxima) and torus functions of degrees 1-4, a torus constant and
+    # a torus near-constant, shuffled; the seeds of a batch share one
+    # zero-padded Newton run per domain, and every batch of them, cut
     # anywhere, gives each function the critical set and the record it gets
     # alone, bit for bit
     rng = np.random.default_rng(19)
     degrees = [*range(33)] * 4 + [5] * 20 + [8] * 20 + [*rng.integers(0, 33, 17)]
     fs = [random_function(rng, CIRCLE, int(d), decay=float(rng.uniform(0.0, 2.0))) for d in degrees]
     fs += [fn(a0, cos, sin) for _, a0, cos, sin in _batch_cases()]
-    fs += [random_function(rng, TORUS2, d) for d in (1, 2)] + [FourierFunction.constant(0.3, TORUS2)]
+    fs += [random_function(rng, TORUS2, d) for d in (1, 2, 3, 4)] + [FourierFunction.constant(0.3, TORUS2)]
+    fs.append(FourierFunction.from_torus_coeffs(0.3, [[0.0, 1e-13], [0.0, 0.0]]))
     fs = [fs[i] for i in rng.permutation(len(fs))]
     alone = [_critical_bits(critical_set(f, tol)) for f in fs]
     records = attaining_sets(fs, tol)
