@@ -14,7 +14,6 @@ same combined digest give the engine the same bits on every function:
     PYTHONPATH=<tree>/src python3 scripts/engine_digest.py
 """
 
-import argparse
 import hashlib
 import sys
 
@@ -23,11 +22,12 @@ import numpy as np
 from jetflat.fourier import TORUS2, FourierFunction, attaining_sets, critical_sets
 from jetflat.sampling import random_function
 
+SEED = 1
 TOLERANCES = (1e-9, 1e-6)
 
 
-def _functions(seed: int) -> list[FourierFunction]:
-    rng = np.random.default_rng(seed)
+def _functions() -> list[FourierFunction]:
+    rng = np.random.default_rng(SEED)
     circle = FourierFunction.from_circle_coeffs
     fs = [random_function(rng, degree=d, decay=float(rng.uniform(0.0, 2.0))) for d in [*range(65)] * 2]
     w = 2 * np.pi * 1e-5  # cos 2 pi k (q + 1e-5) peaks between the last grid point and 0
@@ -63,10 +63,7 @@ def _record_lines(r) -> list[str]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
-    fs = _functions(args.seed)
+    fs = _functions()
     parts = {}
     for tol in TOLERANCES:
         lines = [line for r in attaining_sets(fs, tol) for line in _record_lines(r)]

@@ -402,14 +402,22 @@ def _stacks(fs: Sequence[FourierFunction]) -> np.ndarray:
     return _derivative_stack(_padded(fs))
 
 
-def _torus_at(stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _torus_at(stack: np.ndarray, pts: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
     """The torus series stack[..., s, :, :, :, :] at each point of pts (m, 2), shape (m, s).
 
     stack holds coeffs arrays, one stack per point, (m, s, 2, K, 2,
-    K), or one for all points, (s, 2, K, 2, K).  The unoptimized einsum
-    adds the terms one at a time in index order, so zero padding adds
-    exact zeros and a padded stack gives the same bits.
+    K), or one for all points, (s, 2, K, 2, K); with owner, one stack per
+    function, point i reading stack[owner[i]], each function's points at
+    once and without a copy of its stack.  The unoptimized einsum adds the
+    terms one at a time in index order, so zero padding adds exact zeros
+    and a padded stack gives the same bits.
     """
+    if owner is not None:
+        out = np.empty((len(pts), stack.shape[1]))
+        for o in np.unique(owner).tolist():
+            at = owner == o
+            out[at] = _torus_at(stack[o], pts[at])
+        return out
     k = stack.shape[-1]
     b = _basis(k - 1, np.mod(pts, 1.0)).reshape(len(pts), 2, 2 * k)
     stack = stack.reshape(stack.shape[:-4] + (2 * k, 2 * k))
@@ -723,13 +731,14 @@ def _critical(g: np.ndarray, scans: Sequence[_Scan]) -> list[_Critical]:
     return [_Critical(p, *piece) for p, piece in zip(plateau.tolist(), zip(*pieces))]
 
 
-def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
+def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual, owner: np.ndarray | None = None) -> np.ndarray:
     """Newton for grad f = 0 from every seed at once.
 
-    stack[i] holds the derivative stack (_derivative_stack) of the function
-    seed i belongs to, so one run serves the max, min and critical seeds of
-    many functions (_refine); each step reads the gradient and Hessian from
-    one pair of axis bases.  Seeds converge at max |grad f| <= residual (a
+    stack[i] holds the derivative stack (_derivative_stack) of seed i, or
+    with owner, of function owner[i] (_torus_at), so one run serves the max,
+    min and critical seeds of many functions (_refine); each step reads the
+    gradient and Hessian from one pair of axis bases.  Seeds converge at
+    max |grad f| <= residual (a
     scalar or one value per seed); seeds that meet a Hessian singular to
     rounding, step further than 0.1 (the basin guard) or do not converge
     come back as NaN.  Every seed is worked on its own, so its root does not
@@ -740,7 +749,10 @@ def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual) -> np.ndarray:
     roots = np.full(x.shape, np.nan)
     live = np.arange(len(x))
     for it in range(NEWTON_MAX_ITER + 1):
-        a, b, m11, m12, m22 = _torus_at(stack[live, 1:], x[live]).T
+        if owner is None:
+            a, b, m11, m12, m22 = _torus_at(stack[live, 1:], x[live]).T
+        else:
+            a, b, m11, m12, m22 = _torus_at(stack[:, 1:], x[live], owner[live]).T
         done = np.maximum(np.abs(a), np.abs(b)) <= tol[live]
         roots[live[done]] = x[live[done]]
         if done.all() or it == NEWTON_MAX_ITER:
@@ -792,8 +804,9 @@ def _refine(
         bracket = np.concatenate(none + [c.bracket for _, c in crits])
         exact = np.concatenate(none + [c.exact for _, c in crits])
         residual = np.array([scans[j].residual for j in js])[owner]
-        stack = _stacks([fs[j] for j in js])[owner]
+        stacks = _stacks([fs[j] for j in js])
         if kind == "S1":
+            stack = stacks[owner]
             dq = np.array([1.0 / scans[j].n for j in js])[owner]
             x = x[:, 0]
             seeds, widths = np.where(bracket, 0.5 * (x + (x + dq)), x), np.where(bracket, dq, 2.0 * dq)
@@ -806,10 +819,10 @@ def _refine(
             vals = sign * _series_at(stack[:e, 0], roots[:e])
             roots = roots[:, None]
         else:
-            roots = _newton_torus(stack, x, residual)
+            roots = _newton_torus(stacks, x, residual, owner)
             failed = np.isnan(roots[:e, 0])
             roots[:e][failed] = x[:e][failed]
-            vals = sign * _torus_at(stack[:e, :1], roots[:e])[:, 0]
+            vals = sign * _torus_at(stacks[:, :1], roots[:e], owner[:e])[:, 0]
         starts = np.cumsum([0] + counts[:-1])
         best = np.maximum(np.maximum.reduceat(vals, starts), [p.top for _, _, p in peaks])
         keep = vals >= np.repeat(best, counts) - tol
@@ -850,14 +863,6 @@ def _reduce(
     return out
 
 
-def _records(
-    fs: Sequence[FourierFunction], scans: Sequence[_Scan], tol: float
-) -> tuple[list[Extrema], list[np.ndarray | None]]:
-    """The attaining_set record of each f from its reduced scan, and its critical points (_refine)."""
-    found, crit = _refine(fs, scans, tol)
-    return [Extrema(f, vmax, vmin, pmax, pmin) for f, ((vmax, pmax), (vmin, pmin)) in zip(fs, found)], crit
-
-
 def attaining_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> list[Extrema]:
     """The attaining_set record of every function, in one batch per domain.
 
@@ -868,7 +873,8 @@ def attaining_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> 
     if not tol > 0.0:
         raise ValueError(f"attaining tolerance must be positive, got {tol}")
     fs = list(fs)
-    return _records(fs, _reduce(fs, tol), tol)[0]
+    found, _ = _refine(fs, _reduce(fs, tol), tol)
+    return [Extrema(f, vmax, vmin, pmax, pmin) for f, ((vmax, pmax), (vmin, pmin)) in zip(fs, found)]
 
 
 def attaining_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> Extrema:
@@ -962,7 +968,8 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
     fs = list(fs)
     scans = _reduce(fs, tol, critical=True)
     out = []
-    for f, scan, ext, pts in zip(fs, scans, *_records(fs, scans, tol)):
+    for f, scan, ((vmax, pmax), (vmin, pmin)), pts in zip(fs, scans, *_refine(fs, scans, tol)):
+        ext = Extrema(f, vmax, vmin, pmax, pmin)
         if _constant(ext.vmax, ext.vmin):
             # constant by the record's own rule: every point is critical
             points, plateau = ((0.0,) * f.domain.ndim,), True

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,7 +423,7 @@ def test_fallbacks_when_torus_newton_fails(monkeypatch, rng):
     # value is the scan's top
     n = fourier.DEFAULT_TORUS_SCAN
 
-    def failed(stack, seeds, residual):
+    def failed(stack, seeds, residual, owner=None):
         return np.full(np.shape(seeds), np.nan)
 
     monkeypatch.setattr(fourier, "_newton_torus", failed)
@@ -559,6 +560,25 @@ def test_critical_sets_do_not_depend_on_the_batch(tol):
             assert [_critical_bits(cs) for cs in batch] == alone[start : start + cut], (cut, start)
             _assert_same_records([cs.extrema for cs in batch], records[start : start + cut])
     assert critical_sets([]) == []
+
+
+def test_torus_critical_seeds_read_their_stack_in_place():
+    # a degree-12 torus function gives the shared Newton run some 300 max,
+    # min and critical seeds; each reads its function's derivative stack
+    # (6 x 2 x 13 x 2 x 13 floats) in place, so refining them adds nothing
+    # to the peak that the scan sets, which a degree-1 function reaches too:
+    # a copy of the stack per seed would add about 10 MB to some 5 MB
+    rng = np.random.default_rng(12)
+    peaks = []
+    for f in (random_function(rng, TORUS2, 1), random_function(rng, TORUS2, 12)):
+        critical_set(f)  # warm the caches
+        tracemalloc.start()
+        try:
+            critical_set(f)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_tied_circle_maxima_each_get_a_point():
