@@ -36,11 +36,13 @@ EQUALITY_TOL = 1e-9
 # witness (|f_0'(q0)| at most this).
 WITNESS_DERIV_TOL = 1e-9
 
-# Path optimizer schedule: iterations (all restarts run them in lockstep,
-# on a subgradient grid sized by the degree), scale of the Gaussian
-# perturbation of every restart but the first, and the initial step
-# (decaying as 1/sqrt(iteration)).
-OPTIMIZER_ITERS = 500
+# Path optimizer schedule: the iteration cap (the live restarts run in
+# lockstep, on a subgradient grid sized by the degree), scale of the Gaussian
+# perturbation of every restart but the first, and the relaxation gamma of
+# the Polyak step gamma (F - d_spec) / |g|^2 toward the known optimum d_spec
+# (Polyak converges for gamma in (0, 2); plain Polyak, gamma = 1, stalls on
+# T2).  A restart stops once its best coarse length is within EQUALITY_TOL
+# of d_spec.
+OPTIMIZER_ITERS = 200
 RESTART_SIGMA = 0.2
-RESTART_STEP0 = 0.1
-
+POLYAK_RELAXATION = 1.8
