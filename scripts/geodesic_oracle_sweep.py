@@ -5,8 +5,9 @@ Draws seeded random endpoint pairs, runs the variational optimizer with an
 increasing number of interior knots, and tabulates how far the best found
 length sits above the certified lower bound max|f1 - f0|.  That best is the
 straight path, which attains the bound, so each row also gives the median
-excess of the perturbed restarts over the bound, which shows their descent
-('-' for 2 knots, which have no interior knot to move).  A second block
+excess of the perturbed restarts over the bound, which shows their descent,
+and how many of them are stuck, ending more than 1e-6 above it ('-' for 2
+knots, which have no interior knot to move).  A second block
 measures the same optimizer on reversal-style detours, where the gap of the
 initial path is large and descent has to close it.  A third block sweeps
 4-segment paths with steps lambda_k h + eps g_k over the decades eps = 1e-2
@@ -43,7 +44,7 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    print(f"{'pair':>4} {'knots':>5} {'lower':>12} {'best':>12} {'gap':>10} {'restarts':>9} {'secs':>6}")
+    print(f"{'pair':>4} {'knots':>5} {'lower':>12} {'best':>12} {'gap':>10} {'restarts':>9} {'stuck':>5} {'secs':>6}")
     ok = True
     for case in range(args.pairs):
         f0 = random_function(rng, degree=args.degree)
@@ -56,8 +57,9 @@ def main() -> int:
             ok &= -1e-9 <= gap <= 1e-4
             excess = [length - lower for length in r.restart_lengths[1:]]
             descent = f"{np.median(excess):.2e}" if excess else "-"
+            stuck = sum(x > 1e-6 for x in excess) if excess else "-"
             row = f"{case:>4} {k:>5} {lower:>12.6f} {r.length:>12.6f} {gap:>10.2e}"
-            print(f"{row} {descent:>9} {time.time()-t0:>6.2f}")
+            print(f"{row} {descent:>9} {stuck:>5} {time.time()-t0:>6.2f}")
 
     print("\nreversal detours (gap of the unoptimized path):", file=sys.stderr)
     for case in range(args.pairs):

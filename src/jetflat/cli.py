@@ -202,28 +202,29 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=CSV_HELP,
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=EQUALITY_TOL, help="equality/membership tolerance")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    tolerant = argparse.ArgumentParser(add_help=False)  # for the commands that compare at a tolerance
+    tolerant.add_argument("--tol", type=float, default=EQUALITY_TOL, help="equality/membership tolerance")
     seeded = argparse.ArgumentParser(add_help=False)  # for the commands that draw random numbers
     seeded.add_argument("--seed", type=int, default=0, help="seed of the random Legendrians or restarts")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", parents=[common], help="selectors and spectral distance of two function specs")
+    p = sub.add_parser("dist", parents=[common, tolerant], help="selectors and spectral distance of two function specs")
     p.add_argument("f_spec")
     p.add_argument("g_spec")
 
-    p = sub.add_parser("spectrum", parents=[common], help="Reeb-chord spectrum of two function specs")
+    p = sub.add_parser("spectrum", parents=[common, tolerant], help="Reeb-chord spectrum of two function specs")
     p.add_argument("f_spec")
     p.add_argument("g_spec")
 
-    p = sub.add_parser("geodesic", parents=[common, seeded], help="geodesic check or path optimization")
+    p = sub.add_parser("geodesic", parents=[common, tolerant, seeded], help="geodesic check or path optimization")
     p.add_argument("path_spec")
     p.add_argument("--mode", choices=("check", "optimize"), default="check")
     p.add_argument("--knots", type=int, default=6)
     p.add_argument("--restarts", type=int, default=16)
 
-    p = sub.add_parser("props", parents=[common, seeded], help="selector axiom suite on random Legendrians")
+    p = sub.add_parser("props", parents=[common, tolerant, seeded], help="selector axiom suite on random Legendrians")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--degree", type=int, default=8, help="truncation degree of the random Legendrians")
 
@@ -233,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("length", parents=[common], help="sup-norm length of a path")
     p.add_argument("path_spec")
 
-    p = sub.add_parser("integral-criterion", parents=[common], help="integrated sup-norm equality test for a sampled family")
+    p = sub.add_parser("integral-criterion", parents=[common, tolerant], help="integrated sup-norm equality test for a sampled family")
     p.add_argument("family_spec")
 
-    p = sub.add_parser("contact", parents=[common, seeded], help="circle contactomorphism computations")
+    p = sub.add_parser("contact", parents=[common, tolerant, seeded], help="circle contactomorphism computations")
     p.add_argument("sub", choices=("norm", "translated", "qa", "upper"))
     p.add_argument("spec")
     p.add_argument("--knots", type=int, default=6)
@@ -263,7 +264,7 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
     args = _parser().parse_args(argv)
-    if not 0.0 < args.tol <= 1e-3:
+    if hasattr(args, "tol") and not 0.0 < args.tol <= 1e-3:
         log.error("bad configuration: tolerance must lie in (0, 1e-3]")
         return 2
     try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -590,30 +590,31 @@ def _local_max_mask(a: np.ndarray) -> np.ndarray:
     return mask
 
 
-class _Peaks(NamedTuple):
-    """One scan reduced for one sign: all that the refinement of that extremum reads."""
-
-    sign: int  # 1 for the max, -1 for the min
-    top: float  # largest scanned value of sign * f
-    seeds: np.ndarray | None  # points that may neighbour the top; None for a constant
+# the role of a seed: a max or min seed, a bracket [x, x + 1/n] of a sign
+# change of f' (S1), one whose f'(x) is zero on the scan, or a tangential
+# (S1) or torus critical seed
+MAX, MIN, BRACKET, EXACT, FREE = range(5)
 
 
-class _Critical(NamedTuple):
-    """One scan reduced for its critical points: the Newton seeds of grad f = 0 and the plateau flag."""
+class _Batch(NamedTuple):
+    """The scans of a stack reduced to per-function arrays and one seed table.
 
-    plateau: bool
-    points: np.ndarray  # (k, ndim) scan points: see _critical
-    bracket: np.ndarray  # per point x: does f' change sign on [x, x + 1/n]? (never on T2)
-    exact: np.ndarray  # per point: a bracket with f'(x) = 0 on the scan
+    Row i of the table is one Newton start: point x[i] of function owner[i]
+    (its position in the batch), in role role[i].  A function's max rows,
+    its min rows and its critical rows (brackets before FREE seeds) each
+    keep the order of its scan, which the deduplication of refined points
+    reads.  A constant has no rows.
+    """
 
-
-class _Scan(NamedTuple):
-    """One function's scan reduced to what its records and its critical set read."""
-
-    n: int  # scan size per axis
-    residual: float  # Newton residual, scaled by max|grad f|
-    peaks: tuple[_Peaks, ...]  # one per sign asked for
-    critical: _Critical | None
+    n: np.ndarray  # scan size per axis
+    residual: np.ndarray  # Newton residual, scaled by max|grad f|
+    hi: np.ndarray  # largest scanned value
+    lo: np.ndarray  # smallest scanned value
+    constant: np.ndarray  # the range [lo, hi] is within rounding of max|f|
+    plateau: np.ndarray  # set by _critical
+    owner: np.ndarray
+    role: np.ndarray
+    x: np.ndarray  # (rows, ndim)
 
 
 def _rounding(scale):
@@ -626,61 +627,44 @@ def _rounding(scale):
     return 16.0 * np.spacing(scale)
 
 
-def _constant(hi: float, lo: float) -> bool:
-    """A range [lo, hi] within rounding of max|f|: f is a constant, attained everywhere."""
-    return hi - lo <= _rounding(max(hi, -lo))
-
-
-def _split(rows: np.ndarray, a: np.ndarray, m: int) -> list[np.ndarray]:
-    """a cut into m consecutive pieces, piece i holding the entries whose (sorted) rows is i."""
-    if m == 1:
-        return [a]
-    cuts = np.searchsorted(rows, np.arange(1, m)).tolist()
-    return [a[i:j] for i, j in zip([0] + cuts, cuts + [len(a)])]
-
-
-def _peaks(g: np.ndarray, tol: float, signs: Sequence[int] = (1, -1)) -> list[_Scan]:
-    """Every scan of a stack reduced to its _Scan: per sign, its top and the seeds within the margin of it.
+def _peaks(g: np.ndarray, tol: float) -> _Batch:
+    """The scans of a stack reduced to a _Batch whose table holds their max and min seeds.
 
     g holds m scans, (m, 3, n) on S1 or (m, 6, n, n) on T2, reduced at once:
     one max and one min over all grids, and one nonzero and one gather of
-    neighbours for the candidates of all signs.  Seeds are the scan's local
-    maxima within the margin, so maxima whose dip lies inside the margin
-    each get one; the top itself is always one.  The residual is
-    NEWTON_RESIDUAL times the scan's max|grad f|.  The critical seeds are
-    left to _critical.
+    neighbours for the candidates of both signs.  The max seeds are the
+    scan's local maxima within the margin of its top, so maxima whose dip
+    lies inside the margin each get one; the top itself is always one; the
+    min seeds likewise.  The residual is NEWTON_RESIDUAL times the scan's
+    max|grad f|.  A scan whose range is within rounding of its max|f| is a
+    constant, attained everywhere, and gets no seeds.  The critical seeds
+    are left to _critical.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
     grids = g.reshape(m, g.shape[1], -1)
+    top, bottom = grids.max(axis=2), grids.min(axis=2)
+    hi, lo = top[:, 0], bottom[:, 0]
+    size = np.maximum(-bottom, top)  # max |grid|; on a tie of -0 with +0, np.maximum keeps top's zero
+    residual = NEWTON_RESIDUAL * size[:, 1 : 1 + ndim].max(axis=1)
+    constant = hi - lo <= _rounding(size[:, 0])
+    # margin below which a grid point may still hide the global max: the
+    # Taylor bound 0.5 max|f_ij| (ndim dq)^2 over a cell, plus the tolerance;
+    # none is near for a constant
     dq = 1.0 / n
-    scans = []  # (hi, lo, constant, residual, margin) per scan, in Python floats
-    for top, bottom in zip(grids.max(axis=2).tolist(), grids.min(axis=2).tolist()):
-        hi, lo = top[0], bottom[0]
-        residual = NEWTON_RESIDUAL * max(max(top[1 : 1 + ndim]), -min(bottom[1 : 1 + ndim]))
-        # margin below which a grid point may still hide the global max: the
-        # Taylor bound 0.5 max|f_ij| (ndim dq)^2 over a cell, plus the tolerance
-        margin = 10.0 * tol + 0.5 * ndim**2 * max(max(top[1 + ndim :]), -min(bottom[1 + ndim :])) * dq * dq
-        scans.append((hi, lo, _constant(hi, lo), residual, margin))
+    margin = 10.0 * tol + 0.5 * ndim**2 * size[:, 1 + ndim :].max(axis=1) * dq * dq
+    margin[constant] = -np.inf
     vals = grids[:, 0]
-    # no seeds for a constant; for the minimum, g <= lo + margin is exactly -g >= -lo - margin
-    nears = [
-        vals >= np.array([np.inf if c else hi - e for hi, _, c, _, e in scans])[:, None]
-        if sign == 1
-        else vals <= np.array([-np.inf if c else lo + e for _, lo, c, _, e in scans])[:, None]
-        for sign in signs
-    ]
-    rows, cells = np.divmod(np.flatnonzero(reduce(np.logical_or, nears)), vals.shape[1])
+    up, down = vals >= (hi - margin)[:, None], vals <= (lo + margin)[:, None]
+    rows, cells = np.divmod(np.flatnonzero(up | down), vals.shape[1])
     at = np.array(np.unravel_index(cells, g.shape[2:]))
     around = g[:, 0][(rows,) + tuple((at[:, None] + _NEIGHBOURHOOD[ndim]) % n)]
-    here, pts = vals[rows, cells], at.T / n
-    per_sign = []
-    for sign, near in zip(signs, nears):
-        keep = near[rows, cells] & (here >= around.max(axis=0) if sign == 1 else here <= around.min(axis=0))
-        seeds = _split(rows[keep], pts[keep], m)
-        per_sign.append(
-            [_Peaks(sign, hi if sign == 1 else -lo, None if c else s) for (hi, lo, c, _, _), s in zip(scans, seeds)]
-        )
-    return [_Scan(n, r, peaks, None) for (_, _, _, r, _), peaks in zip(scans, zip(*per_sign))]
+    here = vals[rows, cells]
+    # candidate i is entry i of the seed mask as a max seed and entry len(rows) + i as a min seed
+    is_max = up[rows, cells] & (here >= around.max(axis=0))
+    is_min = down[rows, cells] & (here <= around.min(axis=0))
+    role, i = np.divmod(np.flatnonzero(np.concatenate([is_max, is_min])), len(rows))  # MAX 0, MIN 1
+    owner, x = rows[i], at[:, i].T / n
+    return _Batch(np.full(m, n), residual, hi, lo, constant, np.zeros(m, dtype=bool), owner, role, x)
 
 
 def _shift(a: np.ndarray, k: int) -> np.ndarray:
@@ -696,39 +680,44 @@ def _from_previous(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _critical(g: np.ndarray, scans: Sequence[_Scan]) -> list[_Critical]:
-    """The _Critical of every scan of a stack g, scans[i] its _peaks reduction.
+def _critical(g: np.ndarray, b: _Batch) -> _Batch:
+    """b, the _peaks reduction of the stack g, with its plateau flags and its critical seeds appended.
 
-    S1 points are the sign changes of f' (brackets, bisected if Newton
-    fails), then its tangential zeros, strict local minima of |f'| away
-    from any bracket; T2 points are the local minima of max(|f_1|, |f_2|).
-    A constant is critical everywhere and gets no seeds.  A plateau is more
-    than PLATEAU_FRACTION of the scan with |grad f| below 1e3 residuals.
+    S1 seeds are the sign changes of f' (BRACKET, or EXACT where f' is zero
+    on the scan), then its tangential zeros, strict local minima of |f'|
+    away from any bracket (FREE); T2 seeds are the local minima of
+    max(|f_1|, |f_2|) (FREE).  A constant is critical everywhere and gets
+    no seeds.  A plateau is more than PLATEAU_FRACTION of the scan with
+    |grad f| below 1e3 residuals.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
-    bound = 1e3 * np.array([s.residual for s in scans]).reshape((m,) + (1,) * ndim)
+    bound = 1e3 * b.residual.reshape((m,) + (1,) * ndim)
     dnorm = np.abs(g[:, 1]) if ndim == 1 else np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
     plateau = np.count_nonzero(dnorm < bound, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
-    live = [s.peaks[0].seeds is not None for s in scans]
-    if ndim == 2:
-        pts = [np.argwhere(_local_max_mask(-d)) / n if c else np.zeros((0, 2)) for d, c in zip(dnorm, live)]
-        return [_Critical(p, x, *[np.zeros(len(x), dtype=bool)] * 2) for p, x in zip(plateau.tolist(), pts)]
-    d = g[:, 1]
-    # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one strict sign
-    live = np.array(live)[:, None]
-    pos, neg = d > 0.0, d < 0.0
-    change = ~((pos & _shift(pos, 1)) | (neg & _shift(neg, 1))) & live
-    # |f'| below its previous point and not above its next one, away from any bracket
-    drop = _from_previous(np.less, dnorm)
-    tangential = drop & ~_shift(drop, 1) & ~change & ~_shift(change, -1) & live
-    brackets = np.flatnonzero(change)
-    flat = np.concatenate([brackets, np.flatnonzero(tangential)])
-    order = np.argsort(flat // n, kind="stable")  # per scan, its brackets first
-    rows, cells = np.divmod(flat[order], n)
-    bracket = order < len(brackets)
-    exact = bracket & (d[rows, cells] == 0.0)
-    pieces = (_split(rows, a, m) for a in (cells[:, None] / n, bracket, exact))
-    return [_Critical(p, *piece) for p, piece in zip(plateau.tolist(), zip(*pieces))]
+    live = ~b.constant
+    if ndim == 2:  # the mask rolls both axes of one grid, so it is taken per function
+        pts = [np.argwhere(_local_max_mask(-d)) if c else np.zeros((0, 2), dtype=int) for d, c in zip(dnorm, live)]
+        owner, at = np.repeat(np.arange(m), [len(p) for p in pts]), np.concatenate(pts)
+        role = np.full(len(at), FREE)
+    else:
+        d = g[:, 1]
+        # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one strict sign
+        pos, neg = d > 0.0, d < 0.0
+        change = ~((pos & _shift(pos, 1)) | (neg & _shift(neg, 1))) & live[:, None]
+        # |f'| below its previous point and not above its next one, away from any bracket
+        drop = _from_previous(np.less, dnorm)
+        tangential = drop & ~_shift(drop, 1) & ~change & ~_shift(change, -1) & live[:, None]
+        brackets = np.flatnonzero(change)
+        owner, at = np.divmod(np.concatenate([brackets, np.flatnonzero(tangential)]), n)
+        role = np.where(d[owner, at] == 0.0, EXACT, BRACKET)
+        role[len(brackets) :] = FREE
+        at = at[:, None]
+    return b._replace(
+        plateau=plateau,
+        owner=np.concatenate([b.owner, owner]),
+        role=np.concatenate([b.role, role]),
+        x=np.concatenate([b.x, at / n]),
+    )
 
 
 def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual, owner: np.ndarray | None = None) -> np.ndarray:
@@ -767,55 +756,50 @@ def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual, owner: np.ndar
     return roots
 
 
-def _refine(
-    fs: Sequence[FourierFunction], scans: Sequence[_Scan], tol: float
-) -> tuple[list[list[tuple[float, np.ndarray]]], list[np.ndarray | None]]:
-    """Each f's extremum and attaining points per sign of its scan, and its critical points.
+def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[Extrema], list[np.ndarray]]:
+    """The attaining_set record and the critical points of every function of a batch, from one Newton run.
 
-    One Newton run per domain refines a table of the seeds of all
-    non-constant functions, row by row with the window, residual and
-    fallback of its kind:
-    - max and min seeds keep within 2/n and fall back to golden-section
+    fs are the batch's functions, all of one domain.  The run refines b's
+    whole table, row by row with the window, residual and fallback of its
+    role:
+    - MAX and MIN seeds keep within 2/n and fall back to golden-section
       search on their two grid cells (S1) or to themselves (T2); each
       function keeps those within tol of its best value per sign;
-    - S1 bracket midpoints keep within 1/n, a bracket whose f' is zero on
-      the scan is its own root and one that fails is bisected;
-    - tangential (S1) and torus critical seeds keep within 2/n (S1) and
-      are dropped if they fail.
+    - BRACKET midpoints keep within 1/n and are bisected if they fail, and
+      an EXACT bracket is its own root;
+    - FREE seeds keep within 2/n (S1) and are dropped if they fail.
     A constant is attained everywhere and reported at the origin.  Critical
-    points come back for the non-constant scans that carry critical seeds
-    (None for the others), deduplicated but without the record's points.
+    points come back deduplicated but without the record's points (none for
+    a constant or without critical seeds).
     """
-    found = [[(p.sign * p.top, np.zeros((1, f.domain.ndim))) for p in s.peaks] for f, s in zip(fs, scans)]
-    crit = [None] * len(fs)
-    for kind in ("S1", "T2"):
-        js = [j for j, s in enumerate(scans) if s.peaks[0].seeds is not None and fs[j].domain.kind == kind]
-        if not js:
-            continue
-        # the seed table: every max and min block, then every critical block
-        peaks = [(i, k, p) for i, j in enumerate(js) for k, p in enumerate(scans[j].peaks)]
-        crits = [(i, scans[j].critical) for i, j in enumerate(js) if scans[j].critical is not None]
-        counts, sizes = [len(p.seeds) for _, _, p in peaks], [len(c.points) for _, c in crits]
-        owner = np.repeat([i for i, _, _ in peaks] + [i for i, _ in crits], counts + sizes)
-        x = np.concatenate([p.seeds for _, _, p in peaks] + [c.points for _, c in crits])
-        e = sum(counts)  # the extremum rows come first
-        sign = np.repeat([p.sign for _, _, p in peaks], counts)
-        none = [np.zeros(e, dtype=bool)]
-        bracket = np.concatenate(none + [c.bracket for _, c in crits])
-        exact = np.concatenate(none + [c.exact for _, c in crits])
-        residual = np.array([scans[j].residual for j in js])[owner]
-        stacks = _stacks([fs[j] for j in js])
-        if kind == "S1":
+    m, ndim = len(fs), fs[0].domain.ndim
+    origin = np.zeros((1, ndim))
+    found = [[(hi, origin), (lo, origin)] for hi, lo in zip(b.hi.tolist(), b.lo.tolist())]
+    crit = [np.zeros((0, ndim))] * m
+    if len(b.role):
+        # blocks of rows by key: the max seeds of each function (key owner),
+        # its min seeds (m + owner), then its critical seeds (2 m + owner),
+        # each block in table order
+        key = np.minimum(b.role, 2) * m + b.owner
+        order = np.argsort(key, kind="stable")
+        key, owner, role, x = key[order], b.owner[order], b.role[order], b.x[order]
+        e = np.count_nonzero(role <= MIN)
+        sign = 1 - 2 * role[:e]
+        exact = role == EXACT
+        bracket = exact | (role == BRACKET)
+        residual = b.residual[owner]
+        stacks = _stacks(fs)
+        if ndim == 1:
             stack = stacks[owner]
-            dq = np.array([1.0 / scans[j].n for j in js])[owner]
+            dq = 1.0 / b.n[owner]
             x = x[:, 0]
             seeds, widths = np.where(bracket, 0.5 * (x + (x + dq)), x), np.where(bracket, dq, 2.0 * dq)
             roots = _newton_circle(stack, seeds, widths, residual)
             roots[exact] = x[exact]
             for i in np.flatnonzero(np.isnan(roots[:e])):
-                roots[i] = _ternary_max_circle(sign[i] * fs[js[owner[i]]], x[i] - dq[i], x[i] + dq[i])
+                roots[i] = _ternary_max_circle(sign[i] * fs[owner[i]], x[i] - dq[i], x[i] + dq[i])
             for i in np.flatnonzero(bracket & np.isnan(roots)):
-                roots[i] = _bisect_root(fs[js[owner[i]]].derivative(), x[i], x[i] + dq[i], residual[i])
+                roots[i] = _bisect_root(fs[owner[i]].derivative(), x[i], x[i] + dq[i], residual[i])
             vals = sign * _series_at(stack[:e, 0], roots[:e])
             roots = roots[:, None]
         else:
@@ -823,43 +807,50 @@ def _refine(
             failed = np.isnan(roots[:e, 0])
             roots[:e][failed] = x[:e][failed]
             vals = sign * _torus_at(stacks[:, :1], roots[:e], owner[:e])[:, 0]
-        starts = np.cumsum([0] + counts[:-1])
-        best = np.maximum(np.maximum.reduceat(vals, starts), [p.top for _, _, p in peaks])
-        keep = vals >= np.repeat(best, counts) - tol
+        cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+        blocks = key[cuts[:-1]].tolist()
+        ext = [c for c in cuts if c < e]  # the first row of each max and min block
+        top = np.concatenate([b.hi, -b.lo])[blocks[: len(ext)]]  # each block's scanned top: hi or -lo
+        best = np.maximum(np.maximum.reduceat(vals, ext), top)
+        keep = vals >= np.repeat(best, [j - i for i, j in zip(ext, cuts[1:])]) - tol
         points = _canonical_mod1(roots)
-        for (i, k, p), top, lo, m in zip(peaks, best.tolist(), starts.tolist(), counts):
-            found[js[i]][k] = (p.sign * top, _dedupe_points(points[lo : lo + m][keep[lo : lo + m]]))
-        bounds = np.cumsum([e] + sizes).tolist()
-        for (i, _), lo, hi in zip(crits, bounds, bounds[1:]):
+        for k, lo, hi, value in zip(blocks, cuts, cuts[1:], (sign[ext] * best).tolist()):
+            found[k % m][k // m] = (value, _dedupe_points(points[lo:hi][keep[lo:hi]]))
+        for k, lo, hi in zip(blocks[len(ext) :], cuts[len(ext) :], cuts[len(ext) + 1 :]):
             r = points[lo:hi]
-            crit[js[i]] = _dedupe_points(r[~np.isnan(r[:, 0])])
-    return found, crit
+            crit[k - 2 * m] = _dedupe_points(r[~np.isnan(r[:, 0])])
+    return [Extrema(f, vmax, vmin, pmax, pmin) for f, ((vmax, pmax), (vmin, pmin)) in zip(fs, found)], crit
 
 
-def _reduce(
-    fs: Sequence[FourierFunction], tol: float, signs: Sequence[int] = (1, -1), critical: bool = False
-) -> list[_Scan]:
-    """Every function's scan reduced to its peaks per sign (and with critical, its _Critical).
+def _reduce(fs: Sequence[FourierFunction], tol: float, critical: bool = False) -> list[tuple[list[int], _Batch]]:
+    """Per domain, the positions in fs of its functions, in scan order, and their one _Batch.
 
     Circle functions of one degree are scanned CIRCLE_CHUNK at a time, each
     stack in one product, and a torus function on its own; each stack is
-    reduced before the next is scanned, so no more than one is alive.
+    reduced (_peaks, and with critical, _critical) before the next is
+    scanned, so no more than one is alive.  The chunk batches of a domain
+    are then concatenated, each owner shifted by the functions before it.
     """
-    out: list[_Scan] = [None] * len(fs)
     groups: dict[tuple[str, int], list[int]] = {}
     for j, f in enumerate(fs):
         groups.setdefault((f.domain.kind, f.degree), []).append(j)
+    chunks: dict[str, list[tuple[list[int], _Batch]]] = {}
     for (kind, _), js in groups.items():
         size = CIRCLE_CHUNK if kind == "S1" else 1
         for start in range(0, len(js), size):
             chunk = js[start : start + size]
             g = _scan([fs[j] for j in chunk])
-            scans = _peaks(g, tol, signs)
-            if critical:
-                scans = [s._replace(critical=c) for s, c in zip(scans, _critical(g, scans))]
+            b = _peaks(g, tol)
+            chunks.setdefault(kind, []).append((chunk, _critical(g, b) if critical else b))
             del g  # before the next stack is scanned
-            for j, s in zip(chunk, scans):
-                out[j] = s
+    out = []
+    for parts in chunks.values():
+        if len(parts) > 1:
+            js, bs = zip(*parts)
+            shift = np.cumsum([0] + [len(c) for c in js[:-1]])
+            b = _Batch(*map(np.concatenate, zip(*bs)))
+            parts = [(sum(js, []), b._replace(owner=np.concatenate([c.owner + s for c, s in zip(bs, shift)])))]
+        out += parts
     return out
 
 
@@ -873,8 +864,11 @@ def attaining_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> 
     if not tol > 0.0:
         raise ValueError(f"attaining tolerance must be positive, got {tol}")
     fs = list(fs)
-    found, _ = _refine(fs, _reduce(fs, tol), tol)
-    return [Extrema(f, vmax, vmin, pmax, pmin) for f, ((vmax, pmax), (vmin, pmin)) in zip(fs, found)]
+    out: list[Extrema] = [None] * len(fs)
+    for js, b in _reduce(fs, tol):
+        for j, record in zip(js, _refine([fs[j] for j in js], b, tol)[0]):
+            out[j] = record
+    return out
 
 
 def attaining_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> Extrema:
@@ -882,28 +876,22 @@ def attaining_set(f: FourierFunction, tol: float = EQUALITY_TOL) -> Extrema:
     return attaining_sets([f], tol)[0]
 
 
-def extremum(
-    f: FourierFunction,
-    mode: Mode = "max",
-    *,
-    grids: np.ndarray | None = None,
-) -> Extremum:
-    """Global max or min with an attaining point.
+def extremum(f: FourierFunction, mode: Mode = "max", *, record: Extrema | None = None) -> Extremum:
+    """Global max or min with an attaining point: one side of the attaining_set record of f.
 
-    Uniform scan plus Newton refinement on the derivative; ties are broken
-    toward the lexicographically smallest coordinates.  grids, the scan of f
-    from _scan([f]), is read instead of scanning again.
+    Ties are broken toward the lexicographically smallest coordinates.
+    record, the attaining_set record of f, is read instead of computing it
+    again.
     """
-    sign = -1 if mode == "min" else 1
-    found, _ = _refine([f], _peaks(_scan([f]) if grids is None else grids, EQUALITY_TOL, (sign,)), EQUALITY_TOL)
-    value, pts = found[0][0]
-    return Extremum(value, tuple(float(x) for x in pts[0]))
+    r = attaining_set(f) if record is None else record
+    value, points = (r.vmin, r.min_points) if mode == "min" else (r.vmax, r.max_points)
+    return Extremum(value, tuple(float(x) for x in points[0]))
 
 
 def sup_norm(f: FourierFunction) -> float:
-    """max |f|: both signed extrema, read from one scan."""
-    grids = _scan([f])
-    return max(extremum(f, "max", grids=grids).value, -extremum(f, "min", grids=grids).value)
+    """max |f|: both signed extrema, read from one record."""
+    r = attaining_set(f)
+    return max(extremum(f, "max", record=r).value, -extremum(f, "min", record=r).value)
 
 
 def sup_norms_by_squaring(fs: Iterable[FourierFunction]) -> list[float]:
@@ -911,11 +899,9 @@ def sup_norms_by_squaring(fs: Iterable[FourierFunction]) -> list[float]:
 
     Independent formula route: the extremum engine runs on the squared
     series (double the degree) instead of on f itself, all squares in one
-    batch and for the maximum only; each value is extremum(f * f, "max").
+    batch; each value is read from the max of the square's record.
     """
-    squares = [f.multiply(f) for f in fs]
-    tops, _ = _refine(squares, _reduce(squares, EQUALITY_TOL, (1,)), EQUALITY_TOL)
-    return [float(np.sqrt(max(top, 0.0))) for ((top, _),) in tops]
+    return [float(np.sqrt(max(r.vmax, 0.0))) for r in attaining_sets(f.multiply(f) for f in fs)]
 
 
 def sup_norm_by_squaring(f: FourierFunction) -> float:
@@ -961,25 +947,24 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
     extremum values, whose attaining_set record (at tol) rides along as
     extrema.  A plateau (more than 1% of scan points with |grad f| below 1e3
     Newton residuals) sets the plateau flag and contributes its value once;
-    a constant (a record range within rounding, the extremum search's rule)
-    reports the record's extrema.  A critical set does not depend on the
-    batch it came in.
+    a constant (its scan's range within rounding, the rule that gives it no
+    seeds) reports the record's extrema.  A critical set does not depend on
+    the batch it came in.
     """
     fs = list(fs)
-    scans = _reduce(fs, tol, critical=True)
-    out = []
-    for f, scan, ((vmax, pmax), (vmin, pmin)), pts in zip(fs, scans, *_refine(fs, scans, tol)):
-        ext = Extrema(f, vmax, vmin, pmax, pmin)
-        if _constant(ext.vmax, ext.vmin):
-            # constant by the record's own rule: every point is critical
-            points, plateau = ((0.0,) * f.domain.ndim,), True
-            values = tuple(_cluster_values([ext.vmax, ext.vmin], tol))
-        else:
-            values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
-            pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
-            points, plateau = tuple(tuple(float(x) for x in p) for p in pts), scan.critical.plateau
-            values = tuple(_cluster_values(values, tol))
-        out.append(CriticalSet(points, values, tol, scan.residual, ext, plateau))
+    out: list[CriticalSet] = [None] * len(fs)
+    for js, b in _reduce(fs, tol, critical=True):
+        facts = zip(js, b.constant.tolist(), b.plateau.tolist(), b.residual.tolist())
+        for (j, constant, plateau, residual), ext, pts in zip(facts, *_refine([fs[j] for j in js], b, tol)):
+            f = ext.f
+            if constant:  # every point is critical
+                points, plateau = ((0.0,) * f.domain.ndim,), True
+                values = [ext.vmax, ext.vmin]
+            else:
+                values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
+                pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
+                points = tuple(tuple(float(x) for x in p) for p in pts)
+            out[j] = CriticalSet(points, tuple(_cluster_values(values, tol)), tol, residual, ext, plateau)
     return out
 
 

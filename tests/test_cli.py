@@ -298,6 +298,15 @@ def test_seed_belongs_to_the_commands_that_read_it(capsys, specs, command):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["monotone", "length"])
+def test_tol_belongs_to_the_commands_that_read_it(capsys, specs, command):
+    # monotone and length compare nothing at a tolerance; there --tol is rejected
+    with pytest.raises(SystemExit) as exc:
+        main([command, specs["reversal"], "--tol", "1e-9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_cmd_props_negative_control(capsys):
     code, out = run_json(capsys, ["props", "--count", "3", "--seed", "42", "--tol", "1e-20"])
     assert code == 1
@@ -320,16 +329,6 @@ def test_cmd_length(capsys, specs):
     code, out = run_json(capsys, ["length", specs["reversal"]])
     assert code == 0
     assert out == {"sch_length": pytest.approx(1.0, abs=1e-9)}
-
-
-def test_cmd_length_ignores_tol(capsys, specs):
-    # the sup-norm length is a sum of segment sup norms, so no tolerance
-    # below rounding can turn it into a failure
-    path = random_path(np.random.default_rng(3), 6)
-    spec = _write(specs["tmp"], "path6.json", dump_path(path))
-    code, out = run_json(capsys, ["length", spec, "--tol", "1e-17"])
-    assert code == 0
-    assert list(out) == ["sch_length"]
 
 
 def test_cmd_integral_criterion(capsys, specs, tmp_path):

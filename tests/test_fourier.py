@@ -479,6 +479,8 @@ def _batch_cases():
         ("twin maxima", 0.0, [eps, 1.0], []),
         ("degree 3", 0.2, [0.3, -0.2, 0.05], [0.1, 0.04]),
         ("degree 8", -0.1, [0.4, 0.0, -0.1, 0.02, 0.0, 0.01, 0.0, -0.005], [0.0, 0.3]),
+        ("near-constant", 0.3, [1e-13], [2e-13]),
+        ("constant within rounding", 1.0 - 1e-15, [1e-15], []),
     ]
 
 
