@@ -560,34 +560,62 @@ def _canonical_mod1(x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The circular sup distance of the points a and b, row by row (broadcast)."""
+    d = np.abs(a - b)
+    return np.minimum(d, 1.0 - d).max(axis=-1)
+
+
+def _near_pairs(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of points within tol < 1/4 of each other (_gap).
+
+    One sweep over the points sorted on q1: each is compared only with the
+    later ones whose q1 lies within 2 tol of its own, ahead of it or across
+    the wrap at 0/1, so no array of all pairs is built.
+    """
+    m = len(points)
+    order = np.argsort(points[:, 0], kind="stable")
+    q1, k = points[order, 0], np.arange(m)
+    if np.diff(q1, append=q1[0] + 1.0).min() > 2.0 * tol:  # no two points near on q1, across the wrap either
+        return k[:0], k[:0]
+    # the partners of sorted position k: k < p < hi[k], q1[p] at most 2 tol above q1[k], and
+    # 0 <= p < hi[m + k], q1[p] + 1 at most 2 tol above q1[k]
+    lo = np.concatenate([k + 1, np.zeros(m, dtype=int)])
+    hi = np.searchsorted(q1, np.concatenate([q1 + 2.0 * tol, q1 + (2.0 * tol - 1.0)]), "right")
+    count = np.maximum(hi - lo, 0)
+    a = order[np.repeat(np.concatenate([k, k]), count)]
+    b = order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    near = _gap(points[i], points[j]) <= tol
+    return i[near], j[near]
+
+
 def _dedupe_points(points: np.ndarray, tol: float = POINT_CLUSTER_TOL) -> np.ndarray:
-    """Points kept in order unless one kept before lies within tol (circular sup metric), sorted."""
+    """Points kept in order unless one kept before lies within tol (circular sup metric), sorted.
+
+    The greedy rule is resolved in rounds over the near pairs (_near_pairs):
+    a point goes once an earlier neighbour is kept and stays once all its
+    earlier neighbours have gone, so the earliest open point is settled in
+    every round.
+    """
     if len(points) <= 1:
         return points
-    d = np.abs(points[:, None] - points[None, :])
-    near = np.max(np.minimum(d, 1.0 - d), axis=-1) <= tol
-    free = np.ones(len(points), dtype=bool)
-    kept = []
-    while free.any():
-        i = int(np.argmax(free))
-        kept.append(i)
-        free &= ~near[i]
-        free[i] = False
-    kept = points[kept]
-    return kept[np.lexsort(kept.T[::-1])]
+    i, j = _near_pairs(points, tol)
+    if len(i):
+        kept, open_ = np.zeros(len(points), dtype=bool), np.ones(len(points), dtype=bool)
+        while open_.any():
+            gone, wait = np.zeros_like(kept), np.zeros_like(kept)
+            gone[j[kept[i]]] = True
+            wait[j[open_[i]]] = True
+            stay = open_ & ~gone & ~wait
+            kept |= stay
+            open_ &= ~(gone | stay)
+        points = points[kept]
+    return points[np.lexsort(points.T[::-1])]
 
 
 # offsets of a grid point's periodic 3^ndim neighbourhood, itself included, shape (ndim, 3^ndim, 1)
 _NEIGHBOURHOOD = {d: np.array(list(itertools.product((-1, 0, 1), repeat=d))).T[:, :, None] for d in (1, 2)}
-
-
-def _local_max_mask(a: np.ndarray) -> np.ndarray:
-    """Grid points at least as large as all their (periodic) neighbours."""
-    mask = np.ones(a.shape, dtype=bool)
-    for shift in _NEIGHBOURHOOD[a.ndim][:, :, 0].T:
-        if shift.any():
-            mask &= a >= np.roll(a, tuple(shift), axis=tuple(range(a.ndim)))
-    return mask
 
 
 # the role of a seed: a max or min seed, a bracket [x, x + 1/n] of a sign
@@ -685,20 +713,28 @@ def _critical(g: np.ndarray, b: _Batch) -> _Batch:
 
     S1 seeds are the sign changes of f' (BRACKET, or EXACT where f' is zero
     on the scan), then its tangential zeros, strict local minima of |f'|
-    away from any bracket (FREE); T2 seeds are the local minima of
-    max(|f_1|, |f_2|) (FREE).  A constant is critical everywhere and gets
-    no seeds.  A plateau is more than PLATEAU_FRACTION of the scan with
-    |grad f| below 1e3 residuals.
+    away from any bracket (FREE).  T2 seeds (FREE) are the grid points whose
+    max(|f_1|, |f_2|) already meets the residual, then the centres of the
+    grid cells whose four corners see both signs of f_1 and both of f_2
+    (zero counts as both), where a transversal zero of the gradient lies.  A
+    constant is critical everywhere and gets no seeds.  A plateau is more
+    than PLATEAU_FRACTION of the scan with |grad f| below 1e3 residuals.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
-    bound = 1e3 * b.residual.reshape((m,) + (1,) * ndim)
+    residual = b.residual.reshape((m,) + (1,) * ndim)
+    bound = 1e3 * residual
     dnorm = np.abs(g[:, 1]) if ndim == 1 else np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
     plateau = np.count_nonzero(dnorm < bound, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
     live = ~b.constant
-    if ndim == 2:  # the mask rolls both axes of one grid, so it is taken per function
-        pts = [np.argwhere(_local_max_mask(-d)) if c else np.zeros((0, 2), dtype=int) for d, c in zip(dnorm, live)]
-        owner, at = np.repeat(np.arange(m), [len(p) for p in pts]), np.concatenate(pts)
-        role = np.full(len(at), FREE)
+    if ndim == 2:
+        sides = np.stack([g[:, 1] >= 0.0, g[:, 1] <= 0.0, g[:, 2] >= 0.0, g[:, 2] <= 0.0], axis=1)
+        sides |= np.roll(sides, -1, axis=2)  # cell (i, j) has corners (i, j) to (i + 1, j + 1), periodically
+        sides |= np.roll(sides, -1, axis=3)
+        met = np.nonzero((dnorm <= residual) & live[:, None, None])
+        cells = np.nonzero(sides.all(axis=1) & live[:, None, None])
+        owner = np.concatenate([met[0], cells[0]])
+        at = np.concatenate([np.stack(met[1:], axis=1), np.stack(cells[1:], axis=1) + 0.5])
+        role = np.full(len(owner), FREE)
     else:
         d = g[:, 1]
         # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one strict sign
@@ -720,39 +756,49 @@ def _critical(g: np.ndarray, b: _Batch) -> _Batch:
     )
 
 
-def _newton_torus(stack: np.ndarray, seeds: np.ndarray, residual, owner: np.ndarray | None = None) -> np.ndarray:
+def _newton_torus(
+    stack: np.ndarray, seeds: np.ndarray, halfwidth, residual, owner: np.ndarray | None = None
+) -> np.ndarray:
     """Newton for grad f = 0 from every seed at once.
 
     stack[i] holds the derivative stack (_derivative_stack) of seed i, or
-    with owner, of function owner[i] (_torus_at), so one run serves the max,
-    min and critical seeds of many functions (_refine); each step reads the
-    gradient and Hessian from one pair of axis bases.  Seeds converge at
-    max |grad f| <= residual (a
-    scalar or one value per seed); seeds that meet a Hessian singular to
-    rounding, step further than 0.1 (the basin guard) or do not converge
-    come back as NaN.  Every seed is worked on its own, so its root does not
-    depend on the other seeds.
+    with owner, of function owner[i], read in place (_torus_at; a run with
+    one owner reads its one stack for all seeds), so one run serves the
+    max, min and critical seeds of many functions (_refine).  Each seed
+    stays confined to max |x - seed| <= halfwidth and converges at
+    max |grad f| <= residual (scalars or one value per seed); seeds that
+    leave their window, step further than 0.1 (the basin guard of an
+    unconfined run), meet a Hessian singular to rounding or do not converge
+    come back as NaN.  Every seed is worked on its own, so its root does
+    not depend on the other seeds.
     """
-    x = np.array(seeds, dtype=float)
-    tol = np.zeros(len(x)) + residual
-    roots = np.full(x.shape, np.nan)
-    live = np.arange(len(x))
-    for it in range(NEWTON_MAX_ITER + 1):
-        if owner is None:
-            a, b, m11, m12, m22 = _torus_at(stack[live, 1:], x[live]).T
-        else:
-            a, b, m11, m12, m22 = _torus_at(stack[:, 1:], x[live], owner[live]).T
-        done = np.maximum(np.abs(a), np.abs(b)) <= tol[live]
-        roots[live[done]] = x[live[done]]
+    x0 = np.array(seeds, dtype=float)
+    width = np.zeros(len(x0)) + halfwidth
+    tol = np.zeros(len(x0)) + residual
+    roots = np.full(x0.shape, np.nan)
+    live, x = np.arange(len(x0)), x0
+    per_seed = owner is None
+    d = stack[:, 1:].copy() if per_seed else stack[:, 1:]  # a stack per seed is dropped with its seed
+    if not per_seed and len(owner) and (owner == owner[0]).all():
+        d, owner = stack[owner[0], 1:], None  # one function: its stack for all seeds
+    for it in range(NEWTON_MAX_ITER + 1):  # x, x0, width, tol, owner and a per-seed d hold the live seeds only
+        a, b, m11, m12, m22 = _torus_at(d, x, owner).T
+        done = np.maximum(np.abs(a), np.abs(b)) <= tol
+        roots[live[done]] = x[done]
         if done.all() or it == NEWTON_MAX_ITER:
             break
         det = m11 * m22 - m12 * m12
         bad = np.abs(det) <= _rounding(np.abs(m11 * m22) + m12 * m12)
         det[bad] = 1.0
         step = np.stack([(m22 * a - m12 * b) / det, (m11 * b - m12 * a) / det], axis=1)
-        ok = ~(done | bad) & (np.max(np.abs(step), axis=1) <= 0.1)
-        live = live[ok]
-        x[live] -= step[ok]
+        x = x - step
+        ok = ~(done | bad) & (np.max(np.abs(step), axis=1) <= 0.1) & (np.max(np.abs(x - x0), axis=1) <= width)
+        if not ok.all():
+            live, x, x0, width, tol = live[ok], x[ok], x0[ok], width[ok], tol[ok]
+            if per_seed:
+                d = d[ok]
+            elif owner is not None:
+                owner = owner[ok]
     return roots
 
 
@@ -761,13 +807,13 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[
 
     fs are the batch's functions, all of one domain.  The run refines b's
     whole table, row by row with the window, residual and fallback of its
-    role:
+    role (on T2 every row keeps within 2/n of its seed in the sup metric):
     - MAX and MIN seeds keep within 2/n and fall back to golden-section
       search on their two grid cells (S1) or to themselves (T2); each
       function keeps those within tol of its best value per sign;
     - BRACKET midpoints keep within 1/n and are bisected if they fail, and
       an EXACT bracket is its own root;
-    - FREE seeds keep within 2/n (S1) and are dropped if they fail.
+    - FREE seeds keep within 2/n and are dropped if they fail.
     A constant is attained everywhere and reported at the origin.  Critical
     points come back deduplicated but without the record's points (none for
     a constant or without critical seeds).
@@ -789,9 +835,9 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[
         bracket = exact | (role == BRACKET)
         residual = b.residual[owner]
         stacks = _stacks(fs)
+        dq = 1.0 / b.n[owner]
         if ndim == 1:
             stack = stacks[owner]
-            dq = 1.0 / b.n[owner]
             x = x[:, 0]
             seeds, widths = np.where(bracket, 0.5 * (x + (x + dq)), x), np.where(bracket, dq, 2.0 * dq)
             roots = _newton_circle(stack, seeds, widths, residual)
@@ -803,7 +849,7 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[
             vals = sign * _series_at(stack[:e, 0], roots[:e])
             roots = roots[:, None]
         else:
-            roots = _newton_torus(stacks, x, residual, owner)
+            roots = _newton_torus(stacks, x, 2.0 * dq, residual, owner)
             failed = np.isnan(roots[:e, 0])
             roots[:e][failed] = x[:e][failed]
             vals = sign * _torus_at(stacks[:, :1], roots[:e], owner[:e])[:, 0]
@@ -962,8 +1008,10 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
                 values = [ext.vmax, ext.vmin]
             else:
                 values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
-                pts = _dedupe_points(np.concatenate([pts, ext.max_points[:1], ext.min_points[:1]]))
-                points = tuple(tuple(float(x) for x in p) for p in pts)
+                for p in np.concatenate([ext.max_points[:1], ext.min_points[:1]]):
+                    if not np.any(_gap(pts, p) <= POINT_CLUSTER_TOL):  # pts are already apart
+                        pts = np.concatenate([pts, p[None]])
+                points = tuple(tuple(float(x) for x in p) for p in pts[np.lexsort(pts.T[::-1])])
             out[j] = CriticalSet(points, tuple(_cluster_values(values, tol)), tol, residual, ext, plateau)
     return out
 

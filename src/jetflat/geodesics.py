@@ -407,7 +407,7 @@ def _segment_sups(
         q = _newton_circle(stack, start, dq, residual)[:, None]
         val = _series_at(real, q[:, 0])
     else:
-        q = _newton_torus(stack, q0, residual)
+        q = _newton_torus(stack, q0, np.inf, residual)
         val = _torus_at(stack[:, :1], q)[:, 0]
     stay = ~(np.abs(val) >= np.abs(top))  # NaN where Newton failed
     q[stay], val[stay] = q0[stay], top[stay]

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetflat import fourier
+from jetflat.config import POINT_CLUSTER_TOL
 from jetflat.errors import DimensionMismatch
 from jetflat.fourier import (
     CIRCLE,
@@ -423,7 +424,7 @@ def test_fallbacks_when_torus_newton_fails(monkeypatch, rng):
     # value is the scan's top
     n = fourier.DEFAULT_TORUS_SCAN
 
-    def failed(stack, seeds, residual, owner=None):
+    def failed(stack, seeds, halfwidth, residual, owner=None):
         return np.full(np.shape(seeds), np.nan)
 
     monkeypatch.setattr(fourier, "_newton_torus", failed)
@@ -583,6 +584,47 @@ def test_torus_critical_seeds_read_their_stack_in_place():
     assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
+def _gradient_roots(f: FourierFunction, starts: int = 32, iters: int = 40) -> np.ndarray:
+    """Nondegenerate zeros of grad f, by damped Newton on the oracle's partials from a starts^2 grid of cell centres."""
+    blocks = f.torus_blocks()
+    x = np.stack(np.meshgrid(*[(np.arange(starts) + 0.5) / starts] * 2, indexing="ij"), axis=-1).reshape(-1, 2)
+    with np.errstate(all="ignore"):  # singular Hessians send their starts to NaN
+        for _ in range(iters):
+            _, f1, f2, f11, f12, f22 = torus_partials_direct(*blocks, x)
+            step = np.stack([f22 * f1 - f12 * f2, f11 * f2 - f12 * f1], axis=1) / (f11 * f22 - f12 * f12)[:, None]
+            x = x - np.clip(step, -0.02, 0.02)
+        _, f1, f2, f11, f12, f22 = torus_partials_direct(*blocks, x)
+        root = np.maximum(np.abs(f1), np.abs(f2)) <= 1e-12 * np.abs(f.coeffs).sum()
+        nondegenerate = np.abs(f11 * f22 - f12 * f12) >= 1e-3 * (f11 * f11 + 2.0 * f12 * f12 + f22 * f22)
+    return np.mod(x[root & nondegenerate], 1.0)
+
+
+def test_torus_critical_sets_are_complete():
+    # every nondegenerate critical point that an independent root search finds
+    # is reported; seeding from the local minima of max(|f_1|, |f_2|) missed
+    # the extremum of this function near (0.8784, 0.9333)
+    rng = np.random.default_rng(7)
+    fs = [random_function(rng, TORUS2, d, decay=float(rng.uniform(0.0, 2.0))) for d in [1, 2, 3, 4, 5, 6] * 40]
+    f = fs[39]
+    roots = _gradient_roots(f)
+    points = np.array(critical_set(f).points)
+    assert len(roots)
+    gap = np.abs(roots[:, None] - points[None])
+    missed = np.max(np.minimum(gap, 1.0 - gap), axis=-1).min(axis=1) > POINT_CLUSTER_TOL
+    assert not missed.any(), roots[missed]
+
+
+def test_torus_critical_lines_through_grid_points_are_kept():
+    # 0.3 + 1e-13 cos 2 pi q2 is critical on the lines q2 = 0 and q2 = 1/2; its
+    # Hessian is singular, so Newton moves no seed, and the grid points on both
+    # lines, whose scanned gradient already meets the residual, are its roots
+    f = FourierFunction.from_torus_coeffs(0.3, [[0.0, 1e-13], [0.0, 0.0]])
+    n = fourier.DEFAULT_TORUS_SCAN
+    cs = critical_set(f)
+    want = [(i / n, q2) for i in range(n) for q2 in (0.0, 0.5)]
+    assert sorted(cs.points) == sorted(want)
+
+
 def test_tied_circle_maxima_each_get_a_point():
     # two equal maxima at +-arccos(0.999) / 2 pi ~ +-0.007118; the dip between
     # them (5e-7) lies far above tol but inside the margin of the scan
@@ -625,6 +667,12 @@ def _dedupe_cases():
     clusters = np.repeat(centres, 10, axis=0) + spread * rng.standard_normal((200, 2))
     chain = 0.3 + tol * np.cumsum(1.0 + 1e-3 * rng.standard_normal(30))
     straddle = np.array([[0.0], [1.0 - 4e-7], [3e-7], [0.5], [1.0 - 2e-6], [2e-6]])
+    # 100 clusters of 4, a tenth of them on q1 = 0, q2 = 0 or both, spread 1e-12 to 1e-7
+    other = np.random.default_rng(13)
+    centres = other.random((100, 2))
+    centres[:10] *= np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])[np.arange(10) % 3]
+    spread = 10.0 ** other.integers(-12, -6, (400, 1))
+    tight = other.permutation(np.mod(np.repeat(centres, 4, axis=0) + spread * other.standard_normal((400, 2)), 1.0))
     return {
         "empty (m,1)": np.zeros((0, 1)),
         "empty (m,2)": np.zeros((0, 2)),
@@ -637,6 +685,7 @@ def _dedupe_cases():
         "chain (m,2)": np.stack([chain, 0.9 + 1e-3 * tol * rng.standard_normal(30)], axis=1),
         "straddles 0/1 (m,1)": straddle,
         "straddles 0/1 (m,2)": np.concatenate([straddle, straddle[[1, 0, 3, 2, 5, 4]]], axis=1),
+        "tight clusters (m,2)": tight,
     }
 
 

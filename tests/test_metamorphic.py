@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from jetflat.config import POINT_CLUSTER_TOL
 from jetflat.fourier import CIRCLE, TORUS2, FourierFunction, attaining_sets, critical_set, sup_norm
 from jetflat.geodesics import minimizing_geodesic_check, monotone_check
 from jetflat.paths import IsotopyPath
@@ -213,6 +214,35 @@ def test_circle_dyadic_rotation(j):
         rotated.append(FourierFunction(CIRCLE, [a * c + b * s, b * c - a * s]))
     for f, r, base in zip(fs, attaining_sets(rotated), attaining_sets(fs)):
         _assert_moved(r, base, lambda p: np.mod(p - j / 64, 1.0), 16.0 * np.spacing(np.abs(f.coeffs).sum()))
+
+
+# -- planted separable sums: the torus answer from two circle answers ---------
+
+
+def test_torus_separable_sum():
+    # h(q1, q2) = f(q1) + g(q2) has grad h = (f'(q1), g'(q2)), so its critical
+    # points are the products of those of f and g, its critical values the
+    # pairwise sums, and max h = max f + max g
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        f, g = (random_function(rng, CIRCLE, int(rng.integers(1, 5))) for _ in range(2))
+        d = max(f.degree, g.degree)
+        c = np.zeros((2, d + 1, 2, d + 1))
+        c[:, :, 0, 0] = f.pad_to_degree(d).coeffs
+        c[0, 0] += g.pad_to_degree(d).coeffs
+        h = FourierFunction(TORUS2, c)
+        cf, cg, ch = critical_set(f), critical_set(g), critical_set(h)
+        ulps = 16.0 * np.spacing(np.abs(c).sum())
+        products = np.array([(p, q) for (p,) in cf.points for (q,) in cg.points])
+        points = np.array(ch.points)
+        assert len(points) == len(products)
+        gap = np.abs(points[:, None] - products[None])
+        gap = np.max(np.minimum(gap, 1.0 - gap), axis=-1)
+        assert np.all(gap.min(axis=0) <= POINT_CLUSTER_TOL) and np.all(gap.min(axis=1) <= POINT_CLUSTER_TOL)
+        sums = np.add.outer(cf.values, cg.values).ravel()
+        apart = np.abs(np.array(ch.values)[:, None] - sums[None])
+        assert np.all(apart.min(axis=0) <= ulps) and np.all(apart.min(axis=1) <= ulps)
+        assert abs(ch.extrema.vmax - (cf.extrema.vmax + cg.extrema.vmax)) <= ulps
 
 
 # -- path reversal: same length, same verdict ---------------------------------
