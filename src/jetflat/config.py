@@ -4,15 +4,16 @@ The module constants are the knobs every numerical routine consumes; the
 command line's --tol defaults to EQUALITY_TOL.  One scale rule sets every
 threshold of the extremum engine: a value comparison uses the caller's tol
 (EQUALITY_TOL by default) or 16 ulps of the function's own scale, and a
-Newton residual is NEWTON_RESIDUAL times the scan's max|grad f|, so both
+Newton residual is NEWTON_RESIDUAL times a bound of |grad f| (Bernstein's
+coefficient sum on the circle, the scan's maximum on the torus), so both
 scale with the function and no threshold is absolute.
 """
 
 from __future__ import annotations
 
-# Scan resolutions.  The truncation degree bounds oscillation, so these
-# cannot skip extremum basins for the degrees used here.
-DEFAULT_CIRCLE_SCAN = 4096
+# Torus scan resolution per axis.  Circle scans are sized by the degree
+# (fourier._circle_size), and coefficient bounds certify what lies between
+# their points.
 DEFAULT_TORUS_SCAN = 256
 
 # Newton refinement on derivatives: the residual relative to max|grad f|.

@@ -5,8 +5,10 @@ A function is stored as its real coefficients against the axis basis
 function is real, exactly 1-periodic in each coordinate, and differentiable
 term by term.  Every kernel (scan, Newton, evaluation at points) reads that
 one array, ``FourierFunction.coeffs``.  The truncation degree bounds the
-oscillation, which is what makes scan-plus-Newton extraction of extrema and
-critical values reliable.
+oscillation: a circle scan takes 64 points per degree, and Bernstein's
+coefficient bounds on f', f'' and f''' (_bounds) certify what lies between
+its points, so the extrema and critical sets found by scan plus Newton do
+not rest on the density of the scan alone.
 
 Coordinates live on [0, 1) with period 1 in every axis.  All values are
 immutable after construction and every operation here is a pure function.
@@ -22,7 +24,6 @@ from typing import Iterable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .config import (
-    DEFAULT_CIRCLE_SCAN,
     DEFAULT_TORUS_SCAN,
     EQUALITY_TOL,
     NEWTON_MAX_ITER,
@@ -30,7 +31,7 @@ from .config import (
     PLATEAU_FRACTION,
     POINT_CLUSTER_TOL,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ViolationReport
 
 TWO_PI = 2.0 * np.pi
 
@@ -38,8 +39,14 @@ TWO_PI = 2.0 * np.pi
 # thread, whatever the core count: the most a scan gives one BLAS call.
 BLAS_CALL = 1 << 18
 # Circle functions of one degree are scanned this many to a product, and each
-# such stack is reduced before the next is scanned (0.8 MB at 4096 points).
+# such stack is reduced before the next is scanned (0.5 MB at degree 64).
 CIRCLE_CHUNK = 8
+# A circle scan of degree D takes the smallest power of two of at least
+# this many points times max(D, 1) (_circle_size).
+CIRCLE_POINTS_PER_DEGREE = 64
+# A circle cell that may hold two roots of f' is sampled again at this many
+# sub-cells, level by level (_circle_seeds).
+SUBCELLS = 16
 
 
 @dataclass(frozen=True)
@@ -273,8 +280,9 @@ class FourierFunction:
     def values_on_grid(self, n: int) -> np.ndarray:
         """Value, gradient and Hessian grids at the uniform grid (i/n), stacked on a new leading axis.
 
-        f, f', f'' on S1, shape (3, n): the stacked circle scan of f alone
-        (_circle_scans).  f, f_1, f_2, f_11, f_12, f_22 on T2, shape
+        f, f', f'' on S1, shape (3, n), from the product of the circle scans
+        (_circle_scans), which take f and f' only.  f, f_1, f_2, f_11, f_12,
+        f_22 on T2, shape
         (6, n, n).  Each grid is one coefficient array of the real
         derivative stack against one cached basis table B: B v on S1 and
         B V B^T on T2, each product one stacked matmul over blocks of at
@@ -294,15 +302,17 @@ class FourierFunction:
 
 
 def _circle_scans(stack: np.ndarray, n: int) -> np.ndarray:
-    """f, f', f'' at the grid i/n of every circle function of a derivative stack (m, 3, 2, D+1), shape (m, 3, n).
+    """The s series of every circle function of a stack (m, s, 2, D+1) at the grid i/n, shape (m, s, n).
 
-    One (3m, 2(D+1)) @ (2(D+1), n) product against the cached basis table,
-    in column blocks of B^T of at most BLAS_CALL multiply-adds (_block).
+    The series are rows of a derivative stack: f, f' for a scan, f, f', f''
+    for values_on_grid.  One (sm, 2(D+1)) @ (2(D+1), n) product against the
+    cached basis table, in column blocks of B^T of at most BLAS_CALL
+    multiply-adds (_block).
     """
     b = _grid_basis(n, stack.shape[-1] - 1)
-    rows, k = 3 * len(stack), b.shape[1]
+    rows, k = stack.shape[1] * len(stack), b.shape[1]
     c = _block(n, rows * k)
-    out = np.empty((len(stack), 3, n))
+    out = np.empty(stack.shape[:2] + (n,))
     np.matmul(stack.reshape(rows, k), b.reshape(-1, c, k).swapaxes(1, 2), out=out.reshape(rows, -1, c).swapaxes(0, 1))
     return out
 
@@ -478,18 +488,37 @@ class CriticalSet:
     plateau: bool = False
 
 
-def _scan(fs: Sequence[FourierFunction]) -> np.ndarray:
-    """The value, gradient and Hessian grids of functions of one domain and degree, stacked per function.
+def _circle_size(degree: int) -> int:
+    """The circle scan size of degree D: the smallest power of two of at least 64 max(D, 1) points."""
+    return 1 << (CIRCLE_POINTS_PER_DEGREE * max(degree, 1) - 1).bit_length()
 
-    Shape (m, 3, n) on S1, from one product (_circle_scans), and (1, 6, n, n)
-    for the one torus function a T2 scan takes.
+
+def _bounds(c: np.ndarray) -> np.ndarray:
+    """Bernstein's bounds M_j = sum_k (2 pi k)^j r_k >= max|f^(j)|, j = 1..4, of circle coeffs arrays (m, 2, K).
+
+    Shape (m, 4), with r_k = sqrt(a_k^2 + b_k^2), the amplitude of frequency
+    k (Ehlich & Zeller, Math. Z. 86, 1964).  Each is a sum over the
+    coefficients, so it does not depend on any scan, and scaling f by 2^k
+    scales it by exactly 2^k.
     """
-    f = fs[0]
-    if f.domain.kind == "T2":
+    w = TWO_PI * np.arange(c.shape[-1])
+    return (np.hypot(c[:, None, 0], c[:, None, 1]) * np.stack([w, w**2, w**3, w**4])).sum(axis=2)
+
+
+def _scan(fs: Sequence[FourierFunction]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked coeffs arrays of functions of one domain and degree, and the grids their seeds are read from.
+
+    On S1 the grids are f and f' at _circle_size(D) points, shape (m, 2, n),
+    from one product (_circle_scans); the bounds of f'' and f''' come from
+    the coefficients (_bounds).  On T2 they are the value, gradient and
+    Hessian grids, shape (1, 6, n, n), of the one torus function a scan
+    takes.
+    """
+    c = np.array([f.coeffs for f in fs])
+    if fs[0].domain.kind == "T2":
         (f,) = fs
-        return f.values_on_grid(DEFAULT_TORUS_SCAN)[None]
-    n = max(DEFAULT_CIRCLE_SCAN, 8 * f.degree)  # never undersample relative to the degree
-    return _circle_scans(_derivative_stack(np.array([f.coeffs for f in fs])), n)
+        return c, f.values_on_grid(DEFAULT_TORUS_SCAN)[None]
+    return c, _circle_scans(_derivative_stack(c)[:, :2], _circle_size(fs[0].degree))
 
 
 def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -505,34 +534,34 @@ def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cumsum(rows[..., 0, :] * np.cos(ang) + rows[..., 1, :] * np.sin(ang), axis=-1)[..., -1]
 
 
-def _newton_circle(stack: np.ndarray, seeds: np.ndarray, halfwidth, residual) -> np.ndarray:
-    """Newton for f'(x) = 0 from every seed at once.
+def _newton_circle(stack: np.ndarray, seeds: np.ndarray, halfwidth, residual) -> tuple[np.ndarray, np.ndarray]:
+    """Newton for f'(x) = 0 from every seed at once: the roots and the value of f at each.
 
     stack[i] holds the derivative stack (_derivative_stack) of the function
     seed i belongs to, so one run serves the max, min and critical seeds of
     many functions (_refine).  Each seed stays confined to |x - seed| <=
     halfwidth and converges at |f'| <= residual (scalars or one value per
     seed); seeds that leave their window, meet f'' = 0 or do not converge
-    come back as NaN.  Every seed is worked on its own, so its root does not
-    depend on the other seeds.
+    come back as NaN, root and value.  f is summed with f' and f'' at every
+    step, so a root's value costs no evaluation of its own.  Every seed is
+    worked on its own, so its root does not depend on the other seeds.
     """
-    d12 = stack[:, 1:]
     x0 = np.asarray(seeds, dtype=float)
     width = np.zeros_like(x0) + halfwidth
     tol = np.zeros_like(x0) + residual
-    roots = np.full(x0.shape, np.nan)
+    roots, values = np.full(x0.shape, np.nan), np.full(x0.shape, np.nan)
     live, x = np.arange(len(x0)), x0
-    for it in range(NEWTON_MAX_ITER + 1):  # d12, x0, tol and width hold the live seeds only
-        g, h = _series_at(d12, x).T
+    for it in range(NEWTON_MAX_ITER + 1):  # stack, x0, tol and width hold the live seeds only
+        v, g, h = _series_at(stack, x).T
         done = np.abs(g) <= tol
-        roots[live[done]] = x[done]
+        roots[live[done]], values[live[done]] = x[done], v[done]
         if done.all() or it == NEWTON_MAX_ITER:
             break
         x = x - g / np.where(h == 0.0, 1.0, h)
         ok = ~done & (h != 0.0) & (np.abs(x - x0) <= width)
         if not ok.all():
-            live, d12, x, x0, tol, width = live[ok], d12[ok], x[ok], x0[ok], tol[ok], width[ok]
-    return roots
+            live, stack, x, x0, tol, width = live[ok], stack[ok], x[ok], x0[ok], tol[ok], width[ok]
+    return roots, values
 
 
 def _ternary_max_circle(f: FourierFunction, lo: float, hi: float, iters: int = 80) -> float:
@@ -618,9 +647,9 @@ def _dedupe_points(points: np.ndarray, tol: float = POINT_CLUSTER_TOL) -> np.nda
 _NEIGHBOURHOOD = {d: np.array(list(itertools.product((-1, 0, 1), repeat=d))).T[:, :, None] for d in (1, 2)}
 
 
-# the role of a seed: a max or min seed, a bracket [x, x + 1/n] of a sign
-# change of f' (S1), one whose f'(x) is zero on the scan, or a tangential
-# (S1) or torus critical seed
+# the role of a seed: a max or min seed, a bracket [x, x + width] of a sign
+# change of f' (S1), a root already met on the scan (S1), or a free critical
+# seed (S1 cells too narrow to split again, and torus cells)
 MAX, MIN, BRACKET, EXACT, FREE = range(5)
 
 
@@ -628,21 +657,24 @@ class _Batch(NamedTuple):
     """The scans of a stack reduced to per-function arrays and one seed table.
 
     Row i of the table is one Newton start: point x[i] of function owner[i]
-    (its position in the batch), in role role[i].  A function's max rows,
-    its min rows and its critical rows (brackets before FREE seeds) each
-    keep the order of its scan, which the deduplication of refined points
-    reads.  A constant has no rows.
+    (its position in the batch), in role role[i], in a cell of width
+    width[i].  A function's max rows, its min rows and its critical rows
+    each keep the order of its scan (and of the levels of _circle_seeds),
+    which the deduplication of refined points reads.  A constant has no
+    rows.
     """
 
-    n: np.ndarray  # scan size per axis
-    residual: np.ndarray  # Newton residual, scaled by max|grad f|
+    bound: np.ndarray  # (m, 4): M1..M4 (_bounds) on S1; the scanned max|grad f| and max|f_ij| on T2
+    residual: np.ndarray  # Newton residual, NEWTON_RESIDUAL times the bound of |grad f|
     hi: np.ndarray  # largest scanned value
     lo: np.ndarray  # smallest scanned value
+    margin: np.ndarray  # the max lies in [hi, hi + margin], the min in [lo - margin, lo] (checked by _refine)
     constant: np.ndarray  # the range [lo, hi] is within rounding of max|f|
     plateau: np.ndarray  # set by _critical
     owner: np.ndarray
     role: np.ndarray
     x: np.ndarray  # (rows, ndim)
+    width: np.ndarray  # the grid or sub-grid spacing a row was seeded on
 
 
 def _rounding(scale):
@@ -655,31 +687,38 @@ def _rounding(scale):
     return 16.0 * np.spacing(scale)
 
 
-def _peaks(g: np.ndarray, tol: float) -> _Batch:
+def _peaks(g: np.ndarray, tol: float, c: np.ndarray) -> _Batch:
     """The scans of a stack reduced to a _Batch whose table holds their max and min seeds.
 
-    g holds m scans, (m, 3, n) on S1 or (m, 6, n, n) on T2, reduced at once:
-    one max and one min over all grids, and one nonzero and one gather of
-    neighbours for the candidates of both signs.  The max seeds are the
-    scan's local maxima within the margin of its top, so maxima whose dip
-    lies inside the margin each get one; the top itself is always one; the
-    min seeds likewise.  The residual is NEWTON_RESIDUAL times the scan's
-    max|grad f|.  A scan whose range is within rounding of its max|f| is a
-    constant, attained everywhere, and gets no seeds.  The critical seeds
-    are left to _critical.
+    g holds m scans, (m, 2, n) on S1 or (m, 6, n, n) on T2, of the functions
+    with coeffs arrays c, reduced at once: one max and one min over all
+    grids, and one nonzero and one gather of neighbours for the candidates
+    of both signs.  The bounds of |grad f| and |f_ij| are Bernstein's (_bounds)
+    on S1 and the scan's maxima on T2.  The max seeds are the scan's local
+    maxima within the margin of its top, so maxima whose dip lies inside the
+    margin each get one; the top itself is always one; the min seeds
+    likewise.  The residual is NEWTON_RESIDUAL times the bound of |grad f|.
+    A scan whose range is within rounding of its max|f| is a constant,
+    attained everywhere, and gets no seeds.  The critical seeds are left to
+    _critical.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
     grids = g.reshape(m, g.shape[1], -1)
     top, bottom = grids.max(axis=2), grids.min(axis=2)
     hi, lo = top[:, 0], bottom[:, 0]
     size = np.maximum(-bottom, top)  # max |grid|; on a tie of -0 with +0, np.maximum keeps top's zero
-    residual = NEWTON_RESIDUAL * size[:, 1 : 1 + ndim].max(axis=1)
+    if ndim == 1:
+        bound = _bounds(c)
+    else:
+        bound = np.zeros((m, 4))
+        bound[:, 0], bound[:, 1] = size[:, 1:3].max(axis=1), size[:, 3:].max(axis=1)
+    residual = NEWTON_RESIDUAL * bound[:, 0]
     constant = hi - lo <= _rounding(size[:, 0])
     # margin below which a grid point may still hide the global max: the
     # Taylor bound 0.5 max|f_ij| (ndim dq)^2 over a cell, plus the tolerance;
     # none is near for a constant
     dq = 1.0 / n
-    margin = 10.0 * tol + 0.5 * ndim**2 * size[:, 1 + ndim :].max(axis=1) * dq * dq
+    margin = 10.0 * tol + 0.5 * ndim**2 * bound[:, 1] * dq * dq
     margin[constant] = -np.inf
     vals = grids[:, 0]
     up, down = vals >= (hi - margin)[:, None], vals <= (lo + margin)[:, None]
@@ -692,67 +731,117 @@ def _peaks(g: np.ndarray, tol: float) -> _Batch:
     is_min = down[rows, cells] & (here <= around.min(axis=0))
     role, i = np.divmod(np.flatnonzero(np.concatenate([is_max, is_min])), len(rows))  # MAX 0, MIN 1
     owner, x = rows[i], at[:, i].T / n
-    return _Batch(np.full(m, n), residual, hi, lo, constant, np.zeros(m, dtype=bool), owner, role, x)
+    plateau = np.zeros(m, dtype=bool)
+    return _Batch(bound, residual, hi, lo, margin, constant, plateau, owner, role, x, np.full(len(owner), dq))
 
 
-def _shift(a: np.ndarray, k: int) -> np.ndarray:
-    """a[:, (i + k) mod n] at i: the scan's next (k = 1) or previous (k = -1) point, periodically."""
-    return np.concatenate((a[:, k:], a[:, :k]), axis=1)
+def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The critical rows (owner, role, x, width) of the circle scans whose f' grids are d, (m, n).
+
+    A cell [x, x + w] that holds two or more roots of f' (with multiplicity)
+    has |f'| <= L w^2 / 2 at both ends, L a bound of |f'''| on the cell,
+    since f'(x) = f'''(xi)(x - r1)(x - r2) / 2; three or more roots meet the
+    same bound as long as L >= M4 w / 2.  Both bounds used here do: M3 on
+    the scan (M4 w / 2 <= M3 once w <= 1 / (pi D)) and, on sub-cells, |f'''|
+    at the larger end plus M4 w / 2, which stays small where f' is flat
+    around a root of high multiplicity.  So a cell that fails the bound at
+    an end (with 16 ulps of M1 for the rounding of f') holds one root where
+    f' changes sign or is zero (a BRACKET, or EXACT at an end that already
+    meets the residual, as a Newton seed there would) and none elsewhere.
+    A cell that meets it at both ends is suspect.  A suspect cell whose ends
+    both meet the residual is already critical as far as Newton can tell,
+    and one narrower than POINT_CLUSTER_TOL merges its roots anyway: each
+    run of adjacent such cells gets one FREE seed, at its end of least |f'|.
+    The other suspect cells are sampled again at SUBCELLS sub-cells, f' and
+    f''' of all of them in one _series_at call per level, and their
+    sub-cells are read by the same rules.  A constant gets no rows.
+    """
+    m1, _, m3, m4 = b.bound.T
+    slack, residual = _rounding(m1), b.residual
+    # each level is rows of cells: cell j of row i spans [base[i] + j w, base[i] + (j + 1) w],
+    # with f' = a[i, j] and z[i, j] at its ends and the bound t[i, j]; at the top a row is a scan
+    owner = np.flatnonzero(~b.constant)
+    a = d[owner]
+    z, base, w = np.roll(a, -1, axis=1), np.zeros(len(owner)), 1.0 / d.shape[1]
+    t = (0.5 * w * w * m3 + slack)[owner, None]
+    found = []
+    while True:
+        ends = np.abs(a), np.abs(z)
+        suspect = np.maximum(*ends) <= t
+        i, j = np.nonzero((np.sign(a) * np.sign(z) <= 0.0) & ~suspect)  # a sign change or a zero
+        o, x = owner[i], base[i] + j * w
+        left, right = (e[i, j] <= residual[o] for e in ends)
+        found.append((o, np.where(left | right, EXACT, BRACKET), x + w * (right & ~left), np.full(len(o), w)))
+        i, j = np.nonzero(suspect)  # from here on one entry per suspect cell, in scan order
+        if not len(i):
+            break
+        owner, base, a, z, ends = owner[i], base[i] + j * w, a[i, j], z[i, j], np.stack(ends)[:, i, j]
+        done = (ends.max(axis=0) <= residual[owner]) | (w < POINT_CLUSTER_TOL)
+        if done.any():
+            o, x, ends = owner[done], base[done], ends[:, done]
+            run = np.cumsum(np.concatenate([[True], (o[1:] != o[:-1]) | (x[1:] != x[:-1] + w)]))
+            order = np.lexsort((ends.min(axis=0), run))
+            pick = order[np.flatnonzero(np.diff(run[order], prepend=0))]
+            x = x[pick] + w * (ends[1, pick] < ends[0, pick])
+            found.append((o[pick], np.full(len(pick), FREE), x, np.full(len(pick), w)))
+        owner, base, a, z = owner[~done], base[~done], a[~done], z[~done]
+        if not len(owner):
+            break
+        d1 = _derivative_stack(c[owner])[:, 1]  # f', and f''' = -(2 pi k)^2 f' per frequency
+        rows = np.stack([d1, d1 * -((TWO_PI * np.arange(c.shape[-1])) ** 2)], axis=1)
+        w /= SUBCELLS
+        at = (base[:, None] + w * np.arange(SUBCELLS + 1)).ravel()
+        v = _series_at(np.repeat(rows, SUBCELLS + 1, axis=0), at).reshape(len(owner), SUBCELLS + 1, 2)
+        v[:, 0, 0], v[:, -1, 0] = a, z  # the ends as the level above read them
+        a, z, third = v[:, :-1, 0], v[:, 1:, 0], np.abs(v[..., 1])
+        t = np.maximum(third[:, :-1], third[:, 1:]) + (0.5 * w * m4 + _rounding(m3))[owner, None]
+        t = 0.5 * t * w * w + slack[owner, None]
+    owner, role, x, width = map(np.concatenate, zip(*found))
+    return owner, role, x, width
 
 
-def _from_previous(op, a: np.ndarray) -> np.ndarray:
-    """op(a[:, i], a[:, i - 1]) at every i, periodically, without a shifted copy of a."""
-    out = np.empty(a.shape, dtype=bool)
-    op(a[:, 1:], a[:, :-1], out=out[:, 1:])
-    op(a[:, :1], a[:, -1:], out=out[:, :1])
-    return out
+def _critical(g: np.ndarray, b: _Batch, c: np.ndarray) -> _Batch:
+    """b, the _peaks reduction of the stack g of the coeffs arrays c, with its plateau flags and critical seeds.
 
-
-def _critical(g: np.ndarray, b: _Batch) -> _Batch:
-    """b, the _peaks reduction of the stack g, with its plateau flags and its critical seeds appended.
-
-    S1 seeds are the sign changes of f' (BRACKET, or EXACT where f' is zero
-    on the scan), then its tangential zeros, strict local minima of |f'|
-    away from any bracket (FREE).  T2 seeds (FREE) are the grid points whose
+    S1 seeds are the sign changes of f' and the roots its suspect cells
+    hide (_circle_seeds).  T2 seeds (FREE) are the grid points whose
     max(|f_1|, |f_2|) already meets the residual, then the centres of the
     grid cells whose four corners see both signs of f_1 and both of f_2
     (zero counts as both), where a transversal zero of the gradient lies.  A
     constant is critical everywhere and gets no seeds.  A plateau is more
-    than PLATEAU_FRACTION of the scan with |grad f| below 1e3 residuals.
+    than PLATEAU_FRACTION of the scan with |grad f| below 1e3 residuals in
+    runs of three or more adjacent points along the last axis, so that
+    isolated zeros of the gradient on grid points do not make one on a
+    small scan.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
     residual = b.residual.reshape((m,) + (1,) * ndim)
-    bound = 1e3 * residual
     dnorm = np.abs(g[:, 1]) if ndim == 1 else np.maximum(np.abs(g[:, 1]), np.abs(g[:, 2]))
-    plateau = np.count_nonzero(dnorm < bound, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
-    live = ~b.constant
-    if ndim == 2:
+    flat = dnorm < 1e3 * residual
+    plateau = np.count_nonzero(flat, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
+    if plateau.any():  # count again the points in runs of three or more only
+        flat &= np.roll(flat, 1, axis=-1) & np.roll(flat, -1, axis=-1)  # the middle of a run of three
+        flat |= np.roll(flat, 1, axis=-1) | np.roll(flat, -1, axis=-1)
+        plateau = np.count_nonzero(flat, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
+    if ndim == 1:
+        owner, role, x, width = _circle_seeds(g[:, 1], c, b)
+        x = x[:, None]
+    else:
+        live = ~b.constant[:, None, None]
         sides = np.stack([g[:, 1] >= 0.0, g[:, 1] <= 0.0, g[:, 2] >= 0.0, g[:, 2] <= 0.0], axis=1)
         sides |= np.roll(sides, -1, axis=2)  # cell (i, j) has corners (i, j) to (i + 1, j + 1), periodically
         sides |= np.roll(sides, -1, axis=3)
-        met = np.nonzero((dnorm <= residual) & live[:, None, None])
-        cells = np.nonzero(sides.all(axis=1) & live[:, None, None])
+        met = np.nonzero((dnorm <= residual) & live)
+        cells = np.nonzero(sides.all(axis=1) & live)
         owner = np.concatenate([met[0], cells[0]])
-        at = np.concatenate([np.stack(met[1:], axis=1), np.stack(cells[1:], axis=1) + 0.5])
-        role = np.full(len(owner), FREE)
-    else:
-        d = g[:, 1]
-        # sign(f') changes from x to x + dq, or f'(x) = 0: all but two values of one strict sign
-        pos, neg = d > 0.0, d < 0.0
-        change = ~((pos & _shift(pos, 1)) | (neg & _shift(neg, 1))) & live[:, None]
-        # |f'| below its previous point and not above its next one, away from any bracket
-        drop = _from_previous(np.less, dnorm)
-        tangential = drop & ~_shift(drop, 1) & ~change & ~_shift(change, -1) & live[:, None]
-        brackets = np.flatnonzero(change)
-        owner, at = np.divmod(np.concatenate([brackets, np.flatnonzero(tangential)]), n)
-        role = np.where(d[owner, at] == 0.0, EXACT, BRACKET)
-        role[len(brackets) :] = FREE
-        at = at[:, None]
+        x = np.concatenate([np.stack(met[1:], axis=1), np.stack(cells[1:], axis=1) + 0.5]) / n
+        role, width = np.full(len(owner), FREE), np.full(len(owner), 1.0 / n)
     return b._replace(
         plateau=plateau,
         owner=np.concatenate([b.owner, owner]),
         role=np.concatenate([b.role, role]),
-        x=np.concatenate([b.x, at / n]),
+        x=np.concatenate([b.x, x]),
+        width=np.concatenate([b.width, width]),
     )
 
 
@@ -807,16 +896,21 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[
 
     fs are the batch's functions, all of one domain.  The run refines b's
     whole table, row by row with the window, residual and fallback of its
-    role (on T2 every row keeps within 2/n of its seed in the sup metric):
-    - MAX and MIN seeds keep within 2/n and fall back to golden-section
-      search on their two grid cells (S1) or to themselves (T2); each
-      function keeps those within tol of its best value per sign;
-    - BRACKET midpoints keep within 1/n and are bisected if they fail, and
-      an EXACT bracket is its own root;
-    - FREE seeds keep within 2/n and are dropped if they fail.
-    A constant is attained everywhere and reported at the origin.  Critical
-    points come back deduplicated but without the record's points (none for
-    a constant or without critical seeds).
+    role, w being the row's width (on T2 every row keeps within 2w of its
+    seed in the sup metric):
+    - MAX and MIN seeds keep within 2w and fall back to golden-section
+      search on their two cells (S1) or to themselves (T2); each function
+      keeps those within tol of its best value per sign;
+    - BRACKET midpoints keep within w and are bisected on [x, x + w] if
+      they fail, and an EXACT bracket is its own root;
+    - FREE seeds keep within 2w and are dropped if they fail.
+    The best refined value of each sign must lie in the enclosure [hi, hi +
+    margin] (or [lo - margin, lo]) up to 16 ulps of max|f|, a bound proven
+    on S1 (M2 from the coefficients) and read from the scanned Hessian on
+    T2; one outside it raises ViolationReport.  A constant is attained
+    everywhere and reported at the origin.  Critical points come back
+    deduplicated but without the record's points (none for a constant or
+    without critical seeds).
     """
     m, ndim = len(fs), fs[0].domain.ndim
     origin = np.zeros((1, ndim))
@@ -828,28 +922,30 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[
         # each block in table order
         key = np.minimum(b.role, 2) * m + b.owner
         order = np.argsort(key, kind="stable")
-        key, owner, role, x = key[order], b.owner[order], b.role[order], b.x[order]
+        key, owner, role, x, width = key[order], b.owner[order], b.role[order], b.x[order], b.width[order]
         e = np.count_nonzero(role <= MIN)
         sign = 1 - 2 * role[:e]
         exact = role == EXACT
         bracket = exact | (role == BRACKET)
         residual = b.residual[owner]
         stacks = _stacks(fs)
-        dq = 1.0 / b.n[owner]
         if ndim == 1:
             stack = stacks[owner]
             x = x[:, 0]
-            seeds, widths = np.where(bracket, 0.5 * (x + (x + dq)), x), np.where(bracket, dq, 2.0 * dq)
-            roots = _newton_circle(stack, seeds, widths, residual)
+            seeds, windows = np.where(bracket, 0.5 * (x + (x + width)), x), np.where(bracket, width, 2.0 * width)
+            roots, vals = _newton_circle(stack, seeds, windows, residual)
             roots[exact] = x[exact]
-            for i in np.flatnonzero(np.isnan(roots[:e])):
-                roots[i] = _ternary_max_circle(sign[i] * fs[owner[i]], x[i] - dq[i], x[i] + dq[i])
+            lost = np.flatnonzero(np.isnan(roots[:e]))
+            for i in lost:
+                roots[i] = _ternary_max_circle(sign[i] * fs[owner[i]], x[i] - width[i], x[i] + width[i])
+            if len(lost):
+                vals[lost] = _series_at(stack[lost, 0], roots[lost])
             for i in np.flatnonzero(bracket & np.isnan(roots)):
-                roots[i] = _bisect_root(fs[owner[i]].derivative(), x[i], x[i] + dq[i], residual[i])
-            vals = sign * _series_at(stack[:e, 0], roots[:e])
+                roots[i] = _bisect_root(fs[owner[i]].derivative(), x[i], x[i] + width[i], residual[i])
+            vals = sign * vals[:e]
             roots = roots[:, None]
         else:
-            roots = _newton_torus(stacks, x, 2.0 * dq, residual, owner)
+            roots = _newton_torus(stacks, x, 2.0 * width, residual, owner)
             failed = np.isnan(roots[:e, 0])
             roots[:e][failed] = x[:e][failed]
             vals = sign * _torus_at(stacks[:, :1], roots[:e], owner[:e])[:, 0]
@@ -857,7 +953,16 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[
         blocks = key[cuts[:-1]].tolist()
         ext = [c for c in cuts if c < e]  # the first row of each max and min block
         top = np.concatenate([b.hi, -b.lo])[blocks[: len(ext)]]  # each block's scanned top: hi or -lo
-        best = np.maximum(np.maximum.reduceat(vals, ext), top)
+        peak = np.maximum.reduceat(vals, ext)
+        own = np.array(blocks[: len(ext)]) % m
+        outside = np.flatnonzero(peak > top + b.margin[own] + _rounding(np.maximum(b.hi, -b.lo)[own]))
+        if len(outside):
+            i = outside[0]
+            raise ViolationReport(
+                f"refined extremum {sign[ext[i]] * peak[i]!r} of {fs[own[i]]!r} lies "
+                f"{peak[i] - top[i]!r} beyond its scan, outside the enclosure margin {b.margin[own[i]]!r}"
+            )
+        best = np.maximum(peak, top)
         keep = vals >= np.repeat(best, [j - i for i, j in zip(ext, cuts[1:])]) - tol
         points = _canonical_mod1(roots)
         for k, lo, hi, value in zip(blocks, cuts, cuts[1:], (sign[ext] * best).tolist()):
@@ -885,9 +990,9 @@ def _reduce(fs: Sequence[FourierFunction], tol: float, critical: bool = False) -
         size = CIRCLE_CHUNK if kind == "S1" else 1
         for start in range(0, len(js), size):
             chunk = js[start : start + size]
-            g = _scan([fs[j] for j in chunk])
-            b = _peaks(g, tol)
-            chunks.setdefault(kind, []).append((chunk, _critical(g, b) if critical else b))
+            c, g = _scan([fs[j] for j in chunk])
+            b = _peaks(g, tol, c)
+            chunks.setdefault(kind, []).append((chunk, _critical(g, b, c) if critical else b))
             del g  # before the next stack is scanned
     out = []
     for parts in chunks.values():
@@ -987,12 +1092,14 @@ def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
 def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> list[CriticalSet]:
     """The critical set of every function, from its one scan, in one batch per domain.
 
-    Sign-change roots of f' (circle) or simultaneous zeros of the gradient
-    (torus) plus tangential zeros, refined in the Newton run of the records
-    (_refine); values are clustered at tol and always include the global
-    extremum values, whose attaining_set record (at tol) rides along as
-    extrema.  A plateau (more than 1% of scan points with |grad f| below 1e3
-    Newton residuals) sets the plateau flag and contributes its value once;
+    The roots of f' (circle: every sign change, and every root a cell that
+    may hold two hides, _circle_seeds) or the simultaneous zeros of the
+    gradient (torus), refined in the Newton run of the records (_refine);
+    values are clustered at tol and always include the global extremum
+    values, whose attaining_set record (at tol) rides along as extrema.  A
+    plateau (more than 1% of scan points with |grad f| below 1e3 Newton
+    residuals, in runs of three or more) sets the plateau flag and
+    contributes its value once;
     a constant (its scan's range within rounding, the rule that gives it no
     seeds) reports the record's extrema.  A critical set does not depend on
     the batch it came in.

@@ -41,7 +41,6 @@ from .fourier import (
     _newton_torus,
     _padded,
     _rounding,
-    _series_at,
     _torus_at,
     attaining_sets,
     grid_points,
@@ -404,8 +403,8 @@ def _segment_sups(
         lo, hi = v[m, idx - 1], v[m, (idx + 1) % len(pts)]
         bend = lo - 2.0 * top + hi
         start = q0[:, 0] + 0.5 * dq * (lo - hi) / np.where(bend == 0.0, np.inf, bend)
-        q = _newton_circle(stack, start, dq, residual)[:, None]
-        val = _series_at(real, q[:, 0])
+        q, val = _newton_circle(stack, start, dq, residual)
+        q = q[:, None]
     else:
         q = _newton_torus(stack, q0, np.inf, residual)
         val = _torus_at(stack[:, :1], q)[:, 0]

@@ -106,6 +106,44 @@ def partials_direct(a0, cos_coeffs, sin_coeffs, x):
     return out
 
 
+def companion_critical_points(a0, cos_coeffs, sin_coeffs, polish=2):
+    """The critical points of a circle series on [0, 1), from the eigenvalues of a companion matrix.
+
+    With z = exp(2 pi i q), z^D f'(q) is a polynomial of degree 2D in z whose
+    coefficient of z^(D + k) is pi k (b_k + i a_k) and of z^(D - k) is
+    pi k (b_k - i a_k), D the top frequency with a nonzero coefficient; its
+    roots on the unit circle are the critical points of f.  Only
+    numpy.linalg.eigvals and the term-by-term partials_direct are used: the
+    eigenvalues within 1e-3 of the circle are mapped to q = arg z / 2 pi,
+    polished by `polish` Newton steps on f', and kept where |f'| is below
+    1e-9 of its bound sum_k 2 pi k r_k.  A constant has none.  Boyd, "Computing the
+    zeros, maxima and inflection points of Chebyshev, Legendre and Fourier
+    series", J. Eng. Math. 56 (2006).
+    """
+    pairs = np.array(list(zip_longest(cos_coeffs, sin_coeffs, fillvalue=0.0)), dtype=float).reshape(-1, 2)
+    top = np.flatnonzero(np.hypot(pairs[:, 0], pairs[:, 1]))
+    if not len(top):
+        return np.zeros(0)
+    d = top[-1] + 1
+    a, b = pairs[:d, 0], pairs[:d, 1]
+    k = np.arange(1, d + 1)
+    poly = np.zeros(2 * d + 1, dtype=complex)  # poly[j] multiplies z^j
+    poly[d + k] = np.pi * k * (b + 1j * a)
+    poly[d - k] = np.pi * k * (b - 1j * a)
+    companion = np.zeros((2 * d, 2 * d), dtype=complex)
+    companion[1:, :-1] = np.eye(2 * d - 1)
+    companion[:, -1] = -poly[:-1] / poly[-1]
+    z = np.linalg.eigvals(companion)
+    q = np.mod(np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-3]) / (2 * np.pi), 1.0)
+    with np.errstate(all="ignore"):
+        for _ in range(polish):
+            _, f1, f2 = partials_direct(a0, a, b, q)
+            q = q - np.where(f2 != 0.0, f1 / f2, 0.0)  # a double root's f'' may vanish with f'
+        slope = partials_direct(a0, a, b, q)[1]
+    bound = np.sum(2 * np.pi * k * np.hypot(a, b))
+    return np.sort(np.mod(q[np.abs(slope) <= 1e-9 * bound], 1.0))
+
+
 def torus_partials_direct(a0, cc, cs, sc, ss, pts):
     """(f, f_1, f_2, f_11, f_12, f_22) at points (m, 2), by a double loop over the differentiated terms.
 

@@ -6,7 +6,7 @@ import pytest
 from jetflat import cli, fourier
 from jetflat.cli import main
 from jetflat.contact import CircleContactomorphism
-from jetflat.errors import SpecParseError
+from jetflat.errors import SpecParseError, ViolationReport
 from jetflat.fourier import TORUS2, FourierFunction
 from jetflat.paths import IsotopyPath
 from jetflat.sampling import random_function, random_path, random_quasi_autonomous_path
@@ -178,6 +178,23 @@ def test_cmd_dist_coarse_tol_keeps_extrema_in_spectrum(capsys, specs, tmp_path):
     assert code == 0
     assert out["plus_in_spectrum"] and out["minus_in_spectrum"]
     assert out["ell_plus"] == pytest.approx(2.2e-3, abs=1e-12)
+
+
+def test_extremum_outside_its_enclosure_exits_1(monkeypatch, capsys, specs):
+    # a refined max can only lie in [hi, hi + margin], the margin bounding
+    # what the scan misses between its points (M2 dq^2 / 2, plus 10 tol);
+    # a broken Newton run that reports each value 1 too high lands outside
+    newton = fourier._newton_circle
+
+    def lifted(stack, seeds, halfwidth, residual):
+        roots, values = newton(stack, seeds, halfwidth, residual)
+        return roots, values + 1.0
+
+    monkeypatch.setattr(fourier, "_newton_circle", lifted)
+    with pytest.raises(ViolationReport, match="enclosure"):
+        fourier.attaining_set(fn(0.0, [0.3], [-0.1]))
+    assert main(["dist", specs["amp"], specs["zero"]]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cmd_dist_parse_failure_exit_2(capsys, specs, tmp_path):

@@ -27,6 +27,7 @@ from jetflat.sampling import random_function
 
 from conftest import fn
 from oracles import (
+    companion_critical_points,
     dedupe_points_loop,
     dense_max,
     dense_sup_norm,
@@ -324,8 +325,8 @@ def test_scan_stack_matches_separate_grids():
 
 # -- scan products in blocks under the BLAS threading threshold ---------------
 
-# S1 degrees 0-64 at max(4096, 8D) points, T2 degrees 0-32 at 256 per axis
-SCAN_CASES = [(CIRCLE, d, max(4096, 8 * d)) for d in range(65)] + [(TORUS2, d, 256) for d in range(33)]
+# S1 degrees 0-64 at the scan size of their degree, T2 degrees 0-32 at 256 per axis
+SCAN_CASES = [(CIRCLE, d, fourier._circle_size(d)) for d in range(65)] + [(TORUS2, d, 256) for d in range(33)]
 # circle stacks of one degree: every size from 2 to a full chunk, in turn by degree
 STACK_CASES = [(d, n, 2 + d % (fourier.CIRCLE_CHUNK - 1)) for domain, d, n in SCAN_CASES if domain.kind == "S1"]
 
@@ -357,13 +358,14 @@ def test_scan_products_stay_under_the_call_size(monkeypatch):
         assert len(calls) == (1 if domain.kind == "S1" else 2), (domain.kind, d)
         for a, b in calls:
             assert a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (domain.kind, d, a, b)
-    # a stack of circle functions of one degree is one product as well
+    # a stack of circle functions of one degree is one product as well, of
+    # two rows (f and f') per function
     for d, n, m in STACK_CASES:
         calls.clear()
-        assert fourier._scan([random_function(rng, CIRCLE, d) for _ in range(m)]).shape == (m, 3, n)
+        assert fourier._scan([random_function(rng, CIRCLE, d) for _ in range(m)])[1].shape == (m, 2, n)
         assert len(calls) == 1, (d, m)
         for a, b in calls:
-            assert a[-2] == 3 * m and a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (d, m, a, b)
+            assert a[-2] == 2 * m and a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (d, m, a, b)
 
 
 def test_blocked_scan_is_the_one_shot_product():
@@ -380,13 +382,12 @@ def test_blocked_scan_is_the_one_shot_product():
             scale = np.abs(want).reshape(6, -1).max(axis=1)[:, None, None]
             assert np.all(np.abs(got - want) <= 16 * np.spacing(scale)), (domain.kind, d)
     # each scan of a circle stack is the one-shot product of its function:
-    # bit for bit up to degree 32; above, blocks of 9 and 18 rows (3 and 6
-    # functions) take another OpenBLAS kernel from degree 56 on (up to 13
-    # ulps of each grid's max here)
+    # bit for bit up to degree 32; above, some stack sizes take another
+    # OpenBLAS kernel (stacks of 2, 4 and 8 functions at degree 64 here)
     for d, n, m in STACK_CASES:
         fs = [random_function(rng, CIRCLE, d, decay=float(rng.uniform(0.0, 2.0))) for _ in range(m)]
-        for got, f in zip(fourier._scan(fs), fs):
-            want = scan_one_shot(f.coeffs, n)
+        for got, f in zip(fourier._scan(fs)[1], fs):
+            want = scan_one_shot(f.coeffs, n)[:2]
             if d <= 32:
                 assert np.array_equal(got, want), (d, m)
             else:
@@ -446,7 +447,7 @@ def test_fallbacks_when_circle_newton_fails(monkeypatch, rng):
 
         return wrapper
 
-    monkeypatch.setattr(fourier, "_newton_circle", lambda f, seeds, *rest: np.full(len(seeds), np.nan))
+    monkeypatch.setattr(fourier, "_newton_circle", lambda f, seeds, *rest: (np.full(len(seeds), np.nan),) * 2)
     for name in ("_ternary_max_circle", "_bisect_root"):
         monkeypatch.setattr(fourier, name, counted(getattr(fourier, name)))
     for _ in range(5):
@@ -635,6 +636,116 @@ def test_tied_circle_maxima_each_get_a_point():
     assert r.vmax == pytest.approx(top, abs=1e-12)
     assert r.max_points[:, 0] == pytest.approx([q, 1.0 - q], abs=1e-9)
     assert f(r.max_points[:, 0]) == pytest.approx([top, top], abs=1e-12)
+
+
+# -- degree-sized circle scans, certified by coefficient bounds ----------------
+
+
+def test_circle_scan_size_follows_the_degree(scanned, rng):
+    # the smallest power of two of at least 64 max(D, 1) points
+    for d, n in ((0, 64), (1, 64), (2, 128), (5, 512), (8, 512), (32, 2048), (64, 4096), (65, 8192)):
+        scanned.clear()
+        critical_set(random_function(rng, CIRCLE, d))
+        assert scanned == [n], d
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6), st.lists(st.floats(-1.0, 1.0), max_size=6))
+def test_bernstein_bounds_hold_on_a_dense_grid(cos, sin):
+    # |f'|, |f''| and |f'''|, each summed term by term on 2^14 points, never
+    # exceed M1, M2 and M3 (up to rounding: a lone frequency attains them)
+    f = fn(0.3, cos, sin)
+    _, a, b = f.circle_cos_sin()
+    w = 2 * np.pi * np.arange(1, len(a) + 1)
+    xs = np.arange(1 << 14) / (1 << 14)
+    derivatives = [(w * b, -w * a), (-(w**2) * a, -(w**2) * b), (-(w**3) * b, w**3 * a)]
+    for bound, (c, s) in zip(fourier._bounds(f.coeffs[None])[0], derivatives):
+        assert np.abs(eval_direct(0.0, c, s, xs)).max() <= bound * (1.0 + 1e-12)
+
+
+def test_point_tolerance_does_not_depend_on_the_batch():
+    # circle stacks of 3 and 6 functions from degree 56 on take another
+    # OpenBLAS kernel than lone scans, so a residual read from the scanned
+    # max|f'| moved with the batch; NEWTON_RESIDUAL M1 is a coefficient sum
+    rng = np.random.default_rng(18)
+    for d in range(56, 65):
+        for m in (3, 6):
+            fs = [random_function(rng, CIRCLE, d, decay=float(rng.uniform(0.0, 2.0))) for _ in range(m)]
+            for cs, f in zip(critical_sets(fs), fs):
+                assert cs.point_tolerance.hex() == critical_set(f).point_tolerance.hex(), (d, m)
+
+
+def test_near_constant_circle_function_needs_no_fallback(monkeypatch):
+    # the whole range (4.5e-13) lies inside the seed margin 10 tol, so every
+    # grid point is a candidate; on 4096 points neighbouring values tied in
+    # rounding, which gave 219 max seeds, each finished by golden-section
+    # search; on 64 they do not tie, and Newton meets the residual M1 1e-12
+    calls = []
+    ternary = fourier._ternary_max_circle
+    monkeypatch.setattr(fourier, "_ternary_max_circle", lambda *args: calls.append(args) or ternary(*args))
+    r = attaining_set(fn(0.3, [1e-13], [2e-13]))
+    assert calls == []
+    assert len(r.max_points) == len(r.min_points) == 1
+    amp = np.hypot(1e-13, 2e-13)
+    assert (r.vmax, r.vmin) == pytest.approx((0.3 + amp, 0.3 - amp), abs=1e-16)
+
+
+def test_root_of_high_multiplicity_is_read_in_few_sub_cells(monkeypatch):
+    # f' of (1 - cos 2 pi q)^16 vanishes to order 31 at 0 and meets the
+    # Newton residual on about a quarter of the circle; suspect cells whose
+    # ends meet it are settled with one FREE seed per run, where splitting
+    # them down to POINT_CLUSTER_TOL sampled some 205000 points and reported
+    # hundreds of critical points
+    base = fn(1.0, [-1.0])
+    f = base
+    for _ in range(15):
+        f = f.multiply(base)
+    sampled = []
+    series_at = fourier._series_at
+    monkeypatch.setattr(fourier, "_series_at", lambda rows, x: sampled.append(len(x)) or series_at(rows, x))
+    cs = critical_set(f)
+    assert len(cs.points) <= 8 and cs.plateau
+    assert min(cs.values) == pytest.approx(0.0, abs=1e-8) and max(cs.values) == pytest.approx(2.0**16, rel=1e-15)
+    assert sum(sampled) <= 50000, sampled
+
+
+def _planted_pair(eps, phi):
+    """sin 2 pi (q - phi) + (1/2 + eps) sin 4 pi (q - phi): two critical points about 0.37 sqrt(eps) apart."""
+    t1, t2 = 2 * np.pi * phi, 4 * np.pi * phi
+    return fn(0.0, [-np.sin(t1), -(0.5 + eps) * np.sin(t2)], [np.cos(t1), (0.5 + eps) * np.cos(t2)])
+
+
+def test_circle_critical_points_match_the_companion_oracle():
+    # every root of f' on the circle that the companion matrix gives is a
+    # reported critical point and every reported one is such a root (within
+    # POINT_CLUSTER_TOL), and the record's values are the oracle's extreme
+    # critical values; each planted pair sits off the grid inside one cell,
+    # where f' keeps its sign at both ends (a 4096-point scan lost most of
+    # them from eps = 1e-7 on)
+    rng = np.random.default_rng(23)
+    fs = [random_function(rng, CIRCLE, d, decay=float(rng.uniform(0.0, 2.0))) for d in [*range(33)] * 2]
+    fs += [_planted_pair(eps, phi) for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8) for phi in rng.uniform(0.0, 1.0, 8)]
+    fs += [
+        fn(0.5, [0.999, -0.25]),  # tied maxima at +-arccos(0.999) / 2 pi
+        fn(0.0, [2.5e-11, 1.0]),  # twin maxima 5e-11 apart in value
+        fn(0.0, [0.0, 0.0, 1.0]),  # three equal maxima
+        fn(-0.5, [2.0, -0.5]),  # 1 - (1 - cos 2 pi q)^2: a degenerate (quartic) maximum
+        fn(0.0, [], [1.0, -0.5]),  # a tangential zero of f' at 0
+    ]
+    for f in fs:
+        a0, a, b = f.circle_cos_sin()
+        roots, cs = companion_critical_points(a0, a, b), critical_set(f)
+        points = np.array(cs.points)[:, 0]
+        if not len(roots):  # a constant: critical everywhere
+            assert cs.plateau and cs.extrema.vmax == cs.extrema.vmin == a0
+            continue
+        gap = np.abs(roots[:, None] - points[None])
+        gap = np.minimum(gap, 1.0 - gap)
+        assert np.all(gap.min(axis=1) <= POINT_CLUSTER_TOL), (f.coeffs, roots[gap.min(axis=1) > POINT_CLUSTER_TOL])
+        assert np.all(gap.min(axis=0) <= POINT_CLUSTER_TOL), (f.coeffs, points[gap.min(axis=0) > POINT_CLUSTER_TOL])
+        values = eval_direct(a0, a, b, roots)
+        scale = np.abs(f.coeffs).sum()
+        assert abs(cs.extrema.vmax - values.max()) <= 1e-14 * scale, f.coeffs
+        assert abs(cs.extrema.vmin - values.min()) <= 1e-14 * scale, f.coeffs
 
 
 def test_torus_stacks_are_the_derivative_coefficients():
