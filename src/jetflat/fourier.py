@@ -8,7 +8,10 @@ one array, ``FourierFunction.coeffs``.  The truncation degree bounds the
 oscillation: a circle scan takes 64 points per degree, and Bernstein's
 coefficient bounds on f', f'' and f''' (_bounds) certify what lies between
 its points, so the extrema and critical sets found by scan plus Newton do
-not rest on the density of the scan alone.
+not rest on the density of the scan alone.  A batch costs what its scans
+cost: circle functions are scanned in stacks of one highest frequency,
+sized by their CIRCLE_STACK scan values rather than by a count, and its
+critical sets are assembled in array passes.
 
 Coordinates live on [0, 1) with period 1 in every axis.  All values are
 immutable after construction and every operation here is a pure function.
@@ -38,9 +41,11 @@ TWO_PI = 2.0 * np.pi
 # OpenBLAS runs a product of fewer than 2 * 2^18 multiply-adds on the calling
 # thread, whatever the core count: the most a scan gives one BLAS call.
 BLAS_CALL = 1 << 18
-# Circle functions of one degree are scanned this many to a product, and each
-# such stack is reduced before the next is scanned (0.5 MB at degree 64).
-CIRCLE_CHUNK = 8
+# A stack of circle functions of one degree holds at most this many scan
+# values, 2 rows (f, f') of n points per function: 0.5 MB, 512 functions at
+# degree 1 and 8 at degree 64.  Each stack is one product, reduced before the
+# next is scanned.
+CIRCLE_STACK = 1 << 16
 # A circle scan of degree D takes the smallest power of two of at least
 # this many points times max(D, 1) (_circle_size).
 CIRCLE_POINTS_PER_DEGREE = 64
@@ -270,12 +275,13 @@ class FourierFunction:
         raise DimensionMismatch("torus points must have shape (2,) or (m, 2)")
 
     def _eval_circle(self, x: np.ndarray) -> np.ndarray:
+        """f at the points x, up to its highest nonzero frequency, so a zero-padded copy gives the same bits."""
         a0, a, b = self.circle_cos_sin()
-        d = self.degree
+        d = _circle_degree(self.coeffs)
         if d == 0:
             return np.full(x.shape, a0)
         ang = TWO_PI * np.mod(x, 1.0)[:, None] * np.arange(1, d + 1)[None, :]
-        return a0 + np.cos(ang) @ a + np.sin(ang) @ b
+        return a0 + np.cos(ang) @ a[:d] + np.sin(ang) @ b[:d]
 
     def values_on_grid(self, n: int) -> np.ndarray:
         """Value, gradient and Hessian grids at the uniform grid (i/n), stacked on a new leading axis.
@@ -394,10 +400,13 @@ def _derivative_stack(r: np.ndarray) -> np.ndarray:
 def _padded(fs: Sequence[FourierFunction]) -> np.ndarray:
     """The coeffs arrays of functions of one domain, zero-padded to their top degree D and stacked.
 
-    Shape (m, 2, D+1) on S1 and (m, 2, D+1, 2, D+1) on T2.
+    Shape (m, 2, D+1) on S1 and (m, 2, D+1, 2, D+1) on T2; functions of one
+    degree are stacked as they are.
     """
     ndim = fs[0].domain.ndim
     d = max(f.degree for f in fs)
+    if all(f.degree == d for f in fs):
+        return np.array([f.coeffs for f in fs])
     r = np.zeros((len(fs),) + (2, d + 1) * ndim)
     for row, f in zip(r, fs):
         row[(slice(None), slice(f.degree + 1)) * ndim] = f.coeffs
@@ -505,20 +514,21 @@ def _bounds(c: np.ndarray) -> np.ndarray:
     return (np.hypot(c[:, None, 0], c[:, None, 1]) * np.stack([w, w**2, w**3, w**4])).sum(axis=2)
 
 
-def _scan(fs: Sequence[FourierFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked coeffs arrays of functions of one domain and degree, and the grids their seeds are read from.
+def _circle_degree(c: np.ndarray) -> int:
+    """The highest frequency with a nonzero coefficient of a circle coeffs array (2, D+1); 0 for a constant."""
+    d = c.shape[-1] - 1
+    while d and not (c[0, d] or c[1, d]):
+        d -= 1
+    return d
 
-    On S1 the grids are f and f' at _circle_size(D) points, shape (m, 2, n),
-    from one product (_circle_scans); the bounds of f'' and f''' come from
-    the coefficients (_bounds).  On T2 they are the value, gradient and
-    Hessian grids, shape (1, 6, n, n), of the one torus function a scan
-    takes.
+
+def _scan(c: np.ndarray) -> np.ndarray:
+    """f and f' of every circle function with coeffs arrays c (m, 2, D+1) at _circle_size(D) points, shape (m, 2, n).
+
+    One product (_circle_scans); the bounds of f'' and f''' come from the
+    coefficients (_bounds).
     """
-    c = np.array([f.coeffs for f in fs])
-    if fs[0].domain.kind == "T2":
-        (f,) = fs
-        return c, f.values_on_grid(DEFAULT_TORUS_SCAN)[None]
-    return c, _circle_scans(_derivative_stack(c)[:, :2], _circle_size(fs[0].degree))
+    return _circle_scans(_derivative_stack(c)[:, :2], _circle_size(c.shape[-1] - 1))
 
 
 def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -768,11 +778,12 @@ def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch) -> tuple[np.ndarray, 
     while True:
         ends = np.abs(a), np.abs(z)
         suspect = np.maximum(*ends) <= t
-        i, j = np.nonzero((np.sign(a) * np.sign(z) <= 0.0) & ~suspect)  # a sign change or a zero
+        change = (np.sign(a) * np.sign(z) <= 0.0) & ~suspect  # a sign change or a zero
+        i, j = np.divmod(np.flatnonzero(change), a.shape[1])
         o, x = owner[i], base[i] + j * w
         left, right = (e[i, j] <= residual[o] for e in ends)
         found.append((o, np.where(left | right, EXACT, BRACKET), x + w * (right & ~left), np.full(len(o), w)))
-        i, j = np.nonzero(suspect)  # from here on one entry per suspect cell, in scan order
+        i, j = np.divmod(np.flatnonzero(suspect), a.shape[1])  # from here on one entry per suspect cell, in scan order
         if not len(i):
             break
         owner, base, a, z, ends = owner[i], base[i] + j * w, a[i, j], z[i, j], np.stack(ends)[:, i, j]
@@ -831,8 +842,8 @@ def _critical(g: np.ndarray, b: _Batch, c: np.ndarray) -> _Batch:
         sides = np.stack([g[:, 1] >= 0.0, g[:, 1] <= 0.0, g[:, 2] >= 0.0, g[:, 2] <= 0.0], axis=1)
         sides |= np.roll(sides, -1, axis=2)  # cell (i, j) has corners (i, j) to (i + 1, j + 1), periodically
         sides |= np.roll(sides, -1, axis=3)
-        met = np.nonzero((dnorm <= residual) & live)
-        cells = np.nonzero(sides.all(axis=1) & live)
+        met = np.unravel_index(np.flatnonzero((dnorm <= residual) & live), dnorm.shape)
+        cells = np.unravel_index(np.flatnonzero(sides.all(axis=1) & live), dnorm.shape)
         owner = np.concatenate([met[0], cells[0]])
         x = np.concatenate([np.stack(met[1:], axis=1), np.stack(cells[1:], axis=1) + 0.5]) / n
         role, width = np.full(len(owner), FREE), np.full(len(owner), 1.0 / n)
@@ -976,26 +987,37 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[
 def _reduce(fs: Sequence[FourierFunction], tol: float, critical: bool = False) -> list[tuple[list[int], _Batch]]:
     """Per domain, the positions in fs of its functions, in scan order, and their one _Batch.
 
-    Circle functions of one degree are scanned CIRCLE_CHUNK at a time, each
-    stack in one product, and a torus function on its own; each stack is
-    reduced (_peaks, and with critical, _critical) before the next is
-    scanned, so no more than one is alive.  The chunk batches of a domain
-    are then concatenated, each owner shifted by the functions before it.
+    Circle functions are grouped by their highest nonzero frequency D
+    (_circle_degree), their coefficients trimmed to it, so a zero-padded
+    copy of f gets the scan, the bounds and the seeds of f itself.  A group
+    is scanned in stacks of as many functions as CIRCLE_STACK scan values
+    hold, 2 _circle_size(D) per function (512 at degree 1, 64 at degrees 5
+    to 8, 8 at degrees 33 to 64), each stack in one product, and a torus
+    function on its own; each stack is reduced (_peaks, and with critical,
+    _critical) before the next is scanned, so no more than one is alive.
+    The stack batches of a domain are then concatenated, each owner shifted
+    by the functions before it.
     """
     groups: dict[tuple[str, int], list[int]] = {}
     for j, f in enumerate(fs):
-        groups.setdefault((f.domain.kind, f.degree), []).append(j)
-    chunks: dict[str, list[tuple[list[int], _Batch]]] = {}
-    for (kind, _), js in groups.items():
-        size = CIRCLE_CHUNK if kind == "S1" else 1
+        d = _circle_degree(f.coeffs) if f.domain.kind == "S1" else f.degree
+        groups.setdefault((f.domain.kind, d), []).append(j)
+    batches: dict[str, list[tuple[list[int], _Batch]]] = {}
+    for (kind, d), js in groups.items():
+        size = max(1, CIRCLE_STACK // (2 * _circle_size(d))) if kind == "S1" else 1
         for start in range(0, len(js), size):
             chunk = js[start : start + size]
-            c, g = _scan([fs[j] for j in chunk])
+            if kind == "S1":
+                c = np.array([fs[j].coeffs[:, : d + 1] for j in chunk])
+                g = _scan(c)
+            else:
+                c = fs[chunk[0]].coeffs[None]
+                g = fs[chunk[0]].values_on_grid(DEFAULT_TORUS_SCAN)[None]
             b = _peaks(g, tol, c)
-            chunks.setdefault(kind, []).append((chunk, _critical(g, b, c) if critical else b))
+            batches.setdefault(kind, []).append((chunk, _critical(g, b, c) if critical else b))
             del g  # before the next stack is scanned
     out = []
-    for parts in chunks.values():
+    for parts in batches.values():
         if len(parts) > 1:
             js, bs = zip(*parts)
             shift = np.cumsum([0] + [len(c) for c in js[:-1]])
@@ -1076,17 +1098,23 @@ def _bisect_root(fp: FourierFunction, lo: float, hi: float, residual: float) -> 
             hi = mid
 
 
-def _cluster_values(values: Iterable[float], tol: float) -> list[float]:
-    vs = sorted(values)
-    if not vs:
+def _cluster_values(values: Sequence[float] | np.ndarray, tol: float) -> list[float]:
+    """The mean of each run of the sorted values whose steps are at most tol, bit for bit its own np.mean.
+
+    The runs break where one np.diff over the stably sorted values exceeds
+    tol.  np.mean sums from 0.0 in order and divides by the count, so a run
+    of one is 0.0 + v and a run of two (0.0 + v + w) / 2; only longer runs
+    go through np.mean.
+    """
+    vs = np.sort(np.asarray(values, dtype=float), kind="stable")
+    if not len(vs):
         return []
-    clusters: list[list[float]] = [[vs[0]]]
-    for v in vs[1:]:
-        if v - clusters[-1][-1] <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [float(np.mean(c)) for c in clusters]
+    lo = np.flatnonzero(np.concatenate([[True], ~(np.diff(vs) <= tol)]))
+    size = np.diff(lo, append=len(vs))
+    means = np.where(size == 1, 0.0 + vs[lo], (0.0 + vs[lo] + vs[np.minimum(lo + 1, len(vs) - 1)]) / 2.0)
+    for i in np.flatnonzero(size > 2).tolist():
+        means[i] = np.mean(vs[lo[i] : lo[i] + size[i]])
+    return means.tolist()
 
 
 def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> list[CriticalSet]:
@@ -1114,11 +1142,13 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
                 points, plateau = ((0.0,) * f.domain.ndim,), True
                 values = [ext.vmax, ext.vmin]
             else:
-                values = list(f(pts[:, 0] if f.domain.ndim == 1 else pts)) + [ext.vmax, ext.vmin]
-                for p in np.concatenate([ext.max_points[:1], ext.min_points[:1]]):
-                    if not np.any(_gap(pts, p) <= POINT_CLUSTER_TOL):  # pts are already apart
-                        pts = np.concatenate([pts, p[None]])
-                points = tuple(tuple(float(x) for x in p) for p in pts[np.lexsort(pts.T[::-1])])
+                values = np.concatenate([f(pts[:, 0] if f.domain.ndim == 1 else pts), [ext.vmax, ext.vmin]])
+                # the first max and min points join unless a critical point (or the max point) is near
+                ends = np.concatenate([ext.max_points[:1], ext.min_points[:1]])
+                new = ~np.any(_gap(pts[:, None], ends) <= POINT_CLUSTER_TOL, axis=0)
+                new[1] &= not (new[0] and _gap(ends[0], ends[1]) <= POINT_CLUSTER_TOL)
+                pts = np.concatenate([pts, ends[new]])
+                points = tuple(map(tuple, pts[np.lexsort(pts.T[::-1])].tolist()))
             out[j] = CriticalSet(points, tuple(_cluster_values(values, tol)), tol, residual, ext, plateau)
     return out
 

@@ -22,8 +22,9 @@ underestimates a sup norm still shows as a candidate below it.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .fourier import (
     _newton_torus,
     _padded,
     _rounding,
+    _series_at,
     _torus_at,
     attaining_sets,
     grid_points,
@@ -72,33 +74,76 @@ class QAWitness:
         }
 
 
-def _eval_at(f: FourierFunction, pt: np.ndarray) -> float:
-    return float(f(pt if f.domain.ndim > 1 else float(pt[0])))
+def _values(c: np.ndarray, idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """h_idx[j] at every point of pts (n, ndim), shape (n, len(idx)), for the coeffs arrays c of the h_k.
 
-
-def _survivors(records: Sequence[Extrema], eps: int, tol: float) -> Iterator[np.ndarray | None]:
-    """Witness candidates of sign eps after each record, while the sign survives.
-
-    A record whose extremum of sign eps misses its sup norm by more than tol
-    rules the sign out, and one whose other extremum passes too (a
-    near-constant or near-zero h_k) constrains no point.  Candidates, None
-    until a record constrains, are the attaining points of the first
-    constraining record filtered by each later one; the number of states
-    yielded is the length of the sign's passing prefix.
+    One _series_at call on S1, whose terms are summed in order of k as the
+    records' values are, and one _torus_at call with an owner per record on
+    T2.
     """
-    candidates: np.ndarray | None = None
-    for r in records:
-        top, bottom = (r.vmax, r.vmin) if eps == 1 else (-r.vmin, -r.vmax)
-        if top < r.norm - tol:
-            return  # this sign never attains the sup norm on this segment
-        if bottom < r.norm - tol:
-            if candidates is None:
-                candidates = r.max_points if eps == 1 else r.min_points
-            else:
-                candidates = candidates[[eps * _eval_at(r.f, p) >= r.norm - tol for p in candidates]]
-            if len(candidates) == 0:
-                return
-        yield candidates
+    n, m = len(pts), len(idx)
+    if c.ndim == 3:
+        return _series_at(c[np.tile(idx, n)], np.repeat(pts[:, 0], m)).reshape(n, m)
+    return _torus_at(c[:, None], np.repeat(pts, m, axis=0), np.tile(idx, n))[:, 0].reshape(n, m)
+
+
+class _Search(NamedTuple):
+    """The attaining_set records of h_1..h_k as the witness search reads them, from any start on.
+
+    Per sign (index 0 for eps = 1, 1 for eps = -1): end[start] is the
+    first record from start on whose extremum of that sign misses its sup
+    norm by more than tol, which rules the sign out (k if none), and tied
+    lists the records that constrain the candidates, those whose other
+    extremum misses it too (a near-constant or near-zero h_k constrains no
+    point).
+    """
+
+    records: Sequence[Extrema]
+    c: np.ndarray  # the coeffs arrays of the h_k, zero-padded to one degree (_padded)
+    need: np.ndarray  # max|h_k| - tol
+    end: tuple[list[int], list[int]]
+    tied: tuple[list[int], list[int]]
+
+
+def _search(records: Sequence[Extrema], tol: float) -> _Search:
+    """The _Search of the records at tol."""
+    vmax, vmin, norm = np.array([(r.vmax, r.vmin, r.norm) for r in records]).T
+    need, k = norm - tol, len(records)
+    end, tied = [], []
+    for top, bottom in ((vmax, vmin), (-vmin, -vmax)):
+        out = np.append(np.flatnonzero(top < need), k)
+        end.append(out[np.searchsorted(out, np.arange(k))].tolist())
+        tied.append(np.flatnonzero(bottom < need).tolist())
+    return _Search(records, _padded([r.f for r in records]), need, tuple(end), tuple(tied))
+
+
+def _survivors(s: _Search, eps: int, start: int = 0) -> tuple[int, np.ndarray | None]:
+    """The end of the passing run of sign eps over the records from start on, and the witness candidates left.
+
+    The run ends at the first record that rules the sign out or leaves no
+    candidate, or at k.  Candidates, None until a record constrains, are
+    the attaining points of the first constraining record filtered by each
+    later one; they are evaluated against the later constraining records
+    in chunks of 1, 2, 4, ... records, one call of _values per chunk, so a
+    search that fails at the next record pays for about that one and a
+    search over k records makes O(log k) calls.
+    """
+    sign = (1 - eps) // 2
+    end, tied = s.end[sign][start], s.tied[sign]
+    lo, hi = bisect_left(tied, start), bisect_left(tied, end)
+    if lo == hi:
+        return end, None
+    r = s.records[tied[lo]]
+    candidates = r.max_points if eps == 1 else r.min_points
+    rest, size = np.array(tied[lo + 1 : hi], dtype=int), 1
+    while len(rest):
+        idx, rest, size = rest[:size], rest[size:], 2 * size
+        alive = np.logical_and.accumulate(eps * _values(s.c, idx, candidates) >= s.need[idx], axis=1)
+        gone = np.flatnonzero(~alive.any(axis=0))
+        if len(gone):
+            return int(idx[gone[0]]), candidates[:0]
+        candidates = candidates[alive[:, -1]]
+    return end, candidates
 
 
 def common_attaining_point(records: Sequence[Extrema], tol: float = EQUALITY_TOL) -> QAWitness | None:
@@ -108,17 +153,16 @@ def common_attaining_point(records: Sequence[Extrema], tol: float = EQUALITY_TOL
     tol; the search evaluates h_k at candidate points only and never scans.
     Each sign's candidates are those left after every record (_survivors),
     complete because a witness must attain every sup norm; without a
-    constraining record the origin witnesses.  Residuals are in the
-    original order.
+    constraining record the origin witnesses.  The witness's residuals, in
+    the original order, take one more evaluation of all the h_k.
     """
+    s = _search(records, tol)
     for eps in (1, -1):
-        states = list(_survivors(records, eps, tol))
-        if len(states) == len(records):
-            candidates = states[-1]
-            pt = (0.0,) * records[0].f.domain.ndim if candidates is None else min(tuple(p) for p in candidates)
-            q = np.array(pt)
-            res = tuple(eps * _eval_at(r.f, q) - r.norm for r in records)
-            return QAWitness(eps, tuple(float(x) for x in pt), res)
+        end, candidates = _survivors(s, eps)
+        if end == len(records):
+            pt = [0.0] * records[0].f.domain.ndim if candidates is None else min(candidates.tolist())
+            res = eps * _values(s.c, np.arange(len(records)), np.array([pt]))[0] - [r.norm for r in records]
+            return QAWitness(eps, tuple(pt), tuple(res.tolist()))
     return None
 
 
@@ -169,6 +213,7 @@ def local_quasi_autonomy_check(path: IsotopyPath) -> SegmentationReport:
 def _segmentation(records: Sequence[Extrema], tol: float) -> SegmentationReport:
     """Maximal windows of consecutive segments whose records share a witness."""
     k = len(records)
+    s = _search(records, tol)
     # a window from i is maximal exactly when e(i) passes every earlier end,
     # so a start is searched only while an end beyond the last one is left.
     # Dropping segments on the left changes the candidates, so shrinking is
@@ -179,8 +224,7 @@ def _segmentation(records: Sequence[Extrema], tol: float) -> SegmentationReport:
     for i in range(k):
         j = max(j, i)
         if j + 1 < k:
-            passed = max(sum(1 for _ in _survivors(records[i:], eps, tol)) for eps in (1, -1))
-            j = max(j, i + passed - 1)
+            j = max(j, max(_survivors(s, eps, i)[0] for eps in (1, -1)) - 1)
         win = (i, j + 1)  # knot indices i .. j+1 = segments i .. j
         if not windows or win[1] > windows[-1][1]:
             windows.append(win)

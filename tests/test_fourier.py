@@ -327,8 +327,14 @@ def test_scan_stack_matches_separate_grids():
 
 # S1 degrees 0-64 at the scan size of their degree, T2 degrees 0-32 at 256 per axis
 SCAN_CASES = [(CIRCLE, d, fourier._circle_size(d)) for d in range(65)] + [(TORUS2, d, 256) for d in range(33)]
-# circle stacks of one degree: every size from 2 to a full chunk, in turn by degree
-STACK_CASES = [(d, n, 2 + d % (fourier.CIRCLE_CHUNK - 1)) for domain, d, n in SCAN_CASES if domain.kind == "S1"]
+# circle stacks of one degree: a size from 2 to 8, in turn by degree, and the
+# full stack of the scan budget (512 functions at degree 1, 8 at degree 64)
+STACK_CASES = [
+    (d, n, m)
+    for domain, d, n in SCAN_CASES
+    if domain.kind == "S1"
+    for m in (2 + d % 7, fourier.CIRCLE_STACK // (2 * n))
+]
 
 
 def test_block_is_the_largest_power_of_two_under_the_call_size():
@@ -362,10 +368,23 @@ def test_scan_products_stay_under_the_call_size(monkeypatch):
     # two rows (f and f') per function
     for d, n, m in STACK_CASES:
         calls.clear()
-        assert fourier._scan([random_function(rng, CIRCLE, d) for _ in range(m)])[1].shape == (m, 2, n)
+        assert fourier._scan(np.array([random_function(rng, CIRCLE, d).coeffs for _ in range(m)])).shape == (m, 2, n)
         assert len(calls) == 1, (d, m)
         for a, b in calls:
             assert a[-2] == 2 * m and a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (d, m, a, b)
+
+
+def test_circle_stacks_fill_the_scan_budget(monkeypatch):
+    # a batch scans the circle functions of one degree in stacks of as many
+    # as 2^16 scan values hold, 2 rows of _circle_size(D) points each
+    stacks = []
+    scan = fourier._scan
+    monkeypatch.setattr(fourier, "_scan", lambda c: stacks.append(c.shape) or scan(c))
+    rng = np.random.default_rng(6)
+    attaining_sets(random_function(rng, CIRCLE, d) for d, m in ((5, 65), (1, 600), (40, 9)) for _ in range(m))
+    assert stacks == [(64, 2, 6), (1, 2, 6), (512, 2, 2), (88, 2, 2), (8, 2, 41), (1, 2, 41)]
+    for m, _, k in stacks:
+        assert 2 * m * fourier._circle_size(k - 1) <= fourier.CIRCLE_STACK
 
 
 def test_blocked_scan_is_the_one_shot_product():
@@ -382,11 +401,12 @@ def test_blocked_scan_is_the_one_shot_product():
             scale = np.abs(want).reshape(6, -1).max(axis=1)[:, None, None]
             assert np.all(np.abs(got - want) <= 16 * np.spacing(scale)), (domain.kind, d)
     # each scan of a circle stack is the one-shot product of its function:
-    # bit for bit up to degree 32; above, some stack sizes take another
-    # OpenBLAS kernel (stacks of 2, 4 and 8 functions at degree 64 here)
+    # bit for bit up to degree 32, full budget stacks too; above, some stack
+    # sizes take another OpenBLAS kernel (stacks of 2, 4 and 8 functions at
+    # degree 64 here)
     for d, n, m in STACK_CASES:
         fs = [random_function(rng, CIRCLE, d, decay=float(rng.uniform(0.0, 2.0))) for _ in range(m)]
-        for got, f in zip(fourier._scan(fs)[1], fs):
+        for got, f in zip(fourier._scan(np.array([f.coeffs for f in fs])), fs):
             want = scan_one_shot(f.coeffs, n)[:2]
             if d <= 32:
                 assert np.array_equal(got, want), (d, m)
@@ -541,15 +561,15 @@ def _critical_bits(cs):
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 def test_critical_sets_do_not_depend_on_the_batch(tol):
-    # 203 functions: circle degrees 0-32, four of each and twenty of degrees
-    # 5 and 8 (so that stacks fill and split), the batch cases (constants,
-    # tied maxima) and torus functions of degrees 1-4, a torus constant and
-    # a torus near-constant, shuffled; the seeds of a batch share one
-    # zero-padded Newton run per domain, and every batch of them, cut
+    # 253 functions: circle degrees 0-32, four of each, seventy of degree 5
+    # and twenty of degree 8 (so that stacks fill and split), the batch
+    # cases (constants, tied maxima) and torus functions of degrees 1-4, a
+    # torus constant and a torus near-constant, shuffled; the seeds of a
+    # batch share one zero-padded Newton run per domain, and every batch of them, cut
     # anywhere, gives each function the critical set and the record it gets
     # alone, bit for bit
     rng = np.random.default_rng(19)
-    degrees = [*range(33)] * 4 + [5] * 20 + [8] * 20 + [*rng.integers(0, 33, 17)]
+    degrees = [*range(33)] * 4 + [5] * 70 + [8] * 20 + [*rng.integers(0, 33, 17)]
     fs = [random_function(rng, CIRCLE, int(d), decay=float(rng.uniform(0.0, 2.0))) for d in degrees]
     fs += [fn(a0, cos, sin) for _, a0, cos, sin in _batch_cases()]
     fs += [random_function(rng, TORUS2, d) for d in (1, 2, 3, 4)] + [FourierFunction.constant(0.3, TORUS2)]
@@ -564,6 +584,54 @@ def test_critical_sets_do_not_depend_on_the_batch(tol):
             assert [_critical_bits(cs) for cs in batch] == alone[start : start + cut], (cut, start)
             _assert_same_records([cs.extrema for cs in batch], records[start : start + cut])
     assert critical_sets([]) == []
+
+
+def _record_bits(r):
+    """The values and points of an attaining_set record, as exact hex strings."""
+    return tuple(float(x).hex() for x in (r.vmax, r.vmin, *r.max_points.ravel(), *r.min_points.ravel()))
+
+
+def test_zero_padded_copies_get_the_same_bits():
+    # circle functions are grouped, scanned and bounded by their highest
+    # nonzero frequency, so a copy padded with zeros gets the record and the
+    # critical set of its function, alone and in a batch with it
+    rng = np.random.default_rng(4)
+    fs = [random_function(rng, CIRCLE, d) for d in range(1, 9) for _ in range(10)]
+    padded = [f.pad_to_degree(f.degree + 3) for f in fs]
+    want = [_critical_bits(critical_set(f)) for f in fs]
+    assert [_critical_bits(critical_set(g)) for g in padded] == want
+    assert [_record_bits(attaining_set(g)) for g in padded] == [_record_bits(attaining_set(f)) for f in fs]
+    assert [_critical_bits(cs) for cs in critical_sets(padded + fs)] == want + want
+
+
+def _cluster_means_loop(values, tol):
+    """The reference clustering: sorted values joined while a step is at most tol, np.mean per cluster."""
+    clusters = []
+    for v in sorted(values):
+        if clusters and v - clusters[-1][-1] <= tol:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    return [float(np.mean(c)) for c in clusters]
+
+
+def test_cluster_values_match_the_per_cluster_mean():
+    # clusters of 1 to 40 values, with exact ties and signed zeros, shuffled;
+    # the means agree bit for bit with np.mean of each cluster
+    rng = np.random.default_rng(5)
+    tol = 1e-9
+    for trial in range(200):
+        values = []
+        for size in rng.integers(1, 41, size=int(rng.integers(1, 6))):
+            centre = float(rng.uniform(-2.0, 2.0))
+            spread = rng.uniform(0.0, tol, size=int(size)) * (trial % 3)  # ties when 0
+            values += (centre + np.round(spread, 11)).tolist()
+        if trial % 2:
+            values += [0.0, -0.0, -0.0][: 1 + trial % 3]
+        values = [values[i] for i in rng.permutation(len(values))]
+        got = fourier._cluster_values(np.array(values), tol)
+        assert [x.hex() for x in got] == [x.hex() for x in _cluster_means_loop(values, tol)], trial
+    assert fourier._cluster_values(np.array([-0.0]), tol) == [0.0] and fourier._cluster_values([], tol) == []
 
 
 def test_torus_critical_seeds_read_their_stack_in_place():

@@ -150,15 +150,15 @@ def _maximal_windows(path):
 
 
 def _counted_evaluations(monkeypatch) -> list:
-    """A list that grows by one at each FourierFunction point evaluation."""
+    """A list that grows by the number of (point, record) values at each call of the witness search's evaluator."""
     calls = []
-    evaluate = FourierFunction.__call__
+    evaluate = geodesics._values
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return evaluate(self, *args, **kwargs)
+    def counted(c, idx, pts):
+        calls.append(len(pts) * len(idx))
+        return evaluate(c, idx, pts)
 
-    monkeypatch.setattr(FourierFunction, "__call__", counted)
+    monkeypatch.setattr(geodesics, "_values", counted)
     return calls
 
 
@@ -182,10 +182,12 @@ def test_local_windows_match_brute_force_on_two_blocks(monkeypatch):
     assert covered_segments(seg) == set(range(k))
     # one search per start while an end beyond the last is left: every step's
     # max and min both reach its sup norm, so each sign keeps one candidate
-    # and tests it once against each later record up to the first that
-    # fails, segment 4 from starts 0-3 (4, 3, 2, 1 tests) and the path's
-    # end from start 4 (3 tests); starts 5-7 cannot pass knot 8
-    assert len(calls) == 2 * (4 + 3 + 2 + 1 + 3)
+    # and tests it against the later records in chunks of 1, 2, 4, ... up to
+    # the chunk holding the first that fails, segment 4 from starts 0-3
+    # (1 + 2 + 4, 1 + 2, 1 + 2 and 1 tests) and the path's end from start 4
+    # (1 + 2 tests); starts 5-7 cannot pass knot 8.  The chunks at most
+    # double the 4 + 3 + 2 + 1 + 3 tests of a record-by-record search
+    assert sum(calls) == 2 * (7 + 3 + 3 + 1 + 3)
 
 
 def _blocks_path(rng, near_tie):
@@ -261,13 +263,16 @@ def test_witness_search_reads_records_without_scanning(monkeypatch, rng, domain)
 def test_quasi_autonomous_check_evaluations_are_linear(monkeypatch, n_knots):
     # k segments: the witness search tests its one candidate against the k - 1
     # later records, its residuals evaluate all k, and the segmentation's
-    # search from knot 0 passes the k - 1 later records and ends the sweep
+    # search from knot 0 passes the k - 1 later records and ends the sweep;
+    # each search evaluates in chunks of 1, 2, 4, ... records, so it makes
+    # O(log k) calls
     path = random_quasi_autonomous_path(np.random.default_rng(1), n_knots)
     k = path.n_segments
     calls = _counted_evaluations(monkeypatch)
     rep = minimizing_geodesic_check(path)
     assert rep.minimizing and rep.segmentation.windows == ((0, k),)
-    assert len(calls) == (k - 1) + k + (k - 1)
+    assert sum(calls) == (k - 1) + k + (k - 1)
+    assert len(calls) == 2 * (k - 1).bit_length() + 1
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
