@@ -43,7 +43,6 @@ from .geodesics import (
     grid_flatness_gap,
     grid_quasi_autonomy_witness,
     integral_criterion,
-    local_quasi_autonomy_check,
     minimizing_geodesic_check,
     monotone_check,
     optimize_path,
@@ -103,7 +102,6 @@ __all__ = [
     "hamiltonian_bounds_check",
     "grid_quasi_autonomy_witness",
     "integral_criterion",
-    "local_quasi_autonomy_check",
     "minimizing_geodesic_check",
     "monotone_check",
     "optimize_path",

@@ -486,7 +486,9 @@ class CriticalSet:
     scan's Newton residual; values are deduplicated at the clustering
     tolerance and always contain the global extremum values.  plateau flags
     a non-isolated critical locus (reported once through its value).
-    extrema is the attaining_set record of f at tol, from the same scan.
+    extrema is the record of f at tol from the same scan: attaining_set's,
+    read on S1 from the rows of the critical points, so a flat extremum
+    keeps one point per run of cells that meet the residual, not per seed.
     """
 
     points: tuple[tuple[float, ...], ...]
@@ -544,52 +546,47 @@ def _series_at(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cumsum(rows[..., 0, :] * np.cos(ang) + rows[..., 1, :] * np.sin(ang), axis=-1)[..., -1]
 
 
-def _newton_circle(stack: np.ndarray, seeds: np.ndarray, halfwidth, residual) -> tuple[np.ndarray, np.ndarray]:
+@np.errstate(divide="ignore", invalid="ignore")  # a step at f'' = 0 is infinite: it leaves any bracket or window
+def _newton_circle(stack: np.ndarray, seeds: np.ndarray, lo, hi, residual, sign) -> tuple[np.ndarray, np.ndarray]:
     """Newton for f'(x) = 0 from every seed at once: the roots and the value of f at each.
 
     stack[i] holds the derivative stack (_derivative_stack) of the function
-    seed i belongs to, so one run serves the max, min and critical seeds of
-    many functions (_refine).  Each seed stays confined to |x - seed| <=
-    halfwidth and converges at |f'| <= residual (scalars or one value per
-    seed); seeds that leave their window, meet f'' = 0 or do not converge
-    come back as NaN, root and value.  f is summed with f' and f'' at every
-    step, so a root's value costs no evaluation of its own.  Every seed is
-    worked on its own, so its root does not depend on the other seeds.
+    seed i belongs to, so one run serves the rows of many functions
+    (_refine); lo <= seed <= hi, and lo, hi, residual and sign hold one
+    value per seed.  A seed with sign +-1 lies in a bracket [lo, hi]
+    with f' of that sign at lo and of the other at hi: each iterate narrows
+    the bracket to the side that keeps the sign change, and a Newton step
+    that leaves it or meets f'' = 0 goes to its midpoint instead (rtsafe;
+    Press et al., Numerical Recipes, 9.4), so the row cannot be lost:
+    bisection alone takes a scan cell of width w <= 1 / (64 D) to |f'| <=
+    M2 w 2^-k <= 1e-12 M1 in k = 37 halvings.  A seed with sign 0 is NaN,
+    root and value, once it leaves the window [lo, hi] or meets f'' = 0.  A
+    row converges at |f'| <= residual, or is NaN after NEWTON_MAX_ITER
+    steps.  f is summed with f' and f'' at every step, so a root's value
+    costs no evaluation of its own.  Every seed is worked on its own.
     """
-    x0 = np.asarray(seeds, dtype=float)
-    width = np.zeros_like(x0) + halfwidth
-    tol = np.zeros_like(x0) + residual
-    roots, values = np.full(x0.shape, np.nan), np.full(x0.shape, np.nan)
-    live, x = np.arange(len(x0)), x0
-    for it in range(NEWTON_MAX_ITER + 1):  # stack, x0, tol and width hold the live seeds only
+    x = np.asarray(seeds, dtype=float)
+    bracket = sign != 0.0
+    brackets = bracket.any()
+    live, roots, values = np.arange(len(x)), np.full(x.shape, np.nan), np.full(x.shape, np.nan)
+    for it in range(NEWTON_MAX_ITER + 1):  # every array but roots and values holds the live seeds only
         v, g, h = _series_at(stack, x).T
-        done = np.abs(g) <= tol
+        done = np.abs(g) <= residual
         roots[live[done]], values[live[done]] = x[done], v[done]
         if done.all() or it == NEWTON_MAX_ITER:
             break
-        x = x - g / np.where(h == 0.0, 1.0, h)
-        ok = ~done & (h != 0.0) & (np.abs(x - x0) <= width)
+        step = x - g / h
+        if brackets:  # f' keeps the sign of the left end on the side of x below the root
+            slope = g * sign
+            lo, hi = np.where(slope > 0.0, x, lo), np.where(slope < 0.0, x, hi)
+            out = bracket & ~((lo < step) & (step < hi))
+            if out.any():
+                step = np.where(out, 0.5 * (lo + hi), step)
+        ok = ~done & (lo <= step) & (step <= hi)
+        x = step
         if not ok.all():
-            live, stack, x, x0, tol, width = live[ok], stack[ok], x[ok], x0[ok], tol[ok], width[ok]
+            live, stack, x, lo, hi, residual, sign, bracket = (a[ok] for a in (live, stack, x, lo, hi, residual, sign, bracket))
     return roots, values
-
-
-def _ternary_max_circle(f: FourierFunction, lo: float, hi: float, iters: int = 80) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def _canonical_mod1(x: np.ndarray) -> np.ndarray:
@@ -657,9 +654,9 @@ def _dedupe_points(points: np.ndarray, tol: float = POINT_CLUSTER_TOL) -> np.nda
 _NEIGHBOURHOOD = {d: np.array(list(itertools.product((-1, 0, 1), repeat=d))).T[:, :, None] for d in (1, 2)}
 
 
-# the role of a seed: a max or min seed, a bracket [x, x + width] of a sign
-# change of f' (S1), a root already met on the scan (S1), or a free critical
-# seed (S1 cells too narrow to split again, and torus cells)
+# the role of a seed: a max or min seed (T2), a bracket [x, x + width] of a
+# sign change of f' (S1), a root already met on the scan (S1), or a free
+# critical seed (S1 cells too narrow to split again, and torus cells)
 MAX, MIN, BRACKET, EXACT, FREE = range(5)
 
 
@@ -668,10 +665,9 @@ class _Batch(NamedTuple):
 
     Row i of the table is one Newton start: point x[i] of function owner[i]
     (its position in the batch), in role role[i], in a cell of width
-    width[i].  A function's max rows, its min rows and its critical rows
-    each keep the order of its scan (and of the levels of _circle_seeds),
-    which the deduplication of refined points reads.  A constant has no
-    rows.
+    width[i].  A function's rows of one kind keep the order of its scan
+    (and of the levels of _circle_seeds), which the deduplication of
+    refined points reads.  A constant has no rows.
     """
 
     bound: np.ndarray  # (m, 4): M1..M4 (_bounds) on S1; the scanned max|grad f| and max|f_ij| on T2
@@ -685,6 +681,9 @@ class _Batch(NamedTuple):
     role: np.ndarray
     x: np.ndarray  # (rows, ndim)
     width: np.ndarray  # the grid or sub-grid spacing a row was seeded on
+    # a / (|a| + |z|) on a BRACKET with f' = a and z at its ends: the sign of f' at x, and its chord's root
+    # at x + |chord| width; 0 on other rows
+    chord: np.ndarray
 
 
 def _rounding(scale):
@@ -698,19 +697,14 @@ def _rounding(scale):
 
 
 def _peaks(g: np.ndarray, tol: float, c: np.ndarray) -> _Batch:
-    """The scans of a stack reduced to a _Batch whose table holds their max and min seeds.
+    """The scans of a stack reduced to a _Batch, its table left to _seeds, _circle_seeds or _critical.
 
     g holds m scans, (m, 2, n) on S1 or (m, 6, n, n) on T2, of the functions
     with coeffs arrays c, reduced at once: one max and one min over all
-    grids, and one nonzero and one gather of neighbours for the candidates
-    of both signs.  The bounds of |grad f| and |f_ij| are Bernstein's (_bounds)
-    on S1 and the scan's maxima on T2.  The max seeds are the scan's local
-    maxima within the margin of its top, so maxima whose dip lies inside the
-    margin each get one; the top itself is always one; the min seeds
-    likewise.  The residual is NEWTON_RESIDUAL times the bound of |grad f|.
-    A scan whose range is within rounding of its max|f| is a constant,
-    attained everywhere, and gets no seeds.  The critical seeds are left to
-    _critical.
+    grids.  The bounds of |grad f| and |f_ij| are Bernstein's (_bounds) on
+    S1 and the scan's maxima on T2; the residual is NEWTON_RESIDUAL times
+    the first.  A scan whose range is within rounding of its max|f| is a
+    constant, attained everywhere, and gets no rows.
     """
     m, ndim, n = len(g), g.ndim - 2, g.shape[-1]
     grids = g.reshape(m, g.shape[1], -1)
@@ -730,8 +724,20 @@ def _peaks(g: np.ndarray, tol: float, c: np.ndarray) -> _Batch:
     dq = 1.0 / n
     margin = 10.0 * tol + 0.5 * ndim**2 * bound[:, 1] * dq * dq
     margin[constant] = -np.inf
-    vals = grids[:, 0]
-    up, down = vals >= (hi - margin)[:, None], vals <= (lo + margin)[:, None]
+    return _Batch(bound, residual, hi, lo, margin, constant, np.zeros(m, dtype=bool), *(None,) * 5)
+
+
+def _seeds(g: np.ndarray, b: _Batch) -> _Batch:
+    """b, the _peaks reduction of the scans g, with their max and min seeds as its table.
+
+    The max seeds are the scan's local maxima within the margin of its top
+    (one nonzero and one gather of neighbours for both signs), so maxima
+    whose dip lies inside the margin each get one; the top itself is always
+    one; the min seeds likewise.  A constant gets none.
+    """
+    ndim, n = g.ndim - 2, g.shape[-1]
+    vals = g[:, 0].reshape(len(g), -1)
+    up, down = vals >= (b.hi - b.margin)[:, None], vals <= (b.lo + b.margin)[:, None]
     rows, cells = np.divmod(np.flatnonzero(up | down), vals.shape[1])
     at = np.array(np.unravel_index(cells, g.shape[2:]))
     around = g[:, 0][(rows,) + tuple((at[:, None] + _NEIGHBOURHOOD[ndim]) % n)]
@@ -740,50 +746,66 @@ def _peaks(g: np.ndarray, tol: float, c: np.ndarray) -> _Batch:
     is_max = up[rows, cells] & (here >= around.max(axis=0))
     is_min = down[rows, cells] & (here <= around.min(axis=0))
     role, i = np.divmod(np.flatnonzero(np.concatenate([is_max, is_min])), len(rows))  # MAX 0, MIN 1
-    owner, x = rows[i], at[:, i].T / n
-    plateau = np.zeros(m, dtype=bool)
-    return _Batch(bound, residual, hi, lo, margin, constant, plateau, owner, role, x, np.full(len(owner), dq))
+    return b._replace(owner=rows[i], role=role, x=at[:, i].T / n, width=np.full(len(i), 1.0 / n), chord=np.zeros(len(i)))
 
 
-def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The critical rows (owner, role, x, width) of the circle scans whose f' grids are d, (m, n).
+def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch, every: bool) -> _Batch:
+    """b with the circle table the cell rules give on the scans whose f' grids are d, (m, n).
 
-    A cell [x, x + w] that holds two or more roots of f' (with multiplicity)
-    has |f'| <= L w^2 / 2 at both ends, L a bound of |f'''| on the cell,
-    since f'(x) = f'''(xi)(x - r1)(x - r2) / 2; three or more roots meet the
-    same bound as long as L >= M4 w / 2.  Both bounds used here do: M3 on
-    the scan (M4 w / 2 <= M3 once w <= 1 / (pi D)) and, on sub-cells, |f'''|
-    at the larger end plus M4 w / 2, which stays small where f' is flat
-    around a root of high multiplicity.  So a cell that fails the bound at
-    an end (with 16 ulps of M1 for the rounding of f') holds one root where
-    f' changes sign or is zero (a BRACKET, or EXACT at an end that already
-    meets the residual, as a Newton seed there would) and none elsewhere.
-    A cell that meets it at both ends is suspect.  A suspect cell whose ends
-    both meet the residual is already critical as far as Newton can tell,
-    and one narrower than POINT_CLUSTER_TOL merges its roots anyway: each
-    run of adjacent such cells gets one FREE seed, at its end of least |f'|.
-    The other suspect cells are sampled again at SUBCELLS sub-cells, f' and
-    f''' of all of them in one _series_at call per level, and their
-    sub-cells are read by the same rules.  A constant gets no rows.
+    The rules read every cell with every (critical sets), else only the
+    cell that f' at each max or min seed of b points into (the right cell
+    of a max seed where f' > 0, the left one where f' < 0, and mirrored for
+    a min seed), or the seed itself, EXACT, where its |f'| already meets the
+    residual.  A cell [x, x + w] that holds two or more roots of f' (with
+    multiplicity) has |f'| <= L w^2 / 2 at both ends, L a bound of |f'''|
+    on the cell, since f'(x) = f'''(xi)(x - r1)(x - r2) / 2; three or more
+    roots meet the same bound as long as L >= M4 w / 2.  Both bounds used
+    here do: M3 on the scan (M4 w / 2 <= M3 once w <= 1 / (pi D)) and, on
+    sub-cells, |f'''| at the larger end plus M4 w / 2, which stays small
+    where f' is flat around a root of high multiplicity.  So a cell that
+    fails the bound at an end (with 16 ulps of M1 for the rounding of f')
+    holds one root where f' changes sign or is zero (a BRACKET with its
+    chord, or EXACT at an end that already meets the residual) and none
+    elsewhere.  A cell that meets it at both ends is suspect.  A suspect
+    cell whose ends both meet the residual is already critical as far as
+    Newton can tell, and one narrower than POINT_CLUSTER_TOL merges its
+    roots anyway: each run of adjacent such cells gets one FREE seed, at
+    its end of least |f'|.  The other suspect cells are sampled again at
+    SUBCELLS sub-cells, f' and f''' of all of them in one _series_at call
+    per level, and read by the same rules.  Points lie in [0, 1).
     """
     m1, _, m3, m4 = b.bound.T
-    slack, residual = _rounding(m1), b.residual
+    slack, residual, n = _rounding(m1), b.residual, d.shape[1]
+    w, found = 1.0 / n, []
     # each level is rows of cells: cell j of row i spans [base[i] + j w, base[i] + (j + 1) w],
-    # with f' = a[i, j] and z[i, j] at its ends and the bound t[i, j]; at the top a row is a scan
-    owner = np.flatnonzero(~b.constant)
-    a = d[owner]
-    z, base, w = np.roll(a, -1, axis=1), np.zeros(len(owner)), 1.0 / d.shape[1]
+    # with f' = a[i, j] and z[i, j] at its ends and the bound t[i, j]; at the top a row is a
+    # scan (every) or one seed cell
+    if every:
+        owner = np.flatnonzero(~b.constant)
+        a = d[owner]
+        z, base = np.roll(a, -1, axis=1), np.zeros(len(owner))
+    else:
+        o, i = b.owner, (b.x[:, 0] * n).astype(int)  # x = i / n exactly
+        slope = d[o, i]
+        met = np.abs(slope) <= residual[o]
+        if met.any():
+            found.append((o[met], np.full(len(o), EXACT)[met], b.x[met, 0], np.full(len(o), w)[met], 0.0 * slope[met]))
+        j = (i - ((slope > 0.0) != (b.role == MAX)))[~met] % n  # the right cell, or the left one
+        owner = o[~met]  # a cell that two seeds point into is read twice, to the same rows
+        a, z, base = d[owner, j, None], d[owner, (j + 1) % n, None], j * w
     t = (0.5 * w * w * m3 + slack)[owner, None]
-    found = []
     while True:
         ends = np.abs(a), np.abs(z)
         suspect = np.maximum(*ends) <= t
         change = (np.sign(a) * np.sign(z) <= 0.0) & ~suspect  # a sign change or a zero
-        i, j = np.divmod(np.flatnonzero(change), a.shape[1])
-        o, x = owner[i], base[i] + j * w
-        left, right = (e[i, j] <= residual[o] for e in ends)
-        found.append((o, np.where(left | right, EXACT, BRACKET), x + w * (right & ~left), np.full(len(o), w)))
-        i, j = np.divmod(np.flatnonzero(suspect), a.shape[1])  # from here on one entry per suspect cell, in scan order
+        i, j = np.nonzero(change)
+        o, left, right = owner[i], ends[0][i, j], ends[1][i, j]
+        at_left, at_right = left <= residual[o], right <= residual[o]  # an end that already meets the residual
+        exact = at_left | at_right
+        x = (base[i] + j * w + w * (at_right & ~at_left)) % 1.0
+        chord = np.where(exact, 0.0, a[i, j] / (left + right))  # no change is suspect: |a| + |z| > 0
+        found.append((o, np.where(exact, EXACT, BRACKET), x, np.full(len(o), w), chord))
+        i, j = np.nonzero(suspect)  # from here on one entry per suspect cell, in scan order
         if not len(i):
             break
         owner, base, a, z, ends = owner[i], base[i] + j * w, a[i, j], z[i, j], np.stack(ends)[:, i, j]
@@ -793,8 +815,8 @@ def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch) -> tuple[np.ndarray, 
             run = np.cumsum(np.concatenate([[True], (o[1:] != o[:-1]) | (x[1:] != x[:-1] + w)]))
             order = np.lexsort((ends.min(axis=0), run))
             pick = order[np.flatnonzero(np.diff(run[order], prepend=0))]
-            x = x[pick] + w * (ends[1, pick] < ends[0, pick])
-            found.append((o[pick], np.full(len(pick), FREE), x, np.full(len(pick), w)))
+            x = (x[pick] + w * (ends[1, pick] < ends[0, pick])) % 1.0
+            found.append((o[pick], np.full(len(pick), FREE), x, np.full(len(pick), w), np.zeros(len(pick))))
         owner, base, a, z = owner[~done], base[~done], a[~done], z[~done]
         if not len(owner):
             break
@@ -807,15 +829,16 @@ def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch) -> tuple[np.ndarray, 
         a, z, third = v[:, :-1, 0], v[:, 1:, 0], np.abs(v[..., 1])
         t = np.maximum(third[:, :-1], third[:, 1:]) + (0.5 * w * m4 + _rounding(m3))[owner, None]
         t = 0.5 * t * w * w + slack[owner, None]
-    owner, role, x, width = map(np.concatenate, zip(*found))
-    return owner, role, x, width
+    owner, role, x, width, chord = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    return b._replace(owner=owner, role=role, x=x[:, None], width=width, chord=chord)
 
 
 def _critical(g: np.ndarray, b: _Batch, c: np.ndarray) -> _Batch:
-    """b, the _peaks reduction of the stack g of the coeffs arrays c, with its plateau flags and critical seeds.
+    """b, the _peaks reduction of the stack g of the coeffs arrays c, with its plateau flags and its table.
 
-    S1 seeds are the sign changes of f' and the roots its suspect cells
-    hide (_circle_seeds).  T2 seeds (FREE) are the grid points whose
+    On S1 the table is the rows of every cell of the scans (_circle_seeds),
+    and the record is read from them.  On T2 it is the max and min seeds
+    (_seeds), then the critical seeds (FREE): the grid points whose
     max(|f_1|, |f_2|) already meets the residual, then the centres of the
     grid cells whose four corners see both signs of f_1 and both of f_2
     (zero counts as both), where a transversal zero of the gradient lies.  A
@@ -835,24 +858,23 @@ def _critical(g: np.ndarray, b: _Batch, c: np.ndarray) -> _Batch:
         flat |= np.roll(flat, 1, axis=-1) | np.roll(flat, -1, axis=-1)
         plateau = np.count_nonzero(flat, axis=tuple(range(1, ndim + 1))) / n**ndim > PLATEAU_FRACTION
     if ndim == 1:
-        owner, role, x, width = _circle_seeds(g[:, 1], c, b)
-        x = x[:, None]
-    else:
-        live = ~b.constant[:, None, None]
-        sides = np.stack([g[:, 1] >= 0.0, g[:, 1] <= 0.0, g[:, 2] >= 0.0, g[:, 2] <= 0.0], axis=1)
-        sides |= np.roll(sides, -1, axis=2)  # cell (i, j) has corners (i, j) to (i + 1, j + 1), periodically
-        sides |= np.roll(sides, -1, axis=3)
-        met = np.unravel_index(np.flatnonzero((dnorm <= residual) & live), dnorm.shape)
-        cells = np.unravel_index(np.flatnonzero(sides.all(axis=1) & live), dnorm.shape)
-        owner = np.concatenate([met[0], cells[0]])
-        x = np.concatenate([np.stack(met[1:], axis=1), np.stack(cells[1:], axis=1) + 0.5]) / n
-        role, width = np.full(len(owner), FREE), np.full(len(owner), 1.0 / n)
+        return _circle_seeds(g[:, 1], c, b._replace(plateau=plateau), every=True)
+    b = _seeds(g, b)
+    live = ~b.constant[:, None, None]
+    sides = np.stack([g[:, 1] >= 0.0, g[:, 1] <= 0.0, g[:, 2] >= 0.0, g[:, 2] <= 0.0], axis=1)
+    sides |= np.roll(sides, -1, axis=2)  # cell (i, j) has corners (i, j) to (i + 1, j + 1), periodically
+    sides |= np.roll(sides, -1, axis=3)
+    met = np.unravel_index(np.flatnonzero((dnorm <= residual) & live), dnorm.shape)
+    cells = np.unravel_index(np.flatnonzero(sides.all(axis=1) & live), dnorm.shape)
+    owner = np.concatenate([met[0], cells[0]])
+    x = np.concatenate([np.stack(met[1:], axis=1), np.stack(cells[1:], axis=1) + 0.5]) / n
     return b._replace(
         plateau=plateau,
         owner=np.concatenate([b.owner, owner]),
-        role=np.concatenate([b.role, role]),
+        role=np.concatenate([b.role, np.full(len(owner), FREE)]),
         x=np.concatenate([b.x, x]),
-        width=np.concatenate([b.width, width]),
+        width=np.concatenate([b.width, np.full(len(owner), 1.0 / n)]),
+        chord=np.concatenate([b.chord, np.zeros(len(owner))]),
     )
 
 
@@ -902,69 +924,64 @@ def _newton_torus(
     return roots
 
 
-def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[Extrema], list[np.ndarray]]:
-    """The attaining_set record and the critical points of every function of a batch, from one Newton run.
+def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float, critical: bool) -> tuple[list[Extrema], list[np.ndarray]]:
+    """The attaining_set record and, with critical, the critical points of every function of a batch, from one Newton run.
 
     fs are the batch's functions, all of one domain.  The run refines b's
-    whole table, row by row with the window, residual and fallback of its
-    role, w being the row's width (on T2 every row keeps within 2w of its
-    seed in the sup metric):
-    - MAX and MIN seeds keep within 2w and fall back to golden-section
-      search on their two cells (S1) or to themselves (T2); each function
-      keeps those within tol of its best value per sign;
-    - BRACKET midpoints keep within w and are bisected on [x, x + w] if
-      they fail, and an EXACT bracket is its own root;
-    - FREE seeds keep within 2w and are dropped if they fail.
-    The best refined value of each sign must lie in the enclosure [hi, hi +
+    whole table, w being a row's width.  On S1 a BRACKET [x, x + w] starts
+    at the root of its chord of f' and is kept in its bracket
+    (_newton_circle), an EXACT row is its own root, and a FREE seed keeps
+    within 2w and is dropped if it fails; every row is a critical row, and
+    counts toward the max unless f' rises across it and toward the min
+    unless f' falls.  On T2 every row keeps within 2w of its seed in the
+    sup metric: MAX and MIN seeds count toward their sign and fall back to
+    themselves, and FREE seeds are the critical rows, dropped if they fail.
+    Each function keeps the points of its rows within tol of its best
+    refined value per sign, which must lie in the enclosure [hi, hi +
     margin] (or [lo - margin, lo]) up to 16 ulps of max|f|, a bound proven
     on S1 (M2 from the coefficients) and read from the scanned Hessian on
     T2; one outside it raises ViolationReport.  A constant is attained
     everywhere and reported at the origin.  Critical points come back
     deduplicated but without the record's points (none for a constant or
-    without critical seeds).
+    without critical rows).
     """
     m, ndim = len(fs), fs[0].domain.ndim
     origin = np.zeros((1, ndim))
     found = [[(hi, origin), (lo, origin)] for hi, lo in zip(b.hi.tolist(), b.lo.tolist())]
     crit = [np.zeros((0, ndim))] * m
     if len(b.role):
-        # blocks of rows by key: the max seeds of each function (key owner),
-        # its min seeds (m + owner), then its critical seeds (2 m + owner),
-        # each block in table order
-        key = np.minimum(b.role, 2) * m + b.owner
-        order = np.argsort(key, kind="stable")
-        key, owner, role, x, width = key[order], b.owner[order], b.role[order], b.x[order], b.width[order]
-        e = np.count_nonzero(role <= MIN)
-        sign = 1 - 2 * role[:e]
-        exact = role == EXACT
-        bracket = exact | (role == BRACKET)
+        owner, role, x, width = b.owner, b.role, b.x, b.width
         residual = b.residual[owner]
         stacks = _stacks(fs)
         if ndim == 1:
-            stack = stacks[owner]
-            x = x[:, 0]
-            seeds, windows = np.where(bracket, 0.5 * (x + (x + width)), x), np.where(bracket, width, 2.0 * width)
-            roots, vals = _newton_circle(stack, seeds, windows, residual)
-            roots[exact] = x[exact]
-            lost = np.flatnonzero(np.isnan(roots[:e]))
-            for i in lost:
-                roots[i] = _ternary_max_circle(sign[i] * fs[owner[i]], x[i] - width[i], x[i] + width[i])
-            if len(lost):
-                vals[lost] = _series_at(stack[lost, 0], roots[lost])
-            for i in np.flatnonzero(bracket & np.isnan(roots)):
-                roots[i] = _bisect_root(fs[owner[i]].derivative(), x[i], x[i] + width[i], residual[i])
-            vals = sign * vals[:e]
+            x, window = x[:, 0], np.where(role == BRACKET, 0.0, 2.0) * width  # a bracket keeps to its cell
+            bounds = x - window, x + np.maximum(window, width)
+            residual[role == EXACT] = np.inf  # its own root
+            roots, vals = _newton_circle(stacks[owner], x + np.abs(b.chord) * width, *bounds, residual, np.sign(b.chord))
             roots = roots[:, None]
+            kinds = [b.chord >= 0.0, b.chord <= 0.0, np.full(len(role), critical)]
         else:
             roots = _newton_torus(stacks, x, 2.0 * width, residual, owner)
-            failed = np.isnan(roots[:e, 0])
-            roots[:e][failed] = x[:e][failed]
-            vals = sign * _torus_at(stacks[:, :1], roots[:e], owner[:e])[:, 0]
+            seeded = role <= MIN
+            roots = np.where(seeded[:, None] & np.isnan(roots), x, roots)
+            vals = np.full(len(role), np.nan)
+            vals[seeded] = _torus_at(stacks[:, :1], roots[seeded], owner[seeded])[:, 0]
+            kinds = [role == MAX, role == MIN, role == FREE]
+        # each row once per kind it counts for, in blocks by key: the max rows
+        # of each function (key owner), its min rows (m + owner), then its
+        # critical rows (2 m + owner), each block in table order
+        kind, row = np.nonzero(np.stack(kinds))
+        key = kind * m + owner[row]
+        order = np.argsort(key, kind="stable")
+        key, row = key[order], row[order]
+        e = np.count_nonzero(key < 2 * m)
+        sign = np.where(key[:e] < m, 1.0, -1.0)
+        vals = sign * vals[row[:e]]
         cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
         blocks = key[cuts[:-1]].tolist()
         ext = [c for c in cuts if c < e]  # the first row of each max and min block
         top = np.concatenate([b.hi, -b.lo])[blocks[: len(ext)]]  # each block's scanned top: hi or -lo
-        peak = np.maximum.reduceat(vals, ext)
+        peak = np.fmax.reduceat(vals, ext)  # failed rows are NaN
         own = np.array(blocks[: len(ext)]) % m
         outside = np.flatnonzero(peak > top + b.margin[own] + _rounding(np.maximum(b.hi, -b.lo)[own]))
         if len(outside):
@@ -973,9 +990,9 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float) -> tuple[list[
                 f"refined extremum {sign[ext[i]] * peak[i]!r} of {fs[own[i]]!r} lies "
                 f"{peak[i] - top[i]!r} beyond its scan, outside the enclosure margin {b.margin[own[i]]!r}"
             )
-        best = np.maximum(peak, top)
+        best = np.fmax(peak, top)
         keep = vals >= np.repeat(best, [j - i for i, j in zip(ext, cuts[1:])]) - tol
-        points = _canonical_mod1(roots)
+        points = _canonical_mod1(roots[row])
         for k, lo, hi, value in zip(blocks, cuts, cuts[1:], (sign[ext] * best).tolist()):
             found[k % m][k // m] = (value, _dedupe_points(points[lo:hi][keep[lo:hi]]))
         for k, lo, hi in zip(blocks[len(ext) :], cuts[len(ext) :], cuts[len(ext) + 1 :]):
@@ -993,8 +1010,9 @@ def _reduce(fs: Sequence[FourierFunction], tol: float, critical: bool = False) -
     is scanned in stacks of as many functions as CIRCLE_STACK scan values
     hold, 2 _circle_size(D) per function (512 at degree 1, 64 at degrees 5
     to 8, 8 at degrees 33 to 64), each stack in one product, and a torus
-    function on its own; each stack is reduced (_peaks, and with critical,
-    _critical) before the next is scanned, so no more than one is alive.
+    function on its own; each stack is reduced (_peaks, then _critical with
+    critical, else _seeds, on S1 through the cell rules of _circle_seeds)
+    before the next is scanned, so no more than one is alive.
     The stack batches of a domain are then concatenated, each owner shifted
     by the functions before it.
     """
@@ -1014,7 +1032,13 @@ def _reduce(fs: Sequence[FourierFunction], tol: float, critical: bool = False) -
                 c = fs[chunk[0]].coeffs[None]
                 g = fs[chunk[0]].values_on_grid(DEFAULT_TORUS_SCAN)[None]
             b = _peaks(g, tol, c)
-            batches.setdefault(kind, []).append((chunk, _critical(g, b, c) if critical else b))
+            if critical:
+                b = _critical(g, b, c)
+            elif kind == "S1":
+                b = _circle_seeds(g[:, 1], c, _seeds(g, b), every=False)
+            else:
+                b = _seeds(g, b)
+            batches.setdefault(kind, []).append((chunk, b))
             del g  # before the next stack is scanned
     out = []
     for parts in batches.values():
@@ -1031,15 +1055,16 @@ def attaining_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> 
     """The attaining_set record of every function, in one batch per domain.
 
     The scans are stacked and reduced chunk by chunk (_reduce); one Newton
-    run per domain then refines the max and min seeds of all of them.  A record
-    does not depend on the batch it came in.  tol must be positive.
+    run per domain then refines the rows of all their max and min seeds (on
+    S1 their cells).  A record does not depend on the batch it came in.  tol
+    must be positive.
     """
     if not tol > 0.0:
         raise ValueError(f"attaining tolerance must be positive, got {tol}")
     fs = list(fs)
     out: list[Extrema] = [None] * len(fs)
     for js, b in _reduce(fs, tol):
-        for j, record in zip(js, _refine([fs[j] for j in js], b, tol)[0]):
+        for j, record in zip(js, _refine([fs[j] for j in js], b, tol, critical=False)[0]):
             out[j] = record
     return out
 
@@ -1082,22 +1107,6 @@ def sup_norm_by_squaring(f: FourierFunction) -> float:
     return sup_norms_by_squaring([f])[0]
 
 
-def _bisect_root(fp: FourierFunction, lo: float, hi: float, residual: float) -> float:
-    """A root of fp in the sign-change bracket [lo, hi], to |fp| <= residual or to adjacent floats."""
-    flo = fp(lo)
-    if flo == 0.0:
-        return lo
-    while True:
-        mid = 0.5 * (lo + hi)
-        fm = fp(mid)
-        if abs(fm) <= residual or mid in (lo, hi):
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-
-
 def _cluster_values(values: Sequence[float] | np.ndarray, tol: float) -> list[float]:
     """The mean of each run of the sorted values whose steps are at most tol, bit for bit its own np.mean.
 
@@ -1122,9 +1131,9 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
 
     The roots of f' (circle: every sign change, and every root a cell that
     may hold two hides, _circle_seeds) or the simultaneous zeros of the
-    gradient (torus), refined in the Newton run of the records (_refine);
-    values are clustered at tol and always include the global extremum
-    values, whose attaining_set record (at tol) rides along as extrema.  A
+    gradient (torus), refined in one Newton run (_refine); values are
+    clustered at tol and always include the global extremum values, whose
+    record (at tol, read from the same rows on S1) rides along as extrema.  A
     plateau (more than 1% of scan points with |grad f| below 1e3 Newton
     residuals, in runs of three or more) sets the plateau flag and
     contributes its value once;
@@ -1136,7 +1145,7 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
     out: list[CriticalSet] = [None] * len(fs)
     for js, b in _reduce(fs, tol, critical=True):
         facts = zip(js, b.constant.tolist(), b.plateau.tolist(), b.residual.tolist())
-        for (j, constant, plateau, residual), ext, pts in zip(facts, *_refine([fs[j] for j in js], b, tol)):
+        for (j, constant, plateau, residual), ext, pts in zip(facts, *_refine([fs[j] for j in js], b, tol, critical=True)):
             f = ext.f
             if constant:  # every point is critical
                 points, plateau = ((0.0,) * f.domain.ndim,), True

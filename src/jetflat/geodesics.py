@@ -197,21 +197,13 @@ class SegmentationReport:
         }
 
 
-def local_quasi_autonomy_check(path: IsotopyPath) -> SegmentationReport:
-    """Maximal knot-index windows on which the witness search succeeds.
-
-    Every segment difference is scanned once, into one extrema record, and
-    each window's search reads the records of its segments.  Extending a
-    window to the right only adds filters to the search, so the windows
-    from a start i that pass are exactly those up to one end e(i): the
-    longer passing prefix of the two signs, found by one search of the
-    records from i on.
-    """
-    return _segmentation(attaining_sets(path.segment_deltas(), EQUALITY_TOL), EQUALITY_TOL)
-
-
 def _segmentation(records: Sequence[Extrema], tol: float) -> SegmentationReport:
-    """Maximal windows of consecutive segments whose records share a witness."""
+    """Maximal windows of consecutive segments whose records share a witness.
+
+    Extending a window to the right only adds filters to the search, so the
+    windows from a start i that pass are those up to one end e(i): the
+    longer passing prefix of the two signs, one search of the records from i on.
+    """
     k = len(records)
     s = _search(records, tol)
     # a window from i is maximal exactly when e(i) passes every earlier end,
@@ -447,7 +439,7 @@ def _segment_sups(
         lo, hi = v[m, idx - 1], v[m, (idx + 1) % len(pts)]
         bend = lo - 2.0 * top + hi
         start = q0[:, 0] + 0.5 * dq * (lo - hi) / np.where(bend == 0.0, np.inf, bend)
-        q, val = _newton_circle(stack, start, dq, residual)
+        q, val = _newton_circle(stack, start, start - dq, start + dq, residual, 0.0 * start)  # a window, no bracket
         q = q[:, None]
     else:
         q = _newton_torus(stack, q0, np.inf, residual)

@@ -186,8 +186,8 @@ def test_extremum_outside_its_enclosure_exits_1(monkeypatch, capsys, specs):
     # a broken Newton run that reports each value 1 too high lands outside
     newton = fourier._newton_circle
 
-    def lifted(stack, seeds, halfwidth, residual):
-        roots, values = newton(stack, seeds, halfwidth, residual)
+    def lifted(stack, seeds, lo, hi, residual, sign):
+        roots, values = newton(stack, seeds, lo, hi, residual, sign)
         return roots, values + 1.0
 
     monkeypatch.setattr(fourier, "_newton_circle", lifted)

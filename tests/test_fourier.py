@@ -457,23 +457,32 @@ def test_fallbacks_when_torus_newton_fails(monkeypatch, rng):
             assert len(points) and np.array_equal(points * n, np.round(points * n))
 
 
-def test_fallbacks_when_circle_newton_fails(monkeypatch, rng):
-    used = []
+def test_circle_brackets_survive_newton_steps_that_leave_them(monkeypatch, rng):
+    # with f'' scaled by 1e-9 every Newton step of a bracket row leaves its
+    # bracket and becomes a bisection step; bisection alone still meets the
+    # residual, so no bracket row is lost, and the records and critical
+    # values stay on the dense oracle and on the unforced run
+    k = np.arange(1, 7.0)
+    coeffs = [(rng.normal(), rng.normal(size=6) / (1 + k), rng.normal(size=6) / (1 + k)) for _ in range(5)]
+    fs = [fn(*c) for c in coeffs]
+    want = critical_sets(fs)
+    series_at, newton = fourier._series_at, fourier._newton_circle
+    lost = []
 
-    def counted(fallback):
-        def wrapper(*args, **kwargs):
-            used.append(fallback.__name__)
-            return fallback(*args, **kwargs)
+    def flat(rows, x):
+        out = series_at(rows, x)
+        if rows.ndim == 4 and rows.shape[1] == 3:  # f, f', f'' at Newton iterates
+            out[:, 2] *= 1e-9
+        return out
 
-        return wrapper
+    def counted(stack, seeds, lo, hi, residual, sign):
+        roots, values = newton(stack, seeds, lo, hi, residual, sign)
+        lost.append(np.count_nonzero(np.isnan(roots) & (np.asarray(sign) != 0.0)))
+        return roots, values
 
-    monkeypatch.setattr(fourier, "_newton_circle", lambda f, seeds, *rest: (np.full(len(seeds), np.nan),) * 2)
-    for name in ("_ternary_max_circle", "_bisect_root"):
-        monkeypatch.setattr(fourier, name, counted(getattr(fourier, name)))
-    for _ in range(5):
-        k = np.arange(1, 7.0)
-        a0, ca, sa = rng.normal(), rng.normal(size=6) / (1 + k), rng.normal(size=6) / (1 + k)
-        f = fn(a0, ca, sa)
+    monkeypatch.setattr(fourier, "_series_at", flat)
+    monkeypatch.setattr(fourier, "_newton_circle", counted)
+    for (a0, ca, sa), f, ref in zip(coeffs, fs, want):
         hi = dense_max(a0, ca, sa)
         lo = -dense_max(-a0, -ca, -sa)
         ext = attaining_set(f)
@@ -482,7 +491,9 @@ def test_fallbacks_when_circle_newton_fails(monkeypatch, rng):
         cs = critical_set(f)
         assert max(cs.values) == pytest.approx(hi, abs=1e-11)
         assert min(cs.values) == pytest.approx(lo, abs=1e-11)
-    assert {"_ternary_max_circle", "_bisect_root"} <= set(used)
+        assert len(cs.points) == len(ref.points)
+        np.testing.assert_allclose(cs.values, ref.values, rtol=0.0, atol=1e-11)
+    assert len(lost) == 10 and sum(lost) == 0
 
 
 # -- one batch for many circle functions ----------------------------------------
@@ -742,16 +753,12 @@ def test_point_tolerance_does_not_depend_on_the_batch():
                 assert cs.point_tolerance.hex() == critical_set(f).point_tolerance.hex(), (d, m)
 
 
-def test_near_constant_circle_function_needs_no_fallback(monkeypatch):
+def test_near_constant_circle_function_needs_no_fallback():
     # the whole range (4.5e-13) lies inside the seed margin 10 tol, so every
     # grid point is a candidate; on 4096 points neighbouring values tied in
-    # rounding, which gave 219 max seeds, each finished by golden-section
-    # search; on 64 they do not tie, and Newton meets the residual M1 1e-12
-    calls = []
-    ternary = fourier._ternary_max_circle
-    monkeypatch.setattr(fourier, "_ternary_max_circle", lambda *args: calls.append(args) or ternary(*args))
+    # rounding, which gave 219 max seeds; on 64 they do not tie, and Newton
+    # meets the residual M1 1e-12 in the one bracket of each sign
     r = attaining_set(fn(0.3, [1e-13], [2e-13]))
-    assert calls == []
     assert len(r.max_points) == len(r.min_points) == 1
     amp = np.hypot(1e-13, 2e-13)
     assert (r.vmax, r.vmin) == pytest.approx((0.3 + amp, 0.3 - amp), abs=1e-16)
@@ -774,6 +781,35 @@ def test_root_of_high_multiplicity_is_read_in_few_sub_cells(monkeypatch):
     assert len(cs.points) <= 8 and cs.plateau
     assert min(cs.values) == pytest.approx(0.0, abs=1e-8) and max(cs.values) == pytest.approx(2.0**16, rel=1e-15)
     assert sum(sampled) <= 50000, sampled
+
+
+def test_flat_extremum_record_samples_no_sub_cells(monkeypatch):
+    # every grid point within about 0.1 of the flat minimum of
+    # (1 - cos 2 pi q)^16 meets the Newton residual, so its min seeds are
+    # EXACT rows of their own and no seed cell is read; the cell rules on
+    # every cell there sample some 24000 sub-cell points (the critical set
+    # does that, and keeps one point per flat run, where attaining_set keeps
+    # each seed: both report the minimum within rounding of 2^16)
+    base = fn(1.0, [-1.0])
+    f = base
+    for _ in range(15):
+        f = f.multiply(base)
+    newton, sub_cells = [], []
+    series_at = fourier._series_at
+
+    def counted(rows, x):
+        (newton if rows.shape[1] == 3 else sub_cells).append(len(x))  # f, f', f'' or f', f'''
+        return series_at(rows, x)
+
+    monkeypatch.setattr(fourier, "_series_at", counted)
+    r = attaining_set(f)
+    assert sub_cells == [] and 0 < sum(newton) <= 100
+    monkeypatch.undo()
+    ext = critical_set(f).extrema
+    assert r.vmax == ext.vmax == 2.0**16
+    np.testing.assert_array_equal(r.max_points, ext.max_points)
+    assert abs(r.vmin - ext.vmin) <= fourier._rounding(2.0**16) and abs(r.vmin) <= 1e-9
+    assert all(np.any(r.min_points == p) for p in ext.min_points)
 
 
 def _planted_pair(eps, phi):

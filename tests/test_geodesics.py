@@ -13,7 +13,6 @@ from jetflat.geodesics import (
     grid_flatness_gap,
     grid_quasi_autonomy_witness,
     integral_criterion,
-    local_quasi_autonomy_check,
     minimizing_geodesic_check,
     monotone_check,
     optimize_path,
@@ -109,20 +108,20 @@ def covered_segments(seg):
 def test_local_windows_quasi_autonomous_path():
     h = fn(0.0, [0.3])
     path = IsotopyPath.uniform([fn(0.0), 0.3 * h, h])
-    seg = local_quasi_autonomy_check(path)
+    seg = minimizing_geodesic_check(path).segmentation
     assert seg.windows == ((0, 2),)
     assert covered_segments(seg) == {0, 1}
 
 
 def test_local_windows_reversal():
-    seg = local_quasi_autonomy_check(reversal_path())
+    seg = minimizing_geodesic_check(reversal_path()).segmentation
     assert seg.windows == ((0, 1), (1, 2))
     assert covered_segments(seg) == {0, 1}  # covered, though not minimizing
     assert seg.multi_segment_windows == ()
 
 
 def test_local_windows_rotating_bump():
-    seg = local_quasi_autonomy_check(rotating_bump_path())
+    seg = minimizing_geodesic_check(rotating_bump_path()).segmentation
     # consecutive attaining sets are disjoint: no window straddles a knot
     assert seg.multi_segment_windows == ()
     assert all(b - a == 1 for a, b in seg.windows)
@@ -176,7 +175,7 @@ def test_local_windows_match_brute_force_on_two_blocks(monkeypatch):
     assert maximal == ((0, 4), (4, 8))
 
     calls = _counted_evaluations(monkeypatch)
-    seg = local_quasi_autonomy_check(path)
+    seg = minimizing_geodesic_check(path).segmentation
     assert seg.windows == maximal
     assert seg.multi_segment_windows == maximal
     assert covered_segments(seg) == set(range(k))
@@ -186,8 +185,10 @@ def test_local_windows_match_brute_force_on_two_blocks(monkeypatch):
     # the chunk holding the first that fails, segment 4 from starts 0-3
     # (1 + 2 + 4, 1 + 2, 1 + 2 and 1 tests) and the path's end from start 4
     # (1 + 2 tests); starts 5-7 cannot pass knot 8.  The chunks at most
-    # double the 4 + 3 + 2 + 1 + 3 tests of a record-by-record search
-    assert sum(calls) == 2 * (7 + 3 + 3 + 1 + 3)
+    # double the 4 + 3 + 2 + 1 + 3 tests of a record-by-record search.  The
+    # check's witness search over the whole path comes first and makes the
+    # 1 + 2 + 4 tests of start 0 once more
+    assert sum(calls) == 2 * (7 + 7 + 3 + 3 + 1 + 3)
 
 
 def _blocks_path(rng, near_tie):
@@ -212,7 +213,7 @@ def test_local_windows_match_brute_force_on_random_paths(kind):
             path = random_path(rng, n_knots=6, degree=3)
         else:
             path = _blocks_path(rng, near_tie=kind == "near_tie")
-        assert local_quasi_autonomy_check(path).windows == _maximal_windows(path)
+        assert minimizing_geodesic_check(path).segmentation.windows == _maximal_windows(path)
 
 
 def test_witness_on_a_torus_path_of_one_direction(rng):
@@ -224,8 +225,8 @@ def test_witness_on_a_torus_path_of_one_direction(rng):
     w = quasi_autonomy_check(path)
     assert w is not None
     assert max(abs(r) for r in w.per_knot_residuals) <= 1e-9
-    assert local_quasi_autonomy_check(path).windows == ((0, 4),)
     rep = minimizing_geodesic_check(path)
+    assert rep.segmentation.windows == ((0, 4),)
     assert rep.minimizing and not rep.cross_check_mismatch
     assert rep.witness == w
 
@@ -237,7 +238,7 @@ def test_no_witness_on_a_torus_path_of_two_directions(rng):
         knots.append(knots[-1] + step)
     path = IsotopyPath.uniform(knots)
     assert quasi_autonomy_check(path) is None
-    seg = local_quasi_autonomy_check(path)
+    seg = minimizing_geodesic_check(path).segmentation
     assert seg.windows == ((0, 1), (1, 2), (2, 3), (3, 4))
     assert seg.multi_segment_windows == ()
 
@@ -422,7 +423,6 @@ def test_whole_path_gap_is_the_largest_window_gap(domain, kind, knots):
     reference = _max_window_gap(path)
     assert abs(reference - max(0.0, rep.gap)) <= 1e-12
     assert rep.minimizing == (reference <= EQUALITY_TOL)
-    assert rep.segmentation == local_quasi_autonomy_check(path)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -516,7 +516,7 @@ def test_knot_granularity_geodesic_invariant(seed):
     # singleton windows always carry a witness and single-segment gaps are
     # identically zero, so the two sides of the biconditional co-vary
     path = random_path(np.random.default_rng(seed), n_knots=4, degree=5)
-    seg = local_quasi_autonomy_check(path)
+    seg = minimizing_geodesic_check(path).segmentation
     single_gaps = [
         minimizing_geodesic_check(path.subpath(i, i + 1)).gap
         for i in range(path.n_segments)
