@@ -260,28 +260,23 @@ class FourierFunction:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
+        """f at x: on S1 a scalar or 1-d array, taken mod 1; on T2 shape (2,) or (m, 2).
+
+        Each S1 value is one _series_at sum in order of k, so a point has the
+        same bits alone, in an array of any length and for a zero-padded f.
+        """
         if self.domain.kind == "S1":
             xs = np.asarray(x, dtype=float)
             if xs.ndim > 1:
                 raise DimensionMismatch("circle points must be scalars or 1-d arrays")
-            scalar = xs.ndim == 0
-            vals = self._eval_circle(np.atleast_1d(xs))
-            return float(vals[0]) if scalar else vals
+            vals = _series_at(self.coeffs[None], np.mod(xs, 1.0))
+            return float(vals[0]) if xs.ndim == 0 else vals
         pts = np.asarray(x, dtype=float)
         if pts.shape == (2,):
             return float(_torus_at(self.coeffs[None], pts[None, :])[0, 0])
         if pts.ndim == 2 and pts.shape[1] == 2:
             return _torus_at(self.coeffs[None], pts)[:, 0]
         raise DimensionMismatch("torus points must have shape (2,) or (m, 2)")
-
-    def _eval_circle(self, x: np.ndarray) -> np.ndarray:
-        """f at the points x, up to its highest nonzero frequency, so a zero-padded copy gives the same bits."""
-        a0, a, b = self.circle_cos_sin()
-        d = _circle_degree(self.coeffs)
-        if d == 0:
-            return np.full(x.shape, a0)
-        ang = TWO_PI * np.mod(x, 1.0)[:, None] * np.arange(1, d + 1)[None, :]
-        return a0 + np.cos(ang) @ a[:d] + np.sin(ang) @ b[:d]
 
     def values_on_grid(self, n: int) -> np.ndarray:
         """Value, gradient and Hessian grids at the uniform grid (i/n), stacked on a new leading axis.

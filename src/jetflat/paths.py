@@ -31,8 +31,8 @@ class IsotopyPath:
         if len(self.knots) != len(self.times):
             raise MalformedPath("knot count must equal time count")
         ts = np.asarray(self.times, dtype=float)
-        if abs(ts[0]) > _TIME_TOL or abs(ts[-1] - 1.0) > _TIME_TOL:
-            raise MalformedPath("times must start at 0 and end at 1")
+        if not np.isfinite(ts).all() or abs(ts[0]) > _TIME_TOL or abs(ts[-1] - 1.0) > _TIME_TOL:
+            raise MalformedPath("times must be finite, start at 0 and end at 1")
         if np.any(np.diff(ts) <= 0):
             raise MalformedPath("times must be strictly increasing")
         dom = self.knots[0].domain

@@ -41,6 +41,11 @@ class SelectorReport:
         return self.plus_in_spectrum and self.minus_in_spectrum
 
 
+def _cluster_tol(membership_tol: float) -> float:
+    """The clustering tol of spectra read at membership_tol: never coarser than the default, as a coarse mean drifts off the extrema."""
+    return min(membership_tol, EQUALITY_TOL)
+
+
 def selectors(
     l1: JetLegendrian,
     l0: JetLegendrian,
@@ -51,11 +56,9 @@ def selectors(
     ell_plus/ell_minus are the extrema of the generator difference, read
     from the extrema record of the chord spectrum's own scan; the
     membership flags record whether they land in the root-found Reeb-chord
-    spectrum within membership_tol.  The spectrum is clustered at
-    membership_tol when that is finer than the default clustering, never
-    coarser: a coarse cluster's mean could drift from the extrema it holds.
+    spectrum, clustered at _cluster_tol, within membership_tol.
     """
-    spec = chord_spectrum(l1, l0, tol=min(membership_tol, EQUALITY_TOL))
+    spec = chord_spectrum(l1, l0, tol=_cluster_tol(membership_tol))
     ext = spec.source.extrema
     return SelectorReport(
         ell_plus=ext.vmax,
@@ -187,8 +190,9 @@ def axiom_suite(
     Covered: normalization at the diagonal, the Reeb shift identity,
     monotonicity along constructed comparable pairs, both triangle
     inequalities, Poincare duality, non-degeneracy of the induced distance,
-    and spectrality against root-found chord spectra.  Failures are
-    collected per axiom, never raised.
+    and spectrality against root-found chord spectra, clustered as
+    selectors clusters them (_cluster_tol).  Failures are collected per
+    axiom, never raised.
     """
     if not sample:
         raise ValueError("sample must be nonempty")
@@ -198,7 +202,7 @@ def axiom_suite(
     # ell_pm(i, j) from the records of the chord spectra for i <= j and of one
     # batch for i > j: each pair scanned once, duality comparing the routes
     upper = [(i, j) for i in range(n) for j in range(i, n)]
-    spectra = dict(zip(upper, chord_spectra((sample[i], sample[j]) for i, j in upper)))
+    spectra = dict(zip(upper, chord_spectra(((sample[i], sample[j]) for i, j in upper), _cluster_tol(membership_tol))))
     lower = iter(attaining_sets(gens[i] - gens[j] for i in range(n) for j in range(i)))
     pairs = [spectra[i, j].source.extrema if i <= j else next(lower) for i in range(n) for j in range(n)]
     lp = np.array([r.vmax for r in pairs]).reshape(n, n)

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -41,3 +44,17 @@ def scanned(monkeypatch):
     monkeypatch.setattr(fourier, "_circle_scans", counted_circle_scans)
     monkeypatch.setattr(FourierFunction, "values_on_grid", counted_values_on_grid)
     return counts
+
+
+@pytest.fixture
+def spectra_lacking_largest(monkeypatch):
+    """A fault for the spectrality negative controls: every chord spectrum the
+    axiom suite reads lacks its largest length, so ell_plus drops out of it
+    while every record (and so every other axiom) keeps its bits."""
+    selectors = importlib.import_module("jetflat.selectors")  # the package's `selectors` is the function
+    chord_spectra = selectors.chord_spectra
+
+    def faulty(*args, **kwargs):
+        return [dataclasses.replace(s, lengths=s.lengths[:-1]) for s in chord_spectra(*args, **kwargs)]
+
+    monkeypatch.setattr(selectors, "chord_spectra", faulty)

@@ -75,6 +75,23 @@ def test_evaluation_periodicity(cos, sin, x):
     assert f(x) == pytest.approx(f(x - 3.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("domain", [CIRCLE, TORUS2])
+def test_a_point_value_has_the_same_bits_alone_in_arrays_and_padded(domain):
+    # every point value is one sum in a fixed term order, so neither the
+    # length of the array a point comes in nor zero padding of f can move it
+    rng = np.random.default_rng(7)
+    for d in range(1, 17):
+        for _ in range(20):
+            f = random_function(rng, domain, d)
+            xs = rng.uniform(-1.0, 2.0, (37,) if domain is CIRCLE else (37, 2))
+            want = f(xs)
+            assert [f(x) for x in xs] == want.tolist()
+            for n in (1, 2, 3, 5, 8, 13, 36):
+                assert f(xs[:n]).tolist() == want[:n].tolist()
+                assert f(xs[-n:]).tolist() == want[-n:].tolist()
+            assert f.pad_to_degree(d + 3)(xs).tolist() == want.tolist()
+
+
 def test_dimension_mismatch_errors():
     f = fn(0.0, [1.0])
     with pytest.raises(DimensionMismatch):

@@ -57,6 +57,10 @@ def test_path_validation():
         IsotopyPath(knots=(f, f), times=(0.0, 0.5))
     with pytest.raises(MalformedPath):
         IsotopyPath(knots=(f, f, f), times=(0.0, 0.6, 0.4))
+    # every comparison with NaN is false, so only a finiteness check rejects these
+    for times in [(0.0, np.nan, 1.0), (0.0, 0.5, np.nan), (np.nan, 0.5, 1.0), (0.0, np.inf, 1.0)]:
+        with pytest.raises(MalformedPath, match="finite"):
+            IsotopyPath(knots=(f, f, f), times=times)
 
 
 # -- quasi-autonomy ----------------------------------------------------------

@@ -161,11 +161,28 @@ def test_axiom_suite_triangle_tightness():
     assert lp_2f == pytest.approx(2 * lp_f, abs=1e-12)
 
 
-def test_axiom_suite_negative_control(rng):
+def test_axiom_suite_negative_control(rng, spectra_lacking_largest):
+    # with every spectrum short of its largest length, ell_plus leaves it:
+    # spectrality, and nothing else, must fail (without the fault all pass)
     sample = [random_legendrian(rng, degree=6) for _ in range(4)]
-    report = axiom_suite(sample, membership_tol=1e-20)
-    assert not report.by_name("spectrality").passed
-    assert not report.all_pass
+    report = axiom_suite(sample)
+    assert [r.name for r in report.results if not r.passed] == ["spectrality"]
+
+
+@pytest.mark.parametrize("membership_tol", [1e-9, 1e-20])
+def test_axiom_suite_and_selectors_agree_on_membership(membership_tol):
+    # props (axiom_suite) and dist (selectors) cluster the spectrum of a pair
+    # by one rule, so they give it one membership verdict at any tol
+    rng = np.random.default_rng(11)
+    sample = [random_legendrian(rng, degree=6) for _ in range(3)]
+    report = axiom_suite(sample, membership_tol=membership_tol)
+    outside = {
+        f"ell_pm({i},{j}) not in spectrum at tol {membership_tol:.1e}"
+        for i in range(3)
+        for j in range(i, 3)
+        if not selectors(sample[i], sample[j], membership_tol=membership_tol).in_spectrum
+    }
+    assert set(report.by_name("spectrality").failures) == outside
 
 
 @pytest.mark.parametrize(
