@@ -31,6 +31,7 @@ from .fourier import CIRCLE, Extrema, FourierFunction, attaining_set
 from .geodesics import QAWitness, optimize_path, quasi_autonomy_check
 from .jets import ChordSpectrum, JetLegendrian, chord_spectrum, zero_section
 from .paths import IsotopyPath
+from .selectors import selectors
 
 log = logging.getLogger(__name__)
 
@@ -176,21 +177,21 @@ class SpectralNormResult(NamedTuple):
 def spectral_norm(phi: CircleContactomorphism, tol: float = EQUALITY_TOL) -> SpectralNormResult:
     """Chart formula for the selector pair of a contactomorphism.
 
-    c_plus = max f, c_minus = min f, norm = max |f|, read from the extrema
-    record of the translated-point scan; both selector values are asserted
-    to be translated-point values.  When max|f'| exceeds the C1 threshold
-    the result carries an advisory flag: the chart formula is reported, not
+    c_plus = max f, c_minus = min f, norm = max |f|: the selectors of the
+    chart image against the zero section at membership tol, so the norm
+    shares dist's membership rule; both selector values are asserted to be
+    translated-point values.  When max|f'| exceeds the C1 threshold the
+    result carries an advisory flag: the chart formula is reported, not
     asserted, outside the small regime.
     """
     c1 = phi.c1_size()
     advisory = c1 >= C1_ADVISORY_THRESHOLD
     if advisory:
         log.warning("spectral_norm outside the C1-small regime (max|f'| = %.3f)", c1)
-    spec = translated_points(phi, tol=tol)
-    ext = spec.source.extrema
-    if not (spec.contains(ext.vmax, tol) and spec.contains(ext.vmin, tol)):
+    r = selectors(graph_of(phi), zero_section(CIRCLE), membership_tol=tol)
+    if not r.in_spectrum:
         raise CrossCheckMismatch("selector values missing from the translated-point spectrum")
-    return SpectralNormResult(ext.vmax, ext.vmin, ext.norm, advisory)
+    return SpectralNormResult(r.ell_plus, r.ell_minus, r.d_spec, advisory)
 
 
 def contact_qa_check(

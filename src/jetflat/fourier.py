@@ -478,9 +478,10 @@ class CriticalSet:
     """Refined critical points and clustered critical values.
 
     points hold coordinates with |grad f| at or below point_tolerance, the
-    scan's Newton residual; values are deduplicated at the clustering
-    tolerance and always contain the global extremum values.  plateau flags
-    a non-isolated critical locus (reported once through its value).
+    scan's Newton residual; values are f at those points, clustered at the
+    clustering tolerance and ascending (a constant reports its record's
+    extrema).  plateau flags a non-isolated critical locus (reported once
+    through its value).
     extrema is the record of f at tol from the same scan: attaining_set's,
     read on S1 from the rows of the critical points, so a flat extremum
     keeps one point per run of cells that meet the residual, not per seed.
@@ -937,7 +938,7 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float, critical: bool
     on S1 (M2 from the coefficients) and read from the scanned Hessian on
     T2; one outside it raises ViolationReport.  A constant is attained
     everywhere and reported at the origin.  Critical points come back
-    deduplicated but without the record's points (none for a constant or
+    deduplicated and sorted, the root-found rows only (none for a constant or
     without critical rows).
     """
     m, ndim = len(fs), fs[0].domain.ndim
@@ -1126,9 +1127,9 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
 
     The roots of f' (circle: every sign change, and every root a cell that
     may hold two hides, _circle_seeds) or the simultaneous zeros of the
-    gradient (torus), refined in one Newton run (_refine); values are
-    clustered at tol and always include the global extremum values, whose
-    record (at tol, read from the same rows on S1) rides along as extrema.  A
+    gradient (torus), refined in one Newton run (_refine); values are f at
+    those points only, clustered at tol, and the record (at tol, read from
+    the same rows on S1) rides along as extrema, adding no value.  A
     plateau (more than 1% of scan points with |grad f| below 1e3 Newton
     residuals, in runs of three or more) sets the plateau flag and
     contributes its value once;
@@ -1146,13 +1147,8 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
                 points, plateau = ((0.0,) * f.domain.ndim,), True
                 values = [ext.vmax, ext.vmin]
             else:
-                values = np.concatenate([f(pts[:, 0] if f.domain.ndim == 1 else pts), [ext.vmax, ext.vmin]])
-                # the first max and min points join unless a critical point (or the max point) is near
-                ends = np.concatenate([ext.max_points[:1], ext.min_points[:1]])
-                new = ~np.any(_gap(pts[:, None], ends) <= POINT_CLUSTER_TOL, axis=0)
-                new[1] &= not (new[0] and _gap(ends[0], ends[1]) <= POINT_CLUSTER_TOL)
-                pts = np.concatenate([pts, ends[new]])
-                points = tuple(map(tuple, pts[np.lexsort(pts.T[::-1])].tolist()))
+                values = f(pts[:, 0] if f.domain.ndim == 1 else pts)
+                points = tuple(map(tuple, pts.tolist()))
             out[j] = CriticalSet(points, tuple(_cluster_values(values, tol)), tol, residual, ext, plateau)
     return out
 

@@ -76,7 +76,7 @@ def chord_spectra(
         if l1.domain != l0.domain:
             raise DimensionMismatch("chord spectrum of Legendrians over different bases")
         diffs.append(l1.generator - l0.generator)
-    return [ChordSpectrum(lengths=tuple(sorted(cs.values)), source=cs) for cs in critical_sets(diffs, tol)]
+    return [ChordSpectrum(lengths=cs.values, source=cs) for cs in critical_sets(diffs, tol)]
 
 
 def chord_spectrum(

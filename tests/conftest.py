@@ -58,3 +58,17 @@ def spectra_lacking_largest(monkeypatch):
         return [dataclasses.replace(s, lengths=s.lengths[:-1]) for s in chord_spectra(*args, **kwargs)]
 
     monkeypatch.setattr(selectors, "chord_spectra", faulty)
+
+
+@pytest.fixture
+def newton_fails(monkeypatch):
+    """A fault for the root-finder negative controls: every row of the circle
+    Newton run comes back failed (NaN root and value), so no circle critical
+    point is found and every record falls back to its scan values."""
+    newton_circle = fourier._newton_circle
+
+    def failed(*args, **kwargs):
+        roots, vals = newton_circle(*args, **kwargs)
+        return np.full_like(roots, np.nan), np.full_like(vals, np.nan)
+
+    monkeypatch.setattr(fourier, "_newton_circle", failed)

@@ -388,6 +388,20 @@ def test_cmd_contact_norm_translated_qa_upper(capsys, specs, tmp_path):
     assert code == 0 and out["gap"] <= 1e-4
 
 
+def test_cmd_contact_norm_shares_dist_membership_rule(capsys, specs):
+    # at --tol 1e-3 the spectrum's cluster means drift off the extrema of this
+    # displacement; contact norm reads selectors, as dist does, so both exit 0
+    f = fn(0.0, [0.003] + [0.0] * 9 + [0.0006])  # 0.003 cos 2 pi q + 0.0006 cos 22 pi q
+    phi = _write(specs["tmp"], "drift.json", {"displacement": dump_function(f)})
+    code, norm = run_json(capsys, ["contact", "norm", phi, "--tol", "1e-3"])
+    assert code == 0
+    spec = _write(specs["tmp"], "drift-f.json", dump_function(f))
+    code, dist = run_json(capsys, ["dist", spec, specs["zero"], "--tol", "1e-3"])
+    assert code == 0
+    assert (norm["c_plus"], norm["c_minus"], norm["norm"]) == (0.0036, -0.0036, 0.0036)
+    assert (dist["ell_plus"], dist["ell_minus"], dist["d_spec"]) == (0.0036, -0.0036, 0.0036)
+
+
 def test_cmd_contact_qa_follows_tol(capsys, specs):
     # 4 steps lambda_k h + 1e-3 g_k from the identity: the jet-side gap, about
     # 7.6e-10, lies far below 1e-4, so the witness search at --tol 1e-4 finds

@@ -16,6 +16,7 @@ from jetflat.errors import CrossCheckMismatch, NotADiffeomorphism
 from jetflat.fourier import critical_set, sup_norm
 from jetflat.jets import zero_section
 from jetflat.sampling import random_contactomorphism, random_quasi_autonomous_path
+from jetflat.selectors import selectors
 
 from conftest import fn
 
@@ -113,6 +114,23 @@ def test_spectral_norm_small_sine():
     assert r.c_plus == pytest.approx(0.1, abs=1e-12)
     assert r.c_minus == pytest.approx(-0.1, abs=1e-12)
     assert r.norm == pytest.approx(0.1, abs=1e-12)
+
+
+def test_spectral_norm_at_a_coarse_tol():
+    # a spectrum clustered at tol 1e-3 has means off both extrema here; the
+    # norm clusters as selectors do (_cluster_tol), so it keeps them
+    cos = [0.003] + [0.0] * 9 + [0.0006]  # 0.003 cos 2 pi q + 0.0006 cos 22 pi q
+    r = spectral_norm(contacto(0.0, cos), tol=1e-3)
+    assert (r.c_plus, r.c_minus, r.norm) == pytest.approx((0.0036, -0.0036, 0.0036), abs=1e-15)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_spectral_norm_is_the_selectors_of_the_chart_image(rng, tol):
+    for _ in range(10):
+        phi = random_contactomorphism(rng)
+        r = spectral_norm(phi, tol)
+        s = selectors(graph_of(phi), zero_section(), membership_tol=tol)
+        assert (r.c_plus, r.c_minus, r.norm) == (s.ell_plus, s.ell_minus, s.d_spec)
 
 
 def test_c1_advisory_flag():
