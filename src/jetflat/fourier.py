@@ -650,10 +650,10 @@ def _dedupe_points(points: np.ndarray, tol: float = POINT_CLUSTER_TOL) -> np.nda
 _NEIGHBOURHOOD = {d: np.array(list(itertools.product((-1, 0, 1), repeat=d))).T[:, :, None] for d in (1, 2)}
 
 
-# the role of a seed: a max or min seed (T2), a bracket [x, x + width] of a
-# sign change of f' (S1), a root already met on the scan (S1), or a free
-# critical seed (S1 cells too narrow to split again, and torus cells)
-MAX, MIN, BRACKET, EXACT, FREE = range(5)
+# the role of a seed: a max or min seed (T2), or a free one (every circle
+# row, and the torus critical seeds); a circle row is a bracket when its
+# chord is not 0
+MAX, MIN, FREE = range(3)
 
 
 class _Batch(NamedTuple):
@@ -677,8 +677,9 @@ class _Batch(NamedTuple):
     role: np.ndarray
     x: np.ndarray  # (rows, ndim)
     width: np.ndarray  # the grid or sub-grid spacing a row was seeded on
-    # a / (|a| + |z|) on a BRACKET with f' = a and z at its ends: the sign of f' at x, and its chord's root
-    # at x + |chord| width; 0 on other rows
+    # a / (|a| + |z|) on a circle bracket [x, x + width] with f' = a and z at its ends, neither of which
+    # meets the residual, so a != 0: the sign of f' at x, and its chord's root at x + |chord| width; 0 on
+    # every other row
     chord: np.ndarray
 
 
@@ -751,24 +752,25 @@ def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch, every: bool) -> _Batc
     The rules read every cell with every (critical sets), else only the
     cell that f' at each max or min seed of b points into (the right cell
     of a max seed where f' > 0, the left one where f' < 0, and mirrored for
-    a min seed), or the seed itself, EXACT, where its |f'| already meets the
-    residual.  A cell [x, x + w] that holds two or more roots of f' (with
-    multiplicity) has |f'| <= L w^2 / 2 at both ends, L a bound of |f'''|
-    on the cell, since f'(x) = f'''(xi)(x - r1)(x - r2) / 2; three or more
+    a min seed), or the seed itself, with chord 0, where its |f'| already
+    meets the residual.  A cell [x, x + w] that holds two or more roots of
+    f' (with multiplicity) has |f'| <= L w^2 / 2 at both ends, L a bound of
+    |f'''| on the cell, since f'(x) = f'''(xi)(x - r1)(x - r2) / 2; three or more
     roots meet the same bound as long as L >= M4 w / 2.  Both bounds used
     here do: M3 on the scan (M4 w / 2 <= M3 once w <= 1 / (pi D)) and, on
     sub-cells, |f'''| at the larger end plus M4 w / 2, which stays small
     where f' is flat around a root of high multiplicity.  So a cell that
     fails the bound at an end (with 16 ulps of M1 for the rounding of f')
-    holds one root where f' changes sign or is zero (a BRACKET with its
-    chord, or EXACT at an end that already meets the residual) and none
-    elsewhere.  A cell that meets it at both ends is suspect.  A suspect
-    cell whose ends both meet the residual is already critical as far as
-    Newton can tell, and one narrower than POINT_CLUSTER_TOL merges its
-    roots anyway: each run of adjacent such cells gets one FREE seed, at
-    its end of least |f'|.  The other suspect cells are sampled again at
+    holds one root where f' changes sign or is zero (a bracket with its
+    chord, or a row with chord 0 at an end that already meets the residual)
+    and none elsewhere.  A cell that meets it at both ends is suspect.  A
+    suspect cell whose ends both meet the residual is already critical as
+    far as Newton can tell, and one narrower than POINT_CLUSTER_TOL merges its
+    roots anyway: each run of adjacent such cells gets one row with chord 0,
+    at its end of least |f'|.  The other suspect cells are sampled again at
     SUBCELLS sub-cells, f' and f''' of all of them in one _series_at call
-    per level, and read by the same rules.  Points lie in [0, 1).
+    per level, and read by the same rules.  Every row is FREE, and
+    points lie in [0, 1).
     """
     m1, _, m3, m4 = b.bound.T
     slack, residual, n = _rounding(m1), b.residual, d.shape[1]
@@ -785,7 +787,7 @@ def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch, every: bool) -> _Batc
         slope = d[o, i]
         met = np.abs(slope) <= residual[o]
         if met.any():
-            found.append((o[met], np.full(len(o), EXACT)[met], b.x[met, 0], np.full(len(o), w)[met], 0.0 * slope[met]))
+            found.append((o[met], b.x[met, 0], np.full(len(o), w)[met], 0.0 * slope[met]))
         j = (i - ((slope > 0.0) != (b.role == MAX)))[~met] % n  # the right cell, or the left one
         owner = o[~met]  # a cell that two seeds point into is read twice, to the same rows
         a, z, base = d[owner, j, None], d[owner, (j + 1) % n, None], j * w
@@ -800,7 +802,7 @@ def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch, every: bool) -> _Batc
         exact = at_left | at_right
         x = (base[i] + j * w + w * (at_right & ~at_left)) % 1.0
         chord = np.where(exact, 0.0, a[i, j] / (left + right))  # no change is suspect: |a| + |z| > 0
-        found.append((o, np.where(exact, EXACT, BRACKET), x, np.full(len(o), w), chord))
+        found.append((o, x, np.full(len(o), w), chord))
         i, j = np.nonzero(suspect)  # from here on one entry per suspect cell, in scan order
         if not len(i):
             break
@@ -812,7 +814,7 @@ def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch, every: bool) -> _Batc
             order = np.lexsort((ends.min(axis=0), run))
             pick = order[np.flatnonzero(np.diff(run[order], prepend=0))]
             x = (x[pick] + w * (ends[1, pick] < ends[0, pick])) % 1.0
-            found.append((o[pick], np.full(len(pick), FREE), x, np.full(len(pick), w), np.zeros(len(pick))))
+            found.append((o[pick], x, np.full(len(pick), w), np.zeros(len(pick))))
         owner, base, a, z = owner[~done], base[~done], a[~done], z[~done]
         if not len(owner):
             break
@@ -825,8 +827,8 @@ def _circle_seeds(d: np.ndarray, c: np.ndarray, b: _Batch, every: bool) -> _Batc
         a, z, third = v[:, :-1, 0], v[:, 1:, 0], np.abs(v[..., 1])
         t = np.maximum(third[:, :-1], third[:, 1:]) + (0.5 * w * m4 + _rounding(m3))[owner, None]
         t = 0.5 * t * w * w + slack[owner, None]
-    owner, role, x, width, chord = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
-    return b._replace(owner=owner, role=role, x=x[:, None], width=width, chord=chord)
+    owner, x, width, chord = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    return b._replace(owner=owner, role=np.full(len(owner), FREE), x=x[:, None], width=width, chord=chord)
 
 
 def _critical(g: np.ndarray, b: _Batch, c: np.ndarray) -> _Batch:
@@ -924,10 +926,11 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float, critical: bool
     """The attaining_set record and, with critical, the critical points of every function of a batch, from one Newton run.
 
     fs are the batch's functions, all of one domain.  The run refines b's
-    whole table, w being a row's width.  On S1 a BRACKET [x, x + w] starts
-    at the root of its chord of f' and is kept in its bracket
-    (_newton_circle), an EXACT row is its own root, and a FREE seed keeps
-    within 2w and is dropped if it fails; every row is a critical row, and
+    whole table, w being a row's width.  On S1 a row with a nonzero chord
+    is a bracket [x, x + w]: it starts at the root of its chord of f' and
+    is kept in its bracket (_newton_circle); a row with chord 0 keeps
+    within 2w and is dropped if it fails (one whose |f'| already meets the
+    residual is its own root at step 0); every row is a critical row, and
     counts toward the max unless f' rises across it and toward the min
     unless f' falls.  On T2 every row keeps within 2w of its seed in the
     sup metric: MAX and MIN seeds count toward their sign and fall back to
@@ -950,9 +953,8 @@ def _refine(fs: Sequence[FourierFunction], b: _Batch, tol: float, critical: bool
         residual = b.residual[owner]
         stacks = _stacks(fs)
         if ndim == 1:
-            x, window = x[:, 0], np.where(role == BRACKET, 0.0, 2.0) * width  # a bracket keeps to its cell
+            x, window = x[:, 0], np.where(b.chord == 0.0, 2.0, 0.0) * width  # a bracket keeps to its cell
             bounds = x - window, x + np.maximum(window, width)
-            residual[role == EXACT] = np.inf  # its own root
             roots, vals = _newton_circle(stacks[owner], x + np.abs(b.chord) * width, *bounds, residual, np.sign(b.chord))
             roots = roots[:, None]
             kinds = [b.chord >= 0.0, b.chord <= 0.0, np.full(len(role), critical)]

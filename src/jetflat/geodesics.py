@@ -156,7 +156,12 @@ def common_attaining_point(records: Sequence[Extrema], tol: float = EQUALITY_TOL
     constraining record the origin witnesses.  The witness's residuals, in
     the original order, take one more evaluation of all the h_k.
     """
-    s = _search(records, tol)
+    return _witness(_search(records, tol))
+
+
+def _witness(s: _Search) -> QAWitness | None:
+    """The witness of common_attaining_point, from the built search s."""
+    records = s.records
     for eps in (1, -1):
         end, candidates = _survivors(s, eps)
         if end == len(records):
@@ -197,15 +202,14 @@ class SegmentationReport:
         }
 
 
-def _segmentation(records: Sequence[Extrema], tol: float) -> SegmentationReport:
-    """Maximal windows of consecutive segments whose records share a witness.
+def _segmentation(s: _Search) -> SegmentationReport:
+    """Maximal windows of consecutive segments whose records share a witness, from their search s.
 
     Extending a window to the right only adds filters to the search, so the
     windows from a start i that pass are those up to one end e(i): the
     longer passing prefix of the two signs, one search of the records from i on.
     """
-    k = len(records)
-    s = _search(records, tol)
+    k = len(s.records)
     # a window from i is maximal exactly when e(i) passes every earlier end,
     # so a start is searched only while an end beyond the last one is left.
     # Dropping segments on the left changes the candidates, so shrinking is
@@ -317,7 +321,8 @@ def minimizing_geodesic_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> G
     length = float(sum(r.norm for r in records))
     dist = ends.norm
     gap = length - dist
-    witness = common_attaining_point(records, tol)
+    search = _search(records, tol)
+    witness = _witness(search)
     minimizing = gap <= tol
     mismatch = minimizing != (witness is not None)
     if mismatch:
@@ -329,7 +334,7 @@ def minimizing_geodesic_check(path: IsotopyPath, tol: float = EQUALITY_TOL) -> G
         minimizing=minimizing,
         witness=witness,
         cross_check_mismatch=mismatch,
-        segmentation=_segmentation(records, tol),
+        segmentation=_segmentation(search),
     )
 
 

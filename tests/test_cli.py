@@ -388,6 +388,19 @@ def test_cmd_contact_norm_translated_qa_upper(capsys, specs, tmp_path):
     assert code == 0 and out["gap"] <= 1e-4
 
 
+def test_cmd_contact_upper_reads_the_spectral_norm_once(monkeypatch, capsys, specs):
+    calls, spectral_norm = [], cli.spectral_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spectral_norm(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectral_norm", counted)
+    code, out = run_json(capsys, ["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"])
+    assert code == 0 and len(calls) == 1
+    assert out["gap"] == out["upper"] - out["spectral_norm"]
+
+
 def test_cmd_contact_norm_shares_dist_membership_rule(capsys, specs):
     # at --tol 1e-3 the spectrum's cluster means drift off the extrema of this
     # displacement; contact norm reads selectors, as dist does, so both exit 0

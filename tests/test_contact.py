@@ -7,13 +7,15 @@ from jetflat.contact import (
     contact_qa_check,
     graph_beta_residuals,
     graph_of,
+    graph_points,
     rotation,
     shelukhin_norm_upper,
     spectral_norm,
     translated_points,
 )
 from jetflat.errors import CrossCheckMismatch, NotADiffeomorphism
-from jetflat.fourier import critical_set, sup_norm
+from jetflat.fourier import CIRCLE, FourierFunction, critical_set, sup_norm
+from jetflat.geodesics import optimize_path
 from jetflat.jets import zero_section
 from jetflat.sampling import random_contactomorphism, random_quasi_autonomous_path
 from jetflat.selectors import selectors
@@ -58,6 +60,36 @@ def test_graph_of_small_sine():
     assert graph_of(phi).generator == phi.displacement
     xs = np.arange(1000) / 1000.0
     assert graph_beta_residuals(phi, xs).max() <= 1e-12
+
+
+def _fejer_map(n=6, c1=5.0):
+    # f' = s (F_n - 1) with F_n the Fejer kernel (F_n >= 0, mean 1, max n + 1
+    # at 0): max|f'| = s n = c1 and min(1 + f') = 1 - s > 0 for c1 < n
+    s = c1 / n
+    weights = [2.0 * s * (1.0 - k / (n + 1)) for k in range(1, n + 1)]
+    return contacto(0.0, [], [w / (2.0 * np.pi * k) for k, w in enumerate(weights, 1)])
+
+
+def _squeezed_map(rng, jacobian=1e-6):
+    # a random displacement scaled until min(1 + f') = jacobian
+    phi = random_contactomorphism(rng)
+    return CircleContactomorphism(phi.displacement * ((1.0 - jacobian) / -phi.slope.vmin))
+
+
+def test_chart_image_of_the_graph_is_the_jet_graph(rng):
+    # the chart sends (x, x + f, log(1 + f')) to (x, f', f): its image of
+    # the graph's points is the 1-jet of the generator graph_of returns
+    xs = np.arange(1024) / 1024
+    squeezed, steep = _squeezed_map(rng), _fejer_map()
+    assert squeezed.min_jacobian() == pytest.approx(1e-6, rel=1e-6)
+    assert steep.c1_size() == pytest.approx(5.0, rel=1e-12)
+    maps = [random_contactomorphism(rng) for _ in range(20)] + [squeezed, steep, rotation(0.3)]
+    for phi in maps:
+        g = graph_of(phi).generator
+        gp = g.derivative()(xs)
+        image = ProductChartMap.apply(graph_points(phi, xs))
+        jet = np.stack([xs, gp, g(xs)], axis=1)
+        assert np.abs(image - jet).max() <= 1e-12 * (1.0 + np.abs(gp).max())
 
 
 def test_graph_rejects_non_diffeomorphism():
@@ -213,6 +245,13 @@ def test_upper_bound_rotation():
     assert shelukhin_norm_upper(rotation(0.3), knots=4, restarts=2, seed=0) == pytest.approx(
         0.3, abs=1e-9
     )
+
+
+def test_upper_bound_is_the_optimizers_plain_length():
+    phi = contacto(0.0, [], [0.1])
+    upper = shelukhin_norm_upper(phi, knots=4, restarts=2, seed=1)
+    assert type(upper) is float
+    assert upper == optimize_path(FourierFunction.zero(CIRCLE), phi.displacement, knots=4, restarts=2, seed=1).length
 
 
 def test_upper_bound_small_sine():

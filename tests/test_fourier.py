@@ -803,7 +803,7 @@ def test_root_of_high_multiplicity_is_read_in_few_sub_cells(monkeypatch):
 def test_flat_extremum_record_samples_no_sub_cells(monkeypatch):
     # every grid point within about 0.1 of the flat minimum of
     # (1 - cos 2 pi q)^16 meets the Newton residual, so its min seeds are
-    # EXACT rows of their own and no seed cell is read; the cell rules on
+    # rows of their own (chord 0) and no seed cell is read; the cell rules on
     # every cell there sample some 24000 sub-cell points (the critical set
     # does that, and keeps one point per flat run, where attaining_set keeps
     # each seed: both report the minimum within rounding of 2^16)
