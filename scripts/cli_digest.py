@@ -84,6 +84,10 @@ def _runs(seed: int, out: Path) -> list[tuple[str, list[str]]]:
         ("contact-upper", ["contact", "upper", phi_spec, *short]),
         ("geodesic-t2", ["geodesic", torus_path]),
         ("geodesic-optimize-t2", ["geodesic", torus_path, "--mode", "optimize", *short]),
+        # the benchmark's optimizer setting: default --knots and --restarts
+        ("geodesic-optimize-default", ["geodesic", path, "--mode", "optimize"]),
+        ("geodesic-optimize-t2-default", ["geodesic", torus_path, "--mode", "optimize"]),
+        ("contact-upper-default", ["contact", "upper", phi_spec]),
     ]
     return runs
 

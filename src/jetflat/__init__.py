@@ -64,7 +64,6 @@ from .selectors import (
     axiom_suite,
     hamiltonian_bounds_check,
     sch_length,
-    selectors,
     spectral_distance,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "reeb_translate",
     "rotation",
     "sch_length",
-    "selectors",
     "shelukhin_norm_upper",
     "spectral_distance",
     "spectral_norm",

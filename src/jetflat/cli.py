@@ -176,7 +176,7 @@ def _cmd_contact(args) -> tuple[dict, bool, list[list] | None]:
     if args.sub == "upper":
         phi = parse_contactomorphism(_load_json(args.spec))
         upper = shelukhin_norm_upper(phi, knots=args.knots, restarts=args.restarts, seed=args.seed)
-        norm = spectral_norm(phi).norm  # asserts spectrality, logs the C1 advisory
+        norm = spectral_norm(phi, tol=args.tol).norm  # asserts spectrality, logs the C1 advisory
         gap = upper - norm
         report = {"upper": upper, "spectral_norm": norm, "gap": gap}
         return report, gap <= 1e-4, None

@@ -279,35 +279,22 @@ class FourierFunction:
         raise DimensionMismatch("torus points must have shape (2,) or (m, 2)")
 
     def values_on_grid(self, n: int) -> np.ndarray:
-        """Value, gradient and Hessian grids at the uniform grid (i/n), stacked on a new leading axis.
+        """f, f_1, f_2, f_11, f_12, f_22 of a torus function at the grid (i/n, j/n), shape (6, n, n).
 
-        f, f', f'' on S1, shape (3, n), from the product of the circle scans
-        (_circle_scans), which take f and f' only.  f, f_1, f_2, f_11, f_12,
-        f_22 on T2, shape
-        (6, n, n).  Each grid is one coefficient array of the real
-        derivative stack against one cached basis table B: B v on S1 and
-        B V B^T on T2, each product one stacked matmul over blocks of at
-        most BLAS_CALL multiply-adds (_block), so it stays on this thread.
+        The torus scan: one _torus_scans product of the real derivative
+        stack.  Circle functions are scanned in stacks by _circle_scans.
         """
-        stack = _derivative_stack(self.coeffs[None])
-        if self.domain.kind == "S1":
-            return _circle_scans(stack, n)[0]
-        b = _grid_basis(n, self.degree)
-        k = b.shape[1]
-        stack = stack[0]
-        # B V for all six V in row blocks of B, then row blocks of the (6n, 2(D+1)) B V times B^T
-        r = _block(n, k * k)
-        bv = np.empty((6, n, k))
-        np.matmul(b.reshape(-1, 1, r, k), stack.reshape(6, k, k), out=bv.reshape(6, -1, r, k).swapaxes(0, 1))
-        return np.matmul(bv.reshape(-1, _block(6 * n, k * n), k), b.T).reshape(6, n, n)
+        if self.domain.kind != "T2":
+            raise DimensionMismatch("values_on_grid on a circle function")
+        return _torus_scans(_derivative_stack(self.coeffs[None])[0], n)
 
 
 def _circle_scans(stack: np.ndarray, n: int) -> np.ndarray:
     """The s series of every circle function of a stack (m, s, 2, D+1) at the grid i/n, shape (m, s, n).
 
-    The series are rows of a derivative stack: f, f' for a scan, f, f', f''
-    for values_on_grid.  One (sm, 2(D+1)) @ (2(D+1), n) product against the
-    cached basis table, in column blocks of B^T of at most BLAS_CALL
+    The series are rows of a derivative stack: f, f' for a scan, f for the
+    optimizer's coarse scan.  One (sm, 2(D+1)) @ (2(D+1), n) product against
+    the cached basis table, in column blocks of B^T of at most BLAS_CALL
     multiply-adds (_block).
     """
     b = _grid_basis(n, stack.shape[-1] - 1)
@@ -316,6 +303,24 @@ def _circle_scans(stack: np.ndarray, n: int) -> np.ndarray:
     out = np.empty(stack.shape[:2] + (n,))
     np.matmul(stack.reshape(rows, k), b.reshape(-1, c, k).swapaxes(1, 2), out=out.reshape(rows, -1, c).swapaxes(0, 1))
     return out
+
+
+def _torus_scans(stack: np.ndarray, n: int) -> np.ndarray:
+    """The torus series of a stack (s, 2, D+1, 2, D+1) at the grid (i/n, j/n), shape (s, n, n).
+
+    The series are the rows of a derivative stack (values_on_grid) or the
+    optimizer's segments.  Each grid is B V B^T, V the coefficient matrix of
+    its series and B the cached basis table: B V for all s in row blocks of
+    B, then row blocks of the (sn, 2(D+1)) B V times B^T, each product one
+    stacked matmul over blocks of at most BLAS_CALL multiply-adds (_block),
+    so it stays on this thread.
+    """
+    b = _grid_basis(n, stack.shape[-1] - 1)
+    s, k = len(stack), b.shape[1]
+    r = _block(n, k * k)
+    bv = np.empty((s, n, k))
+    np.matmul(b.reshape(-1, 1, r, k), stack.reshape(s, k, k), out=bv.reshape(s, -1, r, k).swapaxes(0, 1))
+    return np.matmul(bv.reshape(-1, _block(s * n, k * n), k), b.T).reshape(s, n, n)
 
 
 def _block(size: int, per_item: int) -> int:
@@ -338,7 +343,7 @@ def _basis(degree: int, x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _grid_basis(n: int, degree: int) -> np.ndarray:
     """The axis basis at the grid points i/n, flattened to rows of the coeffs layout: shape (n, 2(D+1))."""
-    b = _basis(degree, grid_points(n)).reshape(n, -1)
+    b = _basis(degree, np.arange(n) / n).reshape(n, -1)
     b.flags.writeable = False
     return b
 
@@ -437,10 +442,6 @@ def _torus_at(stack: np.ndarray, pts: np.ndarray, owner: np.ndarray | None = Non
     stack = stack.reshape(stack.shape[:-4] + (2 * k, 2 * k))
     stack = np.broadcast_to(stack, (len(pts),) + stack.shape[-3:])
     return np.einsum("mi,msij,mj->ms", b[:, 0], stack, b[:, 1])
-
-
-def grid_points(n: int) -> np.ndarray:
-    return np.arange(n) / n
 
 
 # ---------------------------------------------------------------------------

@@ -36,16 +36,16 @@ from .fourier import (
     Extrema,
     FourierFunction,
     _basis,
+    _circle_scans,
     _derivative_stack,
-    _grid_basis,
     _newton_circle,
     _newton_torus,
     _padded,
     _rounding,
     _series_at,
     _torus_at,
+    _torus_scans,
     attaining_sets,
-    grid_points,
     sup_norm,
 )
 from .jets import JetLegendrian, pointwise_leq
@@ -404,49 +404,38 @@ def _real_basis(domain: DomainDescriptor, degree: int, pts: np.ndarray) -> np.nd
     return (axes[:, 0, :, None] * axes[:, 1, None, :]).reshape(len(pts), -1)
 
 
-def _subgradient_grid(domain: DomainDescriptor, degree: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Points (N, ndim), spacing and per-axis basis (n, 2(D+1)) of the coarse scan of _segment_sups.
-
-    16 points per top-frequency period on S1, 8 per period and axis on T2.
-    """
-    n = (16 if domain.kind == "S1" else 8) * max(degree, 1)
-    axis = grid_points(n)
-    pts = np.stack(np.meshgrid(*[axis] * domain.ndim, indexing="ij"), axis=-1).reshape(-1, domain.ndim)
-    return pts, 1.0 / n, _grid_basis(n, degree)
-
-
-def _segment_sups(
-    seg: np.ndarray, domain: DomainDescriptor, degree: int, grid: tuple[np.ndarray, float, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def _segment_sups(seg: np.ndarray, domain: DomainDescriptor, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """max |v| of each function with real vector v = seg[i], and the signed basis row where it is attained.
 
-    The coarse scan (_subgradient_grid) is B v on S1 and B V B^T on T2, with
-    V the coefficient matrix of v; each argmax of |v| is finished by the
-    Newton kernel of the extremum search, and stays where Newton fails or
-    lowers |v|.  Every row gets its own products of the same shape and the
-    Newton kernels work seed by seed, so a row's result does not depend on
-    the other rows.
+    The coarse scan is the engine's grid product at n points per axis, 16
+    per top-frequency period on S1 (_circle_scans) and 8 per period and
+    axis on T2 (_torus_scans); each argmax of |v| is finished by the Newton
+    kernel of the extremum search, and stays where Newton fails or lowers
+    |v|.  The Newton kernels work seed by seed, but the scan is one stacked
+    product, whose OpenBLAS kernel may change with the number of rows: a
+    row's coarse values can then move by a few ulps (S1 degree 15, and a
+    lone row at degree 1, among S1 degrees 0-64 and T2 degrees 0-16).
     """
-    pts, dq, basis = grid
-    coef = seg.reshape(len(seg), len(basis.T), -1)  # (m, 2(D+1), 1) on S1, (m, 2(D+1), 2(D+1)) on T2
-    v = (basis @ coef if domain.kind == "S1" else basis @ coef @ basis.T).reshape(len(seg), -1)
+    real = seg.reshape((len(seg),) + (2, degree + 1) * domain.ndim)  # coeffs layout
+    stack = _derivative_stack(real)
+    n = (16 if domain.kind == "S1" else 8) * max(degree, 1)
+    v = (_circle_scans(stack[:, :1], n) if domain.kind == "S1" else _torus_scans(real, n)).reshape(len(seg), -1)
     m = np.arange(len(seg))
     idx = np.argmax(np.abs(v), axis=1)
     top = v[m, idx]
-    q0 = pts[idx]
     # a slope residual r leaves |v| short by about r^2 / 2|v''|, so 1e-8 of the
     # Bernstein bound |grad v| <= 2 pi D max|v| reaches the value to rounding
     residual = 1e-8 * np.maximum(1.0, TWO_PI * degree * np.abs(top))
-    real = seg.reshape((len(seg),) + (2, degree + 1) * domain.ndim)  # coeffs layout
-    stack = _derivative_stack(real)
     if domain.kind == "S1":
         # Newton starts at the vertex of the parabola through the argmax and its two neighbours
-        lo, hi = v[m, idx - 1], v[m, (idx + 1) % len(pts)]
+        q0, dq = (idx / n)[:, None], 1.0 / n
+        lo, hi = v[m, idx - 1], v[m, (idx + 1) % n]
         bend = lo - 2.0 * top + hi
         start = q0[:, 0] + 0.5 * dq * (lo - hi) / np.where(bend == 0.0, np.inf, bend)
         q, val = _newton_circle(stack, start, start - dq, start + dq, residual, 0.0 * start)  # a window, no bracket
         q = q[:, None]
     else:
+        q0 = np.stack(divmod(idx, n), axis=1) / n
         q = _newton_torus(stack, q0, np.inf, residual)
         val = _torus_at(stack[:, :1], q)[:, 0]
     stay = ~(np.abs(val) >= np.abs(top))  # NaN where Newton failed
@@ -476,16 +465,16 @@ def _run_restart(x: np.ndarray, domain: DomainDescriptor, degree: int, target: f
     best coarse length is within EQUALITY_TOL of target; a restart at or
     below the target thus takes no step, and the loop ends when every
     restart is frozen or after OPTIMIZER_ITERS steps.  The live restarts
-    run in lockstep and each one's scan is its own (_segment_sups), so
-    restart r does not depend on how many run.
+    run in lockstep, one scan of all their segments per step
+    (_segment_sups), so restart r depends on how many run only through the
+    ulps by which that scan's rows may move with its size.
     """
-    grid = _subgradient_grid(domain, degree)
     x, best_x = np.array(x), np.array(x)
     r, k, dim = x.shape
     best_val = np.full(r, np.inf)
     live = np.arange(r)
     for it in range(OPTIMIZER_ITERS + 1):
-        sups, rows = _segment_sups(np.diff(x[live], axis=1).reshape(-1, dim), domain, degree, grid)
+        sups, rows = _segment_sups(np.diff(x[live], axis=1).reshape(-1, dim), domain, degree)
         val = np.sum(sups.reshape(len(live), k - 1), axis=1)
         better = val < best_val[live]
         best_val[live[better]], best_x[live[better]] = val[better], x[live[better]]

@@ -101,7 +101,7 @@ def dump_function(f: FourierFunction) -> dict:
 
 def parse_path(obj: Any) -> IsotopyPath:
     _require(isinstance(obj, dict), "path spec must be an object")
-    times = _finite_list(obj.get("times", []), "times")
+    times = _finite_list(obj.get("times"), "times")
     knots_raw = obj.get("knots")
     _require(isinstance(knots_raw, list) and len(knots_raw) >= 2, "path needs >= 2 knots")
     knots = tuple(parse_function(k) for k in knots_raw)
@@ -125,7 +125,7 @@ def dump_contactomorphism(phi: CircleContactomorphism) -> dict:
 
 def parse_contact_path(obj: Any) -> tuple[list[CircleContactomorphism], list[float]]:
     _require(isinstance(obj, dict), "contact path spec must be an object")
-    times = _finite_list(obj.get("times", []), "times")
+    times = _finite_list(obj.get("times"), "times")
     knots_raw = obj.get("knots")
     _require(isinstance(knots_raw, list) and len(knots_raw) >= 2, "contact path needs >= 2 knots")
     maps = [parse_contactomorphism(k) for k in knots_raw]

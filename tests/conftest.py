@@ -1,11 +1,10 @@
 import dataclasses
-import importlib
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from jetflat import fourier
+from jetflat import fourier, selectors
 from jetflat.fourier import FourierFunction
 
 settings.register_profile("numeric", deadline=None, max_examples=40, derandomize=True)
@@ -37,8 +36,7 @@ def scanned(monkeypatch):
         return circle_scans(stack, n)
 
     def counted_values_on_grid(self, n):
-        if self.domain.kind == "T2":
-            counts.append(n)
+        counts.append(n)
         return values_on_grid(self, n)
 
     monkeypatch.setattr(fourier, "_circle_scans", counted_circle_scans)
@@ -51,7 +49,6 @@ def spectra_lacking_largest(monkeypatch):
     """A fault for the spectrality negative controls: every chord spectrum the
     axiom suite reads lacks its largest length, so ell_plus drops out of it
     while every record (and so every other axiom) keeps its bits."""
-    selectors = importlib.import_module("jetflat.selectors")  # the package's `selectors` is the function
     chord_spectra = selectors.chord_spectra
 
     def faulty(*args, **kwargs):

@@ -392,13 +392,17 @@ def test_cmd_contact_upper_reads_the_spectral_norm_once(monkeypatch, capsys, spe
     calls, spectral_norm = [], cli.spectral_norm
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs)
         return spectral_norm(*args, **kwargs)
 
     monkeypatch.setattr(cli, "spectral_norm", counted)
     code, out = run_json(capsys, ["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2"])
     assert code == 0 and len(calls) == 1
     assert out["gap"] == out["upper"] - out["spectral_norm"]
+    # --tol reaches the spectral norm, as in contact norm
+    calls.clear()
+    code, _ = run_json(capsys, ["contact", "upper", specs["phi"], "--knots", "3", "--restarts", "2", "--tol", "1e-3"])
+    assert code == 0 and calls == [{"tol": 1e-3}]
 
 
 def test_cmd_contact_norm_shares_dist_membership_rule(capsys, specs):
@@ -441,6 +445,17 @@ def test_knot_time_count_mismatch_exit_3(capsys, tmp_path):
     )
     assert main(["geodesic", path]) == 3
     assert main(["contact", "qa", cpath]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_missing_times_exit_2(capsys, tmp_path):
+    # "times" is required, as "knots" is: a spec without it is an invalid
+    # input document, not a knot/time count mismatch
+    knots = [fn(0.0), fn(0.0, [], [0.05])]
+    path = _write(tmp_path, "path.json", {"knots": [dump_function(k) for k in knots]})
+    cpath = _write(tmp_path, "cpath.json", {"knots": [{"displacement": dump_function(k)} for k in knots]})
+    assert main(["length", path]) == 2
+    assert main(["contact", "qa", cpath]) == 2
     assert capsys.readouterr().out == ""
 
 

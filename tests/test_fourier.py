@@ -41,6 +41,14 @@ from oracles import (
 coeff_lists = st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4)
 
 
+def scan_grids(f, n):
+    """The scan grids of f at i/n: f, f', f'' of a circle function, in one product of
+    its derivative stack (_circle_scans), and the six torus grids (values_on_grid)."""
+    if f.domain.kind == "T2":
+        return f.values_on_grid(n)
+    return fourier._circle_scans(fourier._derivative_stack(f.coeffs[None]), n)[0]
+
+
 # -- evaluation ------------------------------------------------------------
 
 
@@ -64,7 +72,7 @@ def test_evaluation_matches_dense_grid_oracle():
     g = fn(0.1, [1.0, 0.2], [0.0, 0.5])
     n = 1 << 20
     xs = np.arange(n) / n
-    gap = np.max(np.abs(g.values_on_grid(n)[0] - eval_direct(0.1, [1.0, 0.2], [0.0, 0.5], xs)))
+    gap = np.max(np.abs(scan_grids(g, n)[0] - eval_direct(0.1, [1.0, 0.2], [0.0, 0.5], xs)))
     assert gap <= 1e-12
 
 
@@ -96,6 +104,8 @@ def test_dimension_mismatch_errors():
     f = fn(0.0, [1.0])
     with pytest.raises(DimensionMismatch):
         f(np.zeros((4, 2)))  # torus-style points on a circle function
+    with pytest.raises(DimensionMismatch):
+        f.values_on_grid(64)  # the torus scan; circle functions are scanned in stacks
     t = FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DimensionMismatch):
         t(np.array([0.1, 0.2, 0.3]))
@@ -192,7 +202,7 @@ def test_extremum_tie_break_lexicographic():
 @given(coeff_lists, coeff_lists)
 def test_extremum_sandwich(cos, sin):
     f = fn(0.0, cos, sin)
-    grid = f.values_on_grid(512)[0]
+    grid = scan_grids(f, 512)[0]
     lo = extremum(f, "min").value
     hi = extremum(f, "max").value
     assert lo <= grid.min() + 1e-12
@@ -332,7 +342,7 @@ def test_critical_set_carries_the_attaining_set_record(f):
 def test_scan_stack_matches_separate_grids():
     f = fn(0.1, [0.3, -0.2], [0.1, 0.05])
     want = partials_direct(*f.circle_cos_sin(), np.arange(64) / 64)
-    np.testing.assert_allclose(f.values_on_grid(64), want, atol=1e-12)
+    np.testing.assert_allclose(scan_grids(f, 64), want, atol=1e-12)
     t = FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [0.5, 0.2]], ss=[[0.0, 0.0], [0.0, 0.3]])
     q = np.arange(16) / 16
     pts = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -377,7 +387,7 @@ def test_scan_products_stay_under_the_call_size(monkeypatch):
     rng = np.random.default_rng(17)
     for domain, d, n in SCAN_CASES:
         calls.clear()
-        random_function(rng, domain, d).values_on_grid(n)
+        scan_grids(random_function(rng, domain, d), n)
         assert len(calls) == (1 if domain.kind == "S1" else 2), (domain.kind, d)
         for a, b in calls:
             assert a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (domain.kind, d, a, b)
@@ -411,7 +421,7 @@ def test_blocked_scan_is_the_one_shot_product():
     rng = np.random.default_rng(18)
     for domain, d, n in SCAN_CASES:
         f = random_function(rng, domain, d, decay=float(rng.uniform(0.0, 2.0)))
-        got, want = f.values_on_grid(n), scan_one_shot(f.coeffs, n)
+        got, want = scan_grids(f, n), scan_one_shot(f.coeffs, n)
         if domain.kind == "S1" or d < 32:
             assert np.array_equal(got, want), (domain.kind, d)
         else:
@@ -438,17 +448,18 @@ def test_scans_stay_on_the_calling_thread():
     code = """if True:
         import time
         import numpy as np
-        from jetflat.fourier import CIRCLE, TORUS2
+        from jetflat.fourier import CIRCLE, TORUS2, _circle_scans, _derivative_stack
         from jetflat.sampling import random_function
         rng = np.random.default_rng(1)
-        scans = [(random_function(rng, TORUS2, d), 256) for d in (4, 8, 16)]
-        scans.append((random_function(rng, CIRCLE, 32), 4096))
-        for f, n in scans:
-            f.values_on_grid(n)
+        scans = [lambda f=random_function(rng, TORUS2, d): f.values_on_grid(256) for d in (4, 8, 16)]
+        stack = _derivative_stack(random_function(rng, CIRCLE, 32).coeffs[None])
+        scans.append(lambda: _circle_scans(stack, 4096))
+        for scan in scans:
+            scan()
         cpu, wall = time.process_time(), time.perf_counter()
         while time.perf_counter() - wall < 0.2:
-            for f, n in scans:
-                f.values_on_grid(n)
+            for scan in scans:
+                scan()
         print((time.process_time() - cpu) / (time.perf_counter() - wall))
     """
     src = os.path.dirname(os.path.dirname(fourier.__file__))

@@ -248,20 +248,14 @@ def test_no_witness_on_a_torus_path_of_two_directions(rng):
 
 
 @pytest.mark.parametrize("domain", [CIRCLE, TORUS2], ids=["S1", "T2"])
-def test_witness_search_reads_records_without_scanning(monkeypatch, rng, domain):
+def test_witness_search_reads_records_without_scanning(rng, scanned, domain):
     h = random_function(rng, domain, 3)
     records = [attaining_set(lam * h, EQUALITY_TOL) for lam in (0.5, 1.0, 2.0)]
-    calls = []
-    scan = FourierFunction.values_on_grid
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return scan(self, *args, **kwargs)
-
-    monkeypatch.setattr(FourierFunction, "values_on_grid", counted)
+    assert scanned  # the records' own scans are counted
+    scanned.clear()
     found = geodesics.common_attaining_point(records)
     assert isinstance(found, geodesics.QAWitness)
-    assert calls == []
+    assert scanned == []
 
 
 @pytest.mark.parametrize("n_knots", [16, 64])
@@ -599,8 +593,7 @@ def test_restarts_at_the_optimum_stay_put(monkeypatch):
     v0, v1 = f0.coeffs.ravel(), f1.coeffs.ravel()
     starts = np.repeat(np.linspace(v0, v1, 5)[None], 4, axis=0)
     starts[:, 1:-1] += 0.2 * rng.standard_normal(starts[:, 1:-1].shape)
-    grid = geodesics._subgradient_grid(CIRCLE, 4)
-    sups, _ = geodesics._segment_sups(np.diff(starts, axis=1).reshape(-1, len(v0)), CIRCLE, 4, grid)
+    sups, _ = geodesics._segment_sups(np.diff(starts, axis=1).reshape(-1, len(v0)), CIRCLE, 4)
     coarse = sups.reshape(4, 4).sum(axis=1)
     scans = []
     segment_sups = geodesics._segment_sups
@@ -712,7 +705,7 @@ def test_segment_sups_reach_the_maximum():
     # degree 1 in closed form: max |a0 + a cos + b sin| = |a0| + sqrt(a^2 + b^2)
     a0, a, b = rng.uniform(-1.0, 1.0, (3, 40))
     seg = np.array([fn(*c).coeffs.ravel() for c in zip(a0, a[:, None], b[:, None])])
-    sups, rows = geodesics._segment_sups(seg, CIRCLE, 1, geodesics._subgradient_grid(CIRCLE, 1))
+    sups, rows = geodesics._segment_sups(seg, CIRCLE, 1)
     assert sups == pytest.approx(np.abs(a0) + np.hypot(a, b), abs=1e-12)
     assert np.sum(rows * seg, axis=1) == pytest.approx(sups, abs=1e-15)
     # separable degree 1 on T2, a0 + (a cos + b sin)(2 pi q1) + (c cos + d sin)(2 pi q2):
@@ -723,11 +716,10 @@ def test_segment_sups_reach_the_maximum():
         for p0, pa, pb, pc, pd in zip(a0, a, b, c, d)
     ]
     seg = np.array([f.coeffs.ravel() for f in tor])
-    sups, _ = geodesics._segment_sups(seg, TORUS2, 1, geodesics._subgradient_grid(TORUS2, 1))
+    sups, _ = geodesics._segment_sups(seg, TORUS2, 1)
     assert sups == pytest.approx(np.abs(a0) + np.hypot(a, b) + np.hypot(c, d), abs=1e-12)
     # degree 8 against the dense oracle, wherever |v|'s top peak leads the
     # next by more than the Taylor margin of the 128-point grid
-    grid = geodesics._subgradient_grid(CIRCLE, 8)
     checked = 0
     for _ in range(12):
         f = random_function(rng, degree=8) - random_function(rng, degree=8)
@@ -735,10 +727,31 @@ def test_segment_sups_reach_the_maximum():
         sign, lead, curv = _peak_lead(a0, cos, sin)
         if lead <= 0.5 * curv / 128**2:
             continue
-        (s,), _ = geodesics._segment_sups(f.coeffs.ravel()[None], CIRCLE, 8, grid)
+        (s,), _ = geodesics._segment_sups(f.coeffs.ravel()[None], CIRCLE, 8)
         assert s == pytest.approx(dense_max(sign * a0, sign * cos, sign * sin), abs=1e-12)
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("domain, degree", [(CIRCLE, 8), (CIRCLE, 64), (TORUS2, 3), (TORUS2, 16)])
+def test_segment_scans_are_blocked_products(monkeypatch, domain, degree):
+    # the coarse scan is the engine's grid product, at the default 16 restarts
+    # of 5 segments: one stacked np.matmul on S1 and two on T2, each of whose
+    # BLAS calls multiplies an (m, k) block by a (k, p) one within BLAS_CALL
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    rng = np.random.default_rng(21)
+    seg = np.array([random_function(rng, domain, degree).coeffs.ravel() for _ in range(16 * 5)])
+    monkeypatch.setattr(np, "matmul", spy)
+    geodesics._segment_sups(seg, domain, degree)
+    assert len(calls) == (1 if domain.kind == "S1" else 2)
+    for a, b in calls:
+        assert a[-2] * a[-1] * b[-1] <= fourier.BLAS_CALL, (a, b)
 
 
 def test_reversal_doubling_and_sch():

@@ -29,6 +29,15 @@ def leg(a0=0.0, cos=(), sin=()):
 # -- selectors ----------------------------------------------------------------
 
 
+def test_jetflat_selectors_is_the_module():
+    # the package does not re-export the function of the same name, so a
+    # plain import reaches the module
+    import jetflat.selectors as m
+    from jetflat import selectors
+
+    assert selectors is m and callable(m.chord_spectra) and callable(m.selectors)
+
+
 def test_selectors_on_equal_pair():
     l = leg(0.2, [0.1])
     r = selectors(l, l)
