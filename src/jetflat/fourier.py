@@ -1138,8 +1138,10 @@ def critical_sets(fs: Iterable[FourierFunction], tol: float = EQUALITY_TOL) -> l
     contributes its value once;
     a constant (its scan's range within rounding, the rule that gives it no
     seeds) reports the record's extrema.  A critical set does not depend on
-    the batch it came in.
+    the batch it came in.  tol must be positive.
     """
+    if not tol > 0.0:
+        raise ValueError(f"critical tolerance must be positive, got {tol}")
     fs = list(fs)
     out: list[CriticalSet] = [None] * len(fs)
     for js, b in _reduce(fs, tol, critical=True):

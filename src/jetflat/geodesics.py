@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import EQUALITY_TOL, OPTIMIZER_ITERS, POLYAK_RELAXATION, RESTART_SIGMA
+from .config import EQUALITY_TOL, NEWTON_MAX_ITER, OPTIMIZER_ITERS, POLYAK_RELAXATION, RESTART_SIGMA
 from .errors import EquivalenceViolation, MalformedPath, ViolationReport
 from .fourier import (
     TWO_PI,
@@ -38,7 +38,6 @@ from .fourier import (
     _basis,
     _circle_scans,
     _derivative_stack,
-    _newton_circle,
     _newton_torus,
     _padded,
     _rounding,
@@ -397,11 +396,41 @@ def grid_quasi_autonomy_witness(
 
 
 def _real_basis(domain: DomainDescriptor, degree: int, pts: np.ndarray) -> np.ndarray:
-    """B with B[i] the basis-function values (coeffs order, flattened) at pts[i], shape (m, dim)."""
-    axes = _basis(degree, pts).reshape(len(pts), domain.ndim, -1)  # (m, ndim, 2(D+1))
+    """B with B[i] the basis-function values (coeffs order, flattened) at pts[i], shape (m, dim); m may be 0."""
+    axes = _basis(degree, pts).reshape(len(pts), domain.ndim, 2 * (degree + 1))
     if domain.kind == "S1":
         return axes[:, 0]
-    return (axes[:, 0, :, None] * axes[:, 1, None, :]).reshape(len(pts), -1)
+    return (axes[:, 0, :, None] * axes[:, 1, None, :]).reshape(len(pts), axes.shape[-1] ** 2)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a step at f'' = 0 is infinite: it leaves the window
+def _window_newton(stack: np.ndarray, x: np.ndarray, dq: float, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton for f'(q) = 0 from each start x[i] within [x[i] - dq, x[i] + dq]: f at each root, and the basis rows.
+
+    stack[i] is the S1 derivative stack (f, f', f'') of row i, all rows of
+    one degree.  Each step evaluates the three series of every row at once,
+    one per-row contraction against the basis (cos 2 pi k q, sin 2 pi k q)
+    at the iterates, with no BLAS call, so a row's bits do not depend on the
+    other rows.  A row is frozen by a mask once |f'| <= residual[i] (its
+    root), once a step leaves its window, or after NEWTON_MAX_ITER steps;
+    its value is NaN unless it converged.  The rows returned are the basis
+    at each row's last iterate, shape (m, 2(D+1)).
+    """
+    lo, hi = x - dq, x + dq
+    coeffs = stack.reshape(len(x), 3, -1)
+    val, live = np.full(len(x), np.nan), np.ones(len(x), dtype=bool)
+    for it in range(NEWTON_MAX_ITER + 1):
+        basis = _basis(stack.shape[-1] - 1, x).reshape(len(x), -1)
+        v, g, h = np.einsum("msk,mk->ms", coeffs, basis).T
+        done = live & (np.abs(g) <= residual)
+        val[done] = v[done]
+        live &= ~done
+        if it == NEWTON_MAX_ITER or not live.any():
+            break
+        step = x - g / h
+        live &= (lo <= step) & (step <= hi)
+        x = np.where(live, step, x)
+    return val, basis
 
 
 def _segment_sups(seg: np.ndarray, domain: DomainDescriptor, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,12 +438,16 @@ def _segment_sups(seg: np.ndarray, domain: DomainDescriptor, degree: int) -> tup
 
     The coarse scan is the engine's grid product at n points per axis, 16
     per top-frequency period on S1 (_circle_scans) and 8 per period and
-    axis on T2 (_torus_scans); each argmax of |v| is finished by the Newton
-    kernel of the extremum search, and stays where Newton fails or lowers
-    |v|.  The Newton kernels work seed by seed, but the scan is one stacked
-    product, whose OpenBLAS kernel may change with the number of rows: a
-    row's coarse values can then move by a few ulps (S1 degree 15, and a
-    lone row at degree 1, among S1 degrees 0-64 and T2 degrees 0-16).
+    axis on T2 (_torus_scans).  Each argmax of |v| is finished by Newton:
+    on S1 by the optimizer's own _window_newton, from the vertex of the
+    parabola through the argmax and its two neighbours within one grid
+    step, and on T2 by the extremum search's _newton_torus.  A row stays at
+    its grid point where Newton fails or lowers |v|, and its subgradient
+    row is the basis at its final point.  Newton works row by row, but the
+    scan is one stacked product, whose OpenBLAS kernel may change with the
+    number of rows: a row's coarse values can then move by a few ulps (S1
+    degree 15, and a lone row at degree 1, among S1 degrees 0-64 and T2
+    degrees 0-16).
     """
     real = seg.reshape((len(seg),) + (2, degree + 1) * domain.ndim)  # coeffs layout
     stack = _derivative_stack(real)
@@ -432,15 +465,14 @@ def _segment_sups(seg: np.ndarray, domain: DomainDescriptor, degree: int) -> tup
         lo, hi = v[m, idx - 1], v[m, (idx + 1) % n]
         bend = lo - 2.0 * top + hi
         start = q0[:, 0] + 0.5 * dq * (lo - hi) / np.where(bend == 0.0, np.inf, bend)
-        q, val = _newton_circle(stack, start, start - dq, start + dq, residual, 0.0 * start)  # a window, no bracket
-        q = q[:, None]
+        val, rows = _window_newton(stack, start, dq, residual)
     else:
         q0 = np.stack(divmod(idx, n), axis=1) / n
         q = _newton_torus(stack, q0, np.inf, residual)
-        val = _torus_at(stack[:, :1], q)[:, 0]
+        val, rows = _torus_at(stack[:, :1], q)[:, 0], _real_basis(domain, degree, q)
     stay = ~(np.abs(val) >= np.abs(top))  # NaN where Newton failed
-    q[stay], val[stay] = q0[stay], top[stay]
-    return np.abs(val), np.sign(val)[:, None] * _real_basis(domain, degree, q)
+    rows[stay], val[stay] = _real_basis(domain, degree, q0[stay]), top[stay]
+    return np.abs(val), np.sign(val)[:, None] * rows
 
 
 @dataclass(frozen=True)
@@ -465,9 +497,10 @@ def _run_restart(x: np.ndarray, domain: DomainDescriptor, degree: int, target: f
     best coarse length is within EQUALITY_TOL of target; a restart at or
     below the target thus takes no step, and the loop ends when every
     restart is frozen or after OPTIMIZER_ITERS steps.  The live restarts
-    run in lockstep, one scan of all their segments per step
-    (_segment_sups), so restart r depends on how many run only through the
-    ulps by which that scan's rows may move with its size.
+    run in lockstep, one scan and one Newton run over all their segments
+    per step (_segment_sups).  Newton works segment by segment, so restart
+    r depends on how many run only through the ulps by which the scan's
+    gemm may round a row apart with its size.
     """
     x, best_x = np.array(x), np.array(x)
     r, k, dim = x.shape
@@ -508,7 +541,7 @@ def optimize_path(
     distance lower bound.
     """
     if knots < 2:
-        raise MalformedPath("optimize_path needs at least two knots")
+        raise ValueError(f"knots must be at least 2, got {knots}")
     if restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {restarts}")
     if f0.domain != f1.domain:

@@ -473,6 +473,17 @@ def test_negative_restarts_exit_2(capsys, specs, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--knots", "1"), ("--knots", "0"), ("--restarts", "-1")])
+@pytest.mark.parametrize(
+    "command", [["geodesic", "reversal", "--mode", "optimize"], ["contact", "upper", "phi"]], ids=["geodesic", "contact-upper"]
+)
+def test_optimizer_flags_out_of_range_exit_2(capsys, specs, command, flag, value):
+    # fewer than two knots, like a negative restart count, is an input
+    # error, not malformed geometry (exit 3)
+    assert main([specs.get(a, a) for a in command] + [flag, value]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_grid_evaluations_per_command(monkeypatch, capsys, scanned, specs, rng):
     # one scan per function per command: dist and spectrum scan f1 - f0 once
     # and read the selectors from the critical set's extrema record; a

@@ -943,12 +943,14 @@ def test_dedupe_points_matches_the_pairwise_loop(tol):
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
 def test_attaining_sets_reject_a_tolerance_that_is_not_positive(tol):
     # the bound of the command line's --tol, checked where a library caller
-    # hands its own tolerance in, before either domain scans
-    for f in (fn(0.0, [0.3], [0.1]), FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [1.0, 0.0]])):
-        with pytest.raises(ValueError, match="positive"):
-            attaining_set(f, tol)
-        with pytest.raises(ValueError, match="positive"):
-            attaining_sets([f], tol)
+    # hands its own tolerance in, before either domain scans: a bad argument
+    # is an input error, not a failed check (ViolationReport) or an empty
+    # attaining set
+    for f in (fn(0.0, [0.3, -0.2], [0.1]), FourierFunction.from_torus_coeffs(0.0, [[0.0, 1.0], [1.0, 0.0]])):
+        for query in (attaining_set, critical_set, lambda f, tol: attaining_sets([f], tol),
+                      lambda f, tol: critical_sets([f], tol)):
+            with pytest.raises(ValueError, match="positive"):
+                query(f, tol)
 
 
 def test_constructors_store_their_inputs(rng):

@@ -563,6 +563,15 @@ def test_optimize_constants():
     assert r.gap >= -1e-9
 
 
+@pytest.mark.parametrize("knots", [1, 0, -2])
+def test_optimize_rejects_fewer_than_two_knots(knots):
+    # a bad knot count is a bad argument, as a negative restart count is,
+    # not a malformed path
+    with pytest.raises(ValueError, match="knots") as info:
+        optimize_path(fn(0.0), fn(0.0, [0.5]), knots=knots)
+    assert not isinstance(info.value, MalformedPath)
+
+
 def test_optimize_cosine_target():
     r = optimize_path(fn(0.0), fn(0.0, [0.5]), knots=6, restarts=16, seed=42)
     assert abs(r.length - 0.5) <= 1e-4
@@ -718,19 +727,52 @@ def test_segment_sups_reach_the_maximum():
     seg = np.array([f.coeffs.ravel() for f in tor])
     sups, _ = geodesics._segment_sups(seg, TORUS2, 1)
     assert sups == pytest.approx(np.abs(a0) + np.hypot(a, b) + np.hypot(c, d), abs=1e-12)
-    # degree 8 against the dense oracle, wherever |v|'s top peak leads the
-    # next by more than the Taylor margin of the 128-point grid
-    checked = 0
-    for _ in range(12):
-        f = random_function(rng, degree=8) - random_function(rng, degree=8)
-        a0, cos, sin = f.circle_cos_sin()
-        sign, lead, curv = _peak_lead(a0, cos, sin)
-        if lead <= 0.5 * curv / 128**2:
-            continue
-        (s,), _ = geodesics._segment_sups(f.coeffs.ravel()[None], CIRCLE, 8)
-        assert s == pytest.approx(dense_max(sign * a0, sign * cos, sign * sin), abs=1e-12)
-        checked += 1
-    assert checked >= 10
+    # degrees 8 and 32 against the dense oracle (2^20 and 2^18 points),
+    # wherever |v|'s top peak leads the next by more than the Taylor margin
+    # of the 16 D-point grid
+    for degree, tries, need, n in ((8, 12, 10, 1 << 20), (32, 4, 3, 1 << 18)):
+        checked = 0
+        for _ in range(tries):
+            f = random_function(rng, degree=degree) - random_function(rng, degree=degree)
+            a0, cos, sin = f.circle_cos_sin()
+            sign, lead, curv = _peak_lead(a0, cos, sin)
+            if lead <= 0.5 * curv / (16 * degree) ** 2:
+                continue
+            (s,), _ = geodesics._segment_sups(f.coeffs.ravel()[None], CIRCLE, degree)
+            assert s == pytest.approx(dense_max(sign * a0, sign * cos, sign * sin, n), abs=1e-12)
+            checked += 1
+        assert checked >= need
+
+
+@pytest.mark.parametrize("degree", [1, 8, 15, 64])
+def test_window_newton_rows_do_not_depend_on_how_many_run(degree):
+    # the optimizer's S1 Newton evaluates every row by its own contraction:
+    # a row's value and basis row keep their bits whatever number of rows
+    # runs with it, where a product across rows may round a row apart with
+    # its size (the coarse scan's gemm moves at degree 15).  30 rows start
+    # within half a grid step of their grid argmax, 10 anywhere (most of
+    # these leave their window)
+    rng = np.random.default_rng(29 + degree)
+    m, n = 40, 16 * degree
+    real = np.array([random_function(rng, degree=degree).coeffs for _ in range(m)])
+    xs = np.arange(n) / n
+    top = np.array([eval_direct(*FourierFunction(CIRCLE, r).circle_cos_sin(), xs) for r in real])
+    idx = np.argmax(np.abs(top), axis=1)
+    start = np.where(np.arange(m) < 30, (idx + rng.uniform(-0.5, 0.5, m)) / n, rng.uniform(0.0, 1.0, m))
+    residual = 1e-8 * np.maximum(1.0, 2 * np.pi * degree * np.abs(top[np.arange(m), idx]))
+    stack = fourier._derivative_stack(real)
+    val, rows = geodesics._window_newton(stack, start, 1.0 / n, residual)
+    # the engine's Newton on the same windows is the reference: the same rows
+    # fail, and the values agree to the rounding of the coefficient sum
+    _, want = fourier._newton_circle(stack, start, start - 1.0 / n, start + 1.0 / n, residual, 0.0 * start)
+    ok = np.isfinite(val)
+    assert np.array_equal(ok, np.isfinite(want)) and 30 <= ok.sum() < m
+    assert np.all(np.abs(val - want)[ok] <= 8 * np.finfo(float).eps * np.abs(real).sum(axis=(1, 2))[ok])
+    # a converged row is the basis at a root of f' where f takes its value
+    assert np.sum(rows * real.reshape(m, -1), axis=1)[ok] == pytest.approx(val[ok], abs=1e-14)
+    for k in range(1, m + 1):
+        v, r = geodesics._window_newton(stack[:k], start[:k], 1.0 / n, residual[:k])
+        assert v.tobytes() == val[:k].tobytes() and r.tobytes() == rows[:k].tobytes(), k
 
 
 @pytest.mark.parametrize("domain, degree", [(CIRCLE, 8), (CIRCLE, 64), (TORUS2, 3), (TORUS2, 16)])
