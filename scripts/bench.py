@@ -3,9 +3,10 @@
 
 Runs ``perfbench/run.py --trace 0`` ``--runs`` times per workload, each in
 its own interpreter, with the workloads interleaved run by run so that a
-slow spell of a shared machine falls on all of them.  Every run uses the
-same ``--seed``, so the runs differ only by timing.  The JSON written to
-``--out`` holds:
+slow spell of a shared machine falls on all of them.  Every run lasts
+``run_seconds`` of ``BENCHMARK.json`` and uses the seed ``SEED``, so the runs
+differ only by timing and two files of one machine are comparable.  The
+JSON written to ``--out`` holds:
 
 - the git sha of HEAD and whether the tracked files differ from it, the
   Python and numpy versions, ``nproc``, the CPU affinity, the thread
@@ -38,24 +39,17 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
 METRICS = tuple(m["name"] for m in SPEC["end_to_end"])
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# The keys of the document, of each workload's entry, of each run and of
-# each summarized quantity: the schema summarize writes.
-DOC_KEYS = ("git_sha", "git_dirty", "python", "numpy", "nproc", "affinity", "threads",
-            "command", "seconds", "seed", "runs", "workloads")
-WORKLOAD_KEYS = ("runs", "end_to_end", "per_kind_p50_ms")
-RUN_KEYS = ("speed_scale", "correct", "attempted", "failed")
-STAT_KEYS = ("unit", "median", "q1", "q3")
+SEED = 1
 
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(workload: str) -> tuple[dict, dict]:
     """One run.py --trace 0 run in a fresh interpreter: its (environment line, result line)."""
     cmd = [sys.executable, str(ROOT / SPEC["command"][1]), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
     info, result = done.stdout.strip().splitlines()[-2:]
     return json.loads(info), json.loads(result)
@@ -67,7 +61,7 @@ def _stats(values: list[float], unit: str) -> dict:
     return {"unit": unit, "median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict[str, list[tuple[dict, dict]]], head: dict, seconds: float, seed: int) -> dict:
+def summarize(runs: dict[str, list[tuple[dict, dict]]], head: dict) -> dict:
     """The BENCH document of runs[workload] = [(environment line, result line), ...].
 
     head holds the git sha and dirty flag; the versions, nproc and threads
@@ -82,8 +76,8 @@ def summarize(runs: dict[str, list[tuple[dict, dict]]], head: dict, seconds: flo
         "affinity": env["affinity"],
         "threads": {v: env["threads"].get(v) for v in THREAD_VARS},
         "command": SPEC["command"] + ["--trace", "0"],
-        "seconds": seconds,
-        "seed": seed,
+        "seconds": SPEC["run_seconds"],
+        "seed": SEED,
         "runs": max(len(r) for r in runs.values()),
         "workloads": {},
     }
@@ -112,21 +106,17 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", type=Path, required=True, help="the JSON file to write, BENCH_<n>.json")
     ap.add_argument("--runs", type=int, default=5, help="runs per workload")
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"], help="time inside cli.main per run")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; all by default")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    workloads = args.workload or list(WORKLOADS)
     head = {"git_sha": _git("rev-parse", "HEAD"), "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))}
-    runs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
+    runs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in WORKLOADS}
     for i in range(args.runs):
-        for w in workloads:
-            runs[w].append(run_once(w, args.seed, args.seconds))
+        for w in WORKLOADS:
+            runs[w].append(run_once(w))
             tp = runs[w][-1][1]["metrics"]["throughput_per_s"]["value"]
             print(f"run {i + 1}/{args.runs} {w}: throughput {tp:.2f}/s", file=sys.stderr)
-    doc = summarize(runs, head, args.seconds, args.seed)
+    doc = summarize(runs, head)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -62,16 +62,10 @@ def test_committed_bench_file_has_the_written_schema():
     written = bench.summarize(
         {w: [_run_lines(kinds[w])] * 2 for w in committed["workloads"]},
         {"git_sha": "0" * 40, "git_dirty": False},
-        seconds=1.0,
-        seed=1,
     )
     assert _schema(committed) == _schema(written)
-    assert sorted(written) == sorted(bench.DOC_KEYS)
     for entry in committed["workloads"].values():
-        assert sorted(entry) == sorted(bench.WORKLOAD_KEYS)
         assert len(entry["runs"]) == committed["runs"]
-        assert all(sorted(run) == sorted(bench.RUN_KEYS) and run["correct"] for run in entry["runs"])
-        assert sorted(entry["end_to_end"]) == sorted(bench.METRICS)
+        assert all(run["correct"] for run in entry["runs"])
         for stat in [*entry["end_to_end"].values(), *entry["per_kind_p50_ms"].values()]:
-            assert sorted(stat) == sorted(bench.STAT_KEYS)
             assert stat["q1"] <= stat["median"] <= stat["q3"]
